@@ -25,7 +25,6 @@ from .similarity import (
     knn_sparsify,
     pairwise_distances,
 )
-from .covertree import CoverTree, cover_tree_build, cover_tree_knn
 from .spectral import (
     ClusteringRun,
     Laplacian,
@@ -70,7 +69,6 @@ __all__ = [
     "read_transactions_csv", "standardize", "wasserstein",
     "DistanceMatrix", "SimilarityMatrix", "build_similarity", "knn_sparsify",
     "pairwise_distances",
-    "CoverTree", "cover_tree_build", "cover_tree_knn",
     "ClusteringRun", "Laplacian", "SpectralEmbedding", "SubsamplePlan",
     "default_subsample_size", "eigengap_suggest_k", "normalized_laplacian",
     "required_subsample_size", "subsample_plan", "subwsc", "subwsc_run",

@@ -40,7 +40,7 @@ from .simulate import (
 )
 from .spectral import (
     ClusteringRun,
-    default_subsample_size,
+    _similarity_graph,
     eigengap_suggest_k,
     normalized_laplacian,
     subwsc_run,
@@ -79,12 +79,34 @@ class RunConfig:
     threads: int = 0
 
     def resolved_threads(self) -> int:
+        if self.threads < 0:
+            raise UsageError(f"--threads must be at least 0, got {self.threads}")
         if self.threads > 0:
             return self.threads
         env = os.environ.get("WSC_THREADS")
         if env:
+            if not env.isdecimal() or int(env) < 1:
+                raise UsageError(f"WSC_THREADS must be a positive integer, got {env!r}")
             return int(env)
         return os.cpu_count() or 1
+
+
+def _positive(kind):
+    """An argparse type that parses ``kind`` and rejects values not above 0."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive {kind.__name__}"
+    return parse
+
+
+def _cluster_sizes(text):
+    return tuple(_positive(int)(size) for size in text.split(","))
+
+
+_cluster_sizes.__name__ = "comma-separated positive int"
 
 
 def _add_common(p):
@@ -102,17 +124,17 @@ def build_parser():
     p.add_argument("input", help="CSV with header entity_id,amount")
     p.add_argument("--method", choices=["wsc", "subwsc", "feature_kmeans", "hc"],
                    default="wsc")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_positive(int), default=None)
     p.add_argument("--k-selection", choices=["fixed", "silhouette", "eigengap"],
                    default="fixed")
     p.add_argument("--k-max", type=int, default=8,
                    help="largest K considered by automatic selection")
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", type=_positive(float), default=None)
     p.add_argument("--knn-k0", type=int, default=None,
                    help="keep only mutual k0-nearest-neighbor similarities")
-    p.add_argument("--n-s", type=int, default=None,
+    p.add_argument("--n-s", type=_positive(int), default=None,
                    help="subsample size for subwsc (default: coverage heuristic)")
-    p.add_argument("--cap", type=int, nargs="?", const=1000, default=None,
+    p.add_argument("--cap", type=_positive(int), nargs="?", const=1000, default=None,
                    help="subsample large entities down to this many amounts")
     p.add_argument("--out", default=".", help="output directory")
     _add_common(p)
@@ -125,10 +147,10 @@ def build_parser():
     p = sub.add_parser("bench", help="run the simulation benchmark")
     p.add_argument("--example", type=int, choices=[1, 2], default=1)
     p.add_argument("--setting", choices=["a", "b", "c"], default="a")
-    p.add_argument("--sizes", default=None,
+    p.add_argument("--sizes", type=_cluster_sizes, default=None,
                    help="comma-separated cluster sizes, overrides --setting")
-    p.add_argument("--beta", type=float, default=100.0)
-    p.add_argument("--m", type=int, default=20, help="number of replications")
+    p.add_argument("--beta", type=_positive(float), default=100.0)
+    p.add_argument("--m", type=_positive(int), default=20, help="number of replications")
     p.add_argument("--methods", default="wsc,feature_kmeans,hc,subwsc")
     p.add_argument("--subsample-fraction", type=float, default=0.3)
     p.add_argument("--subsample-sweep", default=None, metavar="START:STOP:STEP",
@@ -141,12 +163,12 @@ def build_parser():
     p = sub.add_parser("plotdata", help="export per-cluster distribution curves")
     p.add_argument("input", help="CSV with header entity_id,amount")
     p.add_argument("labels", help="CSV with header entity_id,label")
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=_positive(int), default=50)
     p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("distances", help="export distance and similarity matrices")
     p.add_argument("input", help="CSV with header entity_id,amount")
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", type=_positive(float), default=None)
     p.add_argument("--similarity", action="store_true",
                    help="also write the similarity matrix")
     p.add_argument("--out", default=".", help="output directory")
@@ -155,10 +177,10 @@ def build_parser():
     p = sub.add_parser("embed", help="export embedding rows and eigenvalues")
     p.add_argument("input", help="CSV with header entity_id,amount")
     p.add_argument("--method", choices=["wsc", "subwsc"], default="wsc")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--k", type=_positive(int), required=True)
+    p.add_argument("--sigma", type=_positive(float), default=None)
     p.add_argument("--knn-k0", type=int, default=None)
-    p.add_argument("--n-s", type=int, default=None)
+    p.add_argument("--n-s", type=_positive(int), default=None)
     p.add_argument("--out", default=".", help="output directory")
     _add_common(p)
 
@@ -207,13 +229,8 @@ def _resolve_k(config, dataset, distances, cluster_fn):
         raise UsageError("--k conflicts with automatic --k-selection")
     n = dataset.n
     if config.k_selection == "eigengap":
-        sim = build_similarity(distances, sigma=config.sigma)
-        if config.knn_k0 is not None:
-            from .similarity import knn_sparsify
-            sim = knn_sparsify(sim, distances, config.knn_k0)
-        lap = normalized_laplacian(sim)
-        count = min(n, config.k_max + 1)
-        eigenvalues, _ = sym_eig_topk(lap.entries, count)
+        lap = normalized_laplacian(_similarity_graph(distances, config.sigma, config.knn_k0))
+        eigenvalues, _ = sym_eig_topk(lap.entries, min(n, config.k_max + 1))
         k = eigengap_suggest_k(eigenvalues, k_max=config.k_max + 1)
         return k, {"eigengap_eigenvalues": eigenvalues.tolist()}
     k_range = range(2, min(config.k_max, n - 1) + 1)
@@ -228,8 +245,6 @@ def cmd_cluster(args) -> int:
     config = RunConfig(method=args.method, k=args.k, k_selection=args.k_selection,
                        k_max=args.k_max, sigma=args.sigma, knn_k0=args.knn_k0,
                        n_s=args.n_s, cap=args.cap, seed=args.seed, threads=args.threads)
-    if config.k is not None and config.k < 1:
-        raise UsageError("--k must be at least 1")
     threads = config.resolved_threads()
     os.makedirs(args.out, exist_ok=True)
     timings = {}
@@ -246,8 +261,7 @@ def cmd_cluster(args) -> int:
             return wsc_run(dataset, k, sigma=config.sigma, knn_k0=config.knn_k0,
                            seed=config.seed, distances=distances)
         if config.method == "subwsc":
-            n_s = config.n_s or max(k, default_subsample_size(dataset.n, k))
-            return subwsc_run(dataset, k, n_s=n_s, sigma=config.sigma,
+            return subwsc_run(dataset, k, n_s=config.n_s, sigma=config.sigma,
                               knn_k0=config.knn_k0, seed=config.seed,
                               distances=distances)
         if config.method == "feature_kmeans":
@@ -326,14 +340,8 @@ def _write_bench_csv(path, rows):
 
 
 def cmd_bench(args) -> int:
-    if args.m < 1:
-        raise UsageError("--m must be at least 1")
-    if args.sizes:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-        setting = "custom"
-    else:
-        sizes = SETTING_SIZES[args.setting]
-        setting = args.setting
+    sizes = args.sizes or SETTING_SIZES[args.setting]
+    setting = "custom" if args.sizes else args.setting
     spec = SimSpec(sizes, args.beta, args.example, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     if args.subsample_sweep:
@@ -427,8 +435,6 @@ def cmd_distances(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
     batches = read_transactions_csv(args.input)
     dataset = standardize(batches)
     threads = RunConfig(seed=args.seed, threads=args.threads).resolved_threads()

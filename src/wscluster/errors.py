@@ -42,11 +42,7 @@ class KOutOfRange(WsclusterError):
 
 
 class UnknownEntity(WsclusterError):
-    """An entity id is not present in the dataset or index."""
-
-
-class CoverTreeInvariantError(WsclusterError):
-    """A cover-tree audit found a violated invariant."""
+    """An entity id is not present in the dataset."""
 
 
 # --- spectral engine --------------------------------------------------------

@@ -227,7 +227,8 @@ class BenchmarkResult:
 
     ``rows`` hold (example, setting, beta, method, metric, mean, sd, M)
     records; ``raw`` holds per-replication values as (method, metric,
-    replication, value); failures are recorded, not raised.
+    replication, seed, value), where seed is the replication's data seed;
+    failures are recorded, not raised.
     """
 
     rows: list = field(default_factory=list)
@@ -267,10 +268,8 @@ def _timed_partition(method, dataset, batches, distances, k, seed, knn_k0,
     subsampled pipeline is what happens downstream of it.
     """
     start = time.perf_counter()
-    if method == "wsc_dense":
-        part = wsc_run(dataset, k, seed=seed, distances=distances, n_init=n_init).partition
-    elif method == "wsc_knn":
-        k0 = min(knn_k0, dataset.n - 1)
+    if method in ("wsc_dense", "wsc_knn"):
+        k0 = min(knn_k0, dataset.n - 1) if method == "wsc_knn" else None
         part = wsc_run(dataset, k, seed=seed, distances=distances, knn_k0=k0,
                        n_init=n_init).partition
     elif method == "subwsc":
@@ -287,26 +286,17 @@ def _timed_partition(method, dataset, batches, distances, k, seed, knn_k0,
     return part, time.perf_counter() - start
 
 
-def run_benchmark(spec: SimSpec, methods=("wsc", "feature_kmeans", "hc"),
-                  replications: int = 20, seed: int = 0, *, knn_k0: int = 10,
-                  subsample_fraction: float = 0.3, n_init: int = 10,
-                  setting: str = "custom") -> BenchmarkResult:
-    """Replicate the simulation protocol and aggregate metric summaries.
+def _replicate(spec: SimSpec, runs, replications: int, seed: int, knn_k0: int,
+               n_init: int, setting: str) -> BenchmarkResult:
+    """Score every ``(name, method, subsample fraction)`` run per replication.
 
     Each replication draws fresh data from a derived seed, runs every
     method on the shared distance matrix, and scores it against the ground
-    truth. ``"wsc"`` expands to a dense and a k0-sparsified variant; both
-    are recorded, and the variant with the better mean Rand index is also
-    reported under the plain ``wsc`` name. Per-replication method failures
-    are recorded and skipped rather than aborting the run.
+    truth; every ``raw`` record carries that seed. Per-replication method
+    failures are recorded and skipped rather than aborting the run.
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    expanded = []
-    for m in methods:
-        expanded.extend(("wsc_dense", "wsc_knn") if m == "wsc" else (m,))
-
-    values = {m: {metric: [] for metric in (*METRIC_FNS, "time_s")} for m in expanded}
     result = BenchmarkResult(setting=setting, spec=spec)
     for rep in range(replications):
         rep_seed = int(substream(seed, "replication", rep).integers(2**63))
@@ -314,43 +304,69 @@ def run_benchmark(spec: SimSpec, methods=("wsc", "feature_kmeans", "hc"),
         dataset, batches, truth = generate_dataset(rep_spec)
         distances = pairwise_distances(dataset)
         truth_part = Partition.from_labels(truth.labels)
-        for method in expanded:
+        for name, method, fraction in runs:
             try:
                 part, seconds = _timed_partition(
                     method, dataset, batches, distances, spec.k, rep_seed,
-                    knn_k0, subsample_fraction, n_init)
+                    knn_k0, fraction, n_init)
             except Exception as exc:  # recorded, run continues
-                result.failures.append({"method": method, "replication": rep,
+                result.failures.append({"method": name, "replication": rep,
                                         "error": f"{type(exc).__name__}: {exc}"})
                 continue
-            for metric, fn in METRIC_FNS.items():
-                value = fn(truth_part, part)
-                values[method][metric].append(value)
-                result.raw.append({"method": method, "metric": metric,
-                                   "replication": rep, "value": value})
-            values[method]["time_s"].append(seconds)
-            result.raw.append({"method": method, "metric": "time_s",
-                               "replication": rep, "value": seconds})
+            scores = {metric: fn(truth_part, part) for metric, fn in METRIC_FNS.items()}
+            scores["time_s"] = seconds
+            result.raw.extend({"method": name, "metric": metric, "replication": rep,
+                               "seed": rep_seed, "value": value}
+                              for metric, value in scores.items())
+    return result
 
-    if "wsc_dense" in expanded and "wsc_knn" in expanded:
-        dense_ri = np.mean(values["wsc_dense"]["ri"]) if values["wsc_dense"]["ri"] else -1
-        knn_ri = np.mean(values["wsc_knn"]["ri"]) if values["wsc_knn"]["ri"] else -1
-        winner = "wsc_dense" if dense_ri >= knn_ri else "wsc_knn"
-        values["wsc"] = values[winner]
 
-    for method, by_metric in values.items():
-        for metric, series in by_metric.items():
-            if not series:
+def _series(result: BenchmarkResult, method: str, metric: str) -> list:
+    return [r["value"] for r in result.raw
+            if r["method"] == method and r["metric"] == metric]
+
+
+def _summarize(result: BenchmarkResult, methods) -> BenchmarkResult:
+    """Append a mean/sd row per method and metric that has raw values."""
+    spec = result.spec
+    for method in dict.fromkeys(methods):
+        for metric in (*METRIC_FNS, "time_s"):
+            arr = np.asarray(_series(result, method, metric))
+            if not arr.size:
                 continue
-            arr = np.asarray(series)
             result.rows.append({
-                "example": spec.example, "setting": setting, "beta": spec.beta,
+                "example": spec.example, "setting": result.setting, "beta": spec.beta,
                 "method": method, "metric": metric,
                 "mean": float(arr.mean()),
                 "sd": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
                 "M": int(arr.size),
             })
     return result
+
+
+def run_benchmark(spec: SimSpec, methods=("wsc", "feature_kmeans", "hc"),
+                  replications: int = 20, seed: int = 0, *, knn_k0: int = 10,
+                  subsample_fraction: float = 0.3, n_init: int = 10,
+                  setting: str = "custom") -> BenchmarkResult:
+    """Replicate the simulation protocol and aggregate metric summaries.
+
+    ``"wsc"`` expands to a dense and a k0-sparsified variant; both are
+    recorded, and the variant with the better mean Rand index (dense on a
+    tie) is also reported under the plain ``wsc`` name, in ``rows`` and,
+    per replication, in ``raw``.
+    """
+    expanded = []
+    for m in methods:
+        expanded.extend(("wsc_dense", "wsc_knn") if m == "wsc" else (m,))
+    result = _replicate(spec, [(m, m, subsample_fraction) for m in expanded],
+                        replications, seed, knn_k0, n_init, setting)
+    if "wsc_dense" in expanded and "wsc_knn" in expanded:
+        mean_ri = {m: np.mean(_series(result, m, "ri") or [-1]) for m in ("wsc_dense", "wsc_knn")}
+        winner = "wsc_dense" if mean_ri["wsc_dense"] >= mean_ri["wsc_knn"] else "wsc_knn"
+        result.raw.extend([{**r, "method": "wsc"} for r in result.raw
+                           if r["method"] == winner])
+        expanded.append("wsc")
+    return _summarize(result, expanded)
 
 
 def subsample_sweep(spec: SimSpec, fractions, replications: int = 5, seed: int = 0,
@@ -361,45 +377,7 @@ def subsample_sweep(spec: SimSpec, fractions, replications: int = 5, seed: int =
     and every sweep point, mirroring how the subsampled method is meant to
     be deployed.
     """
-    fractions = [float(f) for f in fractions]
-    result = BenchmarkResult(setting=setting, spec=spec)
-    methods = ["wsc_dense"] + [f"subwsc@{f:g}" for f in fractions]
-    values = {m: {metric: [] for metric in (*METRIC_FNS, "time_s")} for m in methods}
-    for rep in range(replications):
-        rep_seed = int(substream(seed, "replication", rep).integers(2**63))
-        rep_spec = SimSpec(spec.cluster_sizes, spec.beta, spec.example, seed=rep_seed)
-        dataset, batches, truth = generate_dataset(rep_spec)
-        distances = pairwise_distances(dataset)
-        truth_part = Partition.from_labels(truth.labels)
-        runs = [("wsc_dense", "wsc_dense", None)]
-        runs += [(f"subwsc@{f:g}", "subwsc", f) for f in fractions]
-        for name, method, fraction in runs:
-            try:
-                part, seconds = _timed_partition(
-                    method, dataset, batches, distances, spec.k, rep_seed,
-                    10, fraction, n_init)
-            except Exception as exc:
-                result.failures.append({"method": name, "replication": rep,
-                                        "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            for metric, fn in METRIC_FNS.items():
-                value = fn(truth_part, part)
-                values[name][metric].append(value)
-                result.raw.append({"method": name, "metric": metric,
-                                   "replication": rep, "value": value})
-            values[name]["time_s"].append(seconds)
-            result.raw.append({"method": name, "metric": "time_s",
-                               "replication": rep, "value": seconds})
-    for method, by_metric in values.items():
-        for metric, series in by_metric.items():
-            if not series:
-                continue
-            arr = np.asarray(series)
-            result.rows.append({
-                "example": spec.example, "setting": setting, "beta": spec.beta,
-                "method": method, "metric": metric,
-                "mean": float(arr.mean()),
-                "sd": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-                "M": int(arr.size),
-            })
-    return result
+    runs = [("wsc_dense", "wsc_dense", None)]
+    runs += [(f"subwsc@{float(f):g}", "subwsc", float(f)) for f in fractions]
+    result = _replicate(spec, runs, replications, seed, 10, n_init, setting)
+    return _summarize(result, [name for name, _, _ in runs])

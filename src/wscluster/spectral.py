@@ -117,14 +117,20 @@ class ClusteringRun:
     plan: SubsamplePlan | None = None
 
 
-def normalized_laplacian(s: SimilarityMatrix) -> Laplacian:
-    """L = D^{-1/2} S D^{-1/2} with degrees the full row sums of S."""
-    degrees = s.entries.sum(axis=1)
+def _degrees(sim: SimilarityMatrix) -> np.ndarray:
+    """Full row sums of S; an isolated entity raises :class:`ZeroDegree`."""
+    degrees = sim.entries.sum(axis=1)
     bad = np.flatnonzero(degrees <= 0)
     if bad.size:
         raise ZeroDegree(
-            f"entity {s.entity_ids[bad[0]]!r} has zero degree; "
+            f"entity {sim.entity_ids[bad[0]]!r} has zero degree; "
             "increase k0 or disable sparsification")
+    return degrees
+
+
+def normalized_laplacian(s: SimilarityMatrix) -> Laplacian:
+    """L = D^{-1/2} S D^{-1/2} with degrees the full row sums of S."""
+    degrees = _degrees(s)
     scale = 1.0 / np.sqrt(degrees)
     return Laplacian(entries=s.entries * np.outer(scale, scale), degrees=degrees)
 
@@ -225,22 +231,59 @@ def subsample_plan(n: int, n_s: int, seed: int = 0) -> SubsamplePlan:
     return SubsamplePlan(n=n, selected=selected.astype(np.intp), seed=seed)
 
 
-def _check_standardized(dataset: Dataset):
+def _similarity_graph(distances: DistanceMatrix, sigma: float | None,
+                      knn_k0: int | None) -> SimilarityMatrix:
+    """Kernel graph exp(-W / sigma), reduced to mutual k0-neighbors if asked."""
+    sim = build_similarity(distances, sigma=sigma)
+    if knn_k0 is not None:
+        sim = knn_sparsify(sim, distances, knn_k0)
+    return sim
+
+
+def _cluster(dataset: Dataset, k: int, operator, embed, *, sigma, knn_k0, seed,
+             threads, n_init, max_iter, distances, plan=None) -> ClusteringRun:
+    """The stage both pipelines share: graph, embedding, K-means.
+
+    ``operator`` turns the similarity graph into the matrix the embedding
+    reads and is timed with the graph as ``similarity``; ``embed`` turns
+    that matrix into ``(eigenvalues, rows)`` and is timed as
+    ``eigensolve``. Each matrix is released once the next one exists.
+    """
     if not dataset.standardized:
         warnings.warn(
             "dataset amounts were never rescaled to [0, 1]; distances are on "
             "the raw scale", NotStandardizedWarning, stacklevel=3)
+    timings = {}
+    if distances is None:
+        t0 = time.perf_counter()
+        distances = pairwise_distances(dataset, threads=threads)
+        timings["distances"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
+    sim = _similarity_graph(distances, sigma, knn_k0)
+    sigma = sim.sigma
+    matrix = operator(sim)
+    del sim
+    timings["similarity"] = time.perf_counter() - t0
 
-def _kmeans_partition(rows, k, seed, entity_ids, n_init, max_iter):
-    result = kmeans(rows, k, seed=seed, n_init=n_init, max_iter=max_iter)
+    t0 = time.perf_counter()
+    eigenvalues, rows = embed(matrix)
+    del matrix
+    embedding = SpectralEmbedding(rows=rows, eigenvalues=eigenvalues)
+    timings["eigensolve"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    result = kmeans(embedding.rows, k, seed=seed, n_init=n_init, max_iter=max_iter)
     occupied = np.unique(result.labels).size
     warn_list = []
     if occupied < k:
         message = f"K-means produced {occupied} occupied clusters out of {k} requested"
         warnings.warn(message, KMeansDegenerateWarning, stacklevel=4)
         warn_list.append(message)
-    return Partition.from_labels(result.labels, entity_ids=entity_ids, warnings=warn_list)
+    partition = Partition.from_labels(result.labels, entity_ids=dataset.entity_ids,
+                                      warnings=warn_list)
+    timings["kmeans"] = time.perf_counter() - t0
+    return ClusteringRun(partition, embedding, sigma=sigma, timings=timings, plan=plan)
 
 
 def wsc_run(dataset: Dataset, k: int, *, sigma: float | None = None,
@@ -250,30 +293,10 @@ def wsc_run(dataset: Dataset, k: int, *, sigma: float | None = None,
     """Full-spectrum pipeline; returns the partition with its diagnostics."""
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} outside [1, {dataset.n}]")
-    _check_standardized(dataset)
-    timings = {}
-    if distances is None:
-        t0 = time.perf_counter()
-        distances = pairwise_distances(dataset, threads=threads)
-        timings["distances"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sim = build_similarity(distances, sigma=sigma)
-    if knn_k0 is not None:
-        sim = knn_sparsify(sim, distances, knn_k0)
-    lap = normalized_laplacian(sim)
-    timings["similarity"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    eigenvalues, vectors = sym_eig_topk(lap.entries, k, tol=eig_tol)
-    embedding = SpectralEmbedding(rows=vectors, eigenvalues=eigenvalues)
-    timings["eigensolve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    partition = _kmeans_partition(embedding.rows, k, seed, dataset.entity_ids,
-                                  n_init, max_iter)
-    timings["kmeans"] = time.perf_counter() - t0
-    return ClusteringRun(partition, embedding, sigma=sim.sigma, timings=timings)
+    return _cluster(dataset, k, normalized_laplacian,
+                    lambda lap: sym_eig_topk(lap.entries, k, tol=eig_tol),
+                    sigma=sigma, knn_k0=knn_k0, seed=seed, threads=threads,
+                    n_init=n_init, max_iter=max_iter, distances=distances)
 
 
 def wsc(dataset: Dataset, k: int, **kwargs) -> Partition:
@@ -283,16 +306,24 @@ def wsc(dataset: Dataset, k: int, **kwargs) -> Partition:
 
 def build_sub_laplacian(sim: SimilarityMatrix, plan: SubsamplePlan) -> SubLaplacian:
     """Column slice of the normalized Laplacian along the sampled entities."""
-    degrees = sim.entries.sum(axis=1)
-    bad = np.flatnonzero(degrees <= 0)
-    if bad.size:
-        raise ZeroDegree(
-            f"entity {sim.entity_ids[bad[0]]!r} has zero degree; "
-            "increase k0 or disable sparsification")
+    degrees = _degrees(sim)
     col_degrees = degrees[plan.selected]
     entries = sim.entries[:, plan.selected] / np.sqrt(np.outer(degrees, col_degrees))
     return SubLaplacian(entries=entries, row_degrees=degrees,
                         col_degrees=col_degrees, selected=plan.selected)
+
+
+def _gram_embedding(sub: SubLaplacian, k: int, eig_tol: float, rank_tol: float):
+    """Rows L_s V Sigma^{-1/2} from the K leading eigenpairs of L_s^T L_s."""
+    gram = sub.entries.T @ sub.entries
+    gram = (gram + gram.T) / 2.0
+    eigenvalues, vectors = sym_eig_topk(gram, k, tol=eig_tol)
+    if eigenvalues[0] <= 0 or eigenvalues[k - 1] <= rank_tol * eigenvalues[0]:
+        raise RankDeficientSample(
+            f"Gram eigenvalue {k} of {eigenvalues[k - 1]:.3e} is negligible "
+            f"next to {eigenvalues[0]:.3e}; the sample likely missed a cluster, "
+            "resample or enlarge n_s")
+    return eigenvalues, sub.entries @ (vectors / np.sqrt(eigenvalues))
 
 
 def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
@@ -318,38 +349,10 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
         raise SizeOutOfRange(f"plan is over {plan.n} entities, dataset has {n}")
     if k > plan.n_s:
         raise KOutOfRange(f"k={k} exceeds the subsample size {plan.n_s}")
-    _check_standardized(dataset)
-    timings = {}
-    if distances is None:
-        t0 = time.perf_counter()
-        distances = pairwise_distances(dataset, threads=threads)
-        timings["distances"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sim = build_similarity(distances, sigma=sigma)
-    if knn_k0 is not None:
-        sim = knn_sparsify(sim, distances, knn_k0)
-    sub = build_sub_laplacian(sim, plan)
-    timings["similarity"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    gram = sub.entries.T @ sub.entries
-    gram = (gram + gram.T) / 2.0
-    eigenvalues, vectors = sym_eig_topk(gram, k, tol=eig_tol)
-    if eigenvalues[0] <= 0 or eigenvalues[k - 1] <= rank_tol * eigenvalues[0]:
-        raise RankDeficientSample(
-            f"Gram eigenvalue {k} of {eigenvalues[k - 1]:.3e} is negligible "
-            f"next to {eigenvalues[0]:.3e}; the sample likely missed a cluster, "
-            "resample or enlarge n_s")
-    rows = sub.entries @ (vectors / np.sqrt(eigenvalues))
-    embedding = SpectralEmbedding(rows=rows, eigenvalues=eigenvalues)
-    timings["eigensolve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    partition = _kmeans_partition(embedding.rows, k, seed, dataset.entity_ids,
-                                  n_init, max_iter)
-    timings["kmeans"] = time.perf_counter() - t0
-    return ClusteringRun(partition, embedding, sigma=sim.sigma, timings=timings, plan=plan)
+    return _cluster(dataset, k, lambda sim: build_sub_laplacian(sim, plan),
+                    lambda sub: _gram_embedding(sub, k, eig_tol, rank_tol),
+                    sigma=sigma, knn_k0=knn_k0, seed=seed, threads=threads,
+                    n_init=n_init, max_iter=max_iter, distances=distances, plan=plan)
 
 
 def subwsc(dataset: Dataset, k: int, plan: SubsamplePlan | None = None,

@@ -117,11 +117,3 @@ def three_group_dataset():
     from wscluster import standardize
     return standardize(batches), labels
 
-
-def brute_force_knn(dmatrix, query_index, k):
-    """Neighbor oracle: full scan sorted by (distance, index)."""
-    order = sorted(
-        (dmatrix.entries[query_index, j], j)
-        for j in range(dmatrix.n) if j != query_index
-    )
-    return [dmatrix.entity_ids[j] for _, j in order[:k]]

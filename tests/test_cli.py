@@ -1,11 +1,25 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wscluster import (
+    build_similarity,
+    knn_sparsify,
+    normalized_laplacian,
+    pairwise_distances,
+    read_transactions_csv,
+    standardize,
+    sym_eig_topk,
+)
 from wscluster.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_transactions(path, batches):
@@ -122,6 +136,20 @@ class TestCluster:
         run = json.loads((out / "run.json").read_text())
         assert run["k"] == 3
 
+    def test_eigengap_uses_the_wsc_graph(self, toy_csv, tmp_path):
+        # the eigenvalues behind the gap come from the same graph that
+        # wsc_run clusters: mutual k0-NN sparsified kernel, full Laplacian
+        csv_path, _ = toy_csv
+        out = tmp_path / "out"
+        assert main(["cluster", str(csv_path), "--k-selection", "eigengap",
+                     "--k-max", "5", "--knn-k0", "9", "--seed", "3",
+                     "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        d = pairwise_distances(standardize(read_transactions_csv(csv_path)))
+        lap = normalized_laplacian(knn_sparsify(build_similarity(d), d, 9))
+        expected, _ = sym_eig_topk(lap.entries, 6)
+        assert run["k_selection"]["eigengap_eigenvalues"] == expected.tolist()
+
     def test_cap_flag(self, tmp_path):
         gen = np.random.default_rng(1)
         path = tmp_path / "big.csv"
@@ -137,6 +165,33 @@ class TestCluster:
             assert main(["cluster", str(csv_path), "--method", "wsc", "--k", "3",
                          "--seed", "9", "--threads", threads, "--out", str(out)]) == 0
         assert (out1 / "labels.csv").read_bytes() == (out2 / "labels.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["cluster", "{csv}", "--k", "3", "--sigma", "-1"], {}),
+    (["cluster", "{csv}", "--k", "3", "--sigma", "0"], {}),
+    (["cluster", "{csv}", "--k", "3", "--threads", "-3"], {}),
+    (["cluster", "{csv}", "--k", "3"], {"WSC_THREADS": "abc"}),
+    (["cluster", "{csv}", "--k", "3", "--cap", "0"], {}),
+    (["cluster", "{csv}", "--method", "subwsc", "--k", "3", "--n-s", "0"], {}),
+    (["distances", "{csv}", "--similarity", "--sigma", "-1"], {}),
+    (["embed", "{csv}", "--k", "0"], {}),
+    (["bench", "--sizes", "a,b"], {}),
+    (["bench", "--sizes", "0,5"], {}),
+    (["bench", "--beta", "0"], {}),
+    (["plotdata", "{csv}", "{csv}", "--bins", "0"], {}),
+], ids=["sigma-negative", "sigma-zero", "threads-negative", "threads-env-text", "cap-zero",
+        "n-s-zero", "distances-sigma", "embed-k-zero", "sizes-text", "sizes-zero",
+        "beta-zero", "bins-zero"])
+def test_bad_flag_is_usage_error(toy_csv, tmp_path, argv, env):
+    csv_path, _ = toy_csv
+    argv = [arg.format(csv=csv_path) for arg in argv] + ["--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-m", "wscluster.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "usage error" in proc.stderr
 
 
 class TestEval:

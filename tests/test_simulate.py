@@ -233,6 +233,14 @@ class TestBenchmark:
         dense_ri = result.mean("wsc_dense", "ri")
         knn_ri = result.mean("wsc_knn", "ri")
         assert wsc_ri == max(dense_ri, knn_ri)
+        # raw repeats the winner's per-replication records, seeds included
+        winner = "wsc_dense" if dense_ri >= knn_ri else "wsc_knn"
+
+        def records(method):
+            return [(r["replication"], r["seed"], r["metric"], r["value"])
+                    for r in result.raw if r["method"] == method]
+        assert records("wsc") == records(winner)
+        assert len({seed for _, seed, _, _ in records("wsc")}) == 2
 
     def test_sweep_rows(self):
         spec = SimSpec((6, 6, 6), beta=20, example=1, seed=4)
