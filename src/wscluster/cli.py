@@ -20,8 +20,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import __version__
-from .ecdf import cap_transactions, read_transactions_csv, standardize
-from .errors import CsvFormatError, WsclusterError
+from .ecdf import DEFAULT_TRANSACTION_CAP, cap_transactions, read_transactions_csv, standardize
+from .errors import CsvFormatError, InputError, WsclusterError
 from .kmeans import select_k_silhouette
 from .metrics import (
     Partition,
@@ -31,6 +31,7 @@ from .metrics import (
 )
 from .similarity import build_similarity, pairwise_distances, write_matrix_csv
 from .simulate import (
+    BENCH_METHODS,
     SETTING_SIZES,
     SimSpec,
     feature_kmeans_baseline,
@@ -127,14 +128,15 @@ def build_parser():
     p.add_argument("--k", type=_positive(int), default=None)
     p.add_argument("--k-selection", choices=["fixed", "silhouette", "eigengap"],
                    default="fixed")
-    p.add_argument("--k-max", type=int, default=8,
+    p.add_argument("--k-max", type=_positive(int), default=8,
                    help="largest K considered by automatic selection")
     p.add_argument("--sigma", type=_positive(float), default=None)
-    p.add_argument("--knn-k0", type=int, default=None,
+    p.add_argument("--knn-k0", type=_positive(int), default=None,
                    help="keep only mutual k0-nearest-neighbor similarities")
     p.add_argument("--n-s", type=_positive(int), default=None,
                    help="subsample size for subwsc (default: coverage heuristic)")
-    p.add_argument("--cap", type=_positive(int), nargs="?", const=1000, default=None,
+    p.add_argument("--cap", type=_positive(int), nargs="?", const=DEFAULT_TRANSACTION_CAP,
+                   default=None,
                    help="subsample large entities down to this many amounts")
     p.add_argument("--out", default=".", help="output directory")
     _add_common(p)
@@ -179,7 +181,7 @@ def build_parser():
     p.add_argument("--method", choices=["wsc", "subwsc"], default="wsc")
     p.add_argument("--k", type=_positive(int), required=True)
     p.add_argument("--sigma", type=_positive(float), default=None)
-    p.add_argument("--knn-k0", type=int, default=None)
+    p.add_argument("--knn-k0", type=_positive(int), default=None)
     p.add_argument("--n-s", type=_positive(int), default=None)
     p.add_argument("--out", default=".", help="output directory")
     _add_common(p)
@@ -213,11 +215,20 @@ def _write_labels_csv(path, entity_ids, labels):
             writer.writerow([eid, int(label)])
 
 
-def _load_dataset(args, config: RunConfig):
+def _load(args, config: RunConfig, timings):
+    """Read, cap if asked, standardize; returns ``(dataset, batches, distances)``."""
+    threads = config.resolved_threads()
+    t0 = time.perf_counter()
     batches = read_transactions_csv(args.input)
     if config.cap is not None:
         batches = [cap_transactions(b, config.cap, seed=config.seed) for b in batches]
-    return standardize(batches), batches
+    dataset = standardize(batches)
+    timings["ingest"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    distances = pairwise_distances(dataset, threads=threads)
+    timings["distances"] = time.perf_counter() - t0
+    return dataset, batches, distances
 
 
 def _resolve_k(config, dataset, distances, cluster_fn):
@@ -245,16 +256,9 @@ def cmd_cluster(args) -> int:
     config = RunConfig(method=args.method, k=args.k, k_selection=args.k_selection,
                        k_max=args.k_max, sigma=args.sigma, knn_k0=args.knn_k0,
                        n_s=args.n_s, cap=args.cap, seed=args.seed, threads=args.threads)
-    threads = config.resolved_threads()
     os.makedirs(args.out, exist_ok=True)
     timings = {}
-    t0 = time.perf_counter()
-    dataset, batches = _load_dataset(args, config)
-    timings["ingest"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    distances = pairwise_distances(dataset, threads=threads)
-    timings["distances"] = time.perf_counter() - t0
+    dataset, batches, distances = _load(args, config, timings)
 
     def run_method(k):
         if config.method == "wsc":
@@ -340,6 +344,12 @@ def _write_bench_csv(path, rows):
 
 
 def cmd_bench(args) -> int:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    unknown = [m for m in methods if m not in BENCH_METHODS]
+    if unknown:
+        raise UsageError(f"unknown method {unknown[0]!r}; choose from {', '.join(BENCH_METHODS)}")
+    if not 0 < args.subsample_fraction <= 1:
+        raise UsageError(f"--subsample-fraction must lie in (0, 1], got {args.subsample_fraction}")
     sizes = args.sizes or SETTING_SIZES[args.setting]
     setting = "custom" if args.sizes else args.setting
     spec = SimSpec(sizes, args.beta, args.example, seed=args.seed)
@@ -350,7 +360,6 @@ def cmd_bench(args) -> int:
                                  seed=args.seed, setting=setting)
         out_csv = os.path.join(args.out, "sweep.csv")
     else:
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         result = run_benchmark(spec, methods, replications=args.m, seed=args.seed,
                                subsample_fraction=args.subsample_fraction,
                                setting=setting)
@@ -417,10 +426,7 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    batches = read_transactions_csv(args.input)
-    dataset = standardize(batches)
-    threads = RunConfig(seed=args.seed, threads=args.threads).resolved_threads()
-    d = pairwise_distances(dataset, threads=threads)
+    _, _, d = _load(args, RunConfig(seed=args.seed, threads=args.threads), {})
     os.makedirs(args.out, exist_ok=True)
     d_path = os.path.join(args.out, "distances.csv")
     write_matrix_csv(d_path, d.entity_ids, d.entries)
@@ -435,15 +441,13 @@ def cmd_distances(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    batches = read_transactions_csv(args.input)
-    dataset = standardize(batches)
-    threads = RunConfig(seed=args.seed, threads=args.threads).resolved_threads()
+    dataset, _, distances = _load(args, RunConfig(seed=args.seed, threads=args.threads), {})
     if args.method == "wsc":
         run = wsc_run(dataset, args.k, sigma=args.sigma, knn_k0=args.knn_k0,
-                      seed=args.seed, threads=threads)
+                      seed=args.seed, distances=distances)
     else:
         run = subwsc_run(dataset, args.k, n_s=args.n_s, sigma=args.sigma,
-                         knn_k0=args.knn_k0, seed=args.seed, threads=threads)
+                         knn_k0=args.knn_k0, seed=args.seed, distances=distances)
     os.makedirs(args.out, exist_ok=True)
     emb_path = os.path.join(args.out, "embedding.csv")
     with open(emb_path, "w", newline="", encoding="utf-8") as fh:
@@ -483,7 +487,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CsvFormatError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except WsclusterError as exc:

@@ -7,23 +7,27 @@ class WsclusterError(Exception):
 
 # --- input validation -------------------------------------------------------
 
-class EmptyBatch(WsclusterError):
+class InputError(WsclusterError):
+    """The input data itself is unusable; the CLI exits with code 2."""
+
+
+class EmptyBatch(InputError):
     """A transaction batch contains no amounts."""
 
 
-class NonFiniteAmount(WsclusterError):
+class NonFiniteAmount(InputError):
     """An amount is NaN or infinite."""
 
 
-class NegativeAmount(WsclusterError):
+class NegativeAmount(InputError):
     """An amount is below zero."""
 
 
-class SuppliedM0TooSmall(WsclusterError):
+class SuppliedM0TooSmall(InputError):
     """A user-supplied standardization constant is below the data maximum."""
 
 
-class CsvFormatError(WsclusterError):
+class CsvFormatError(InputError):
     """A transaction or label CSV could not be parsed; message carries the row."""
 
 

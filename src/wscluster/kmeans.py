@@ -1,6 +1,6 @@
 """Lloyd's K-means with k-means++ seeding, plus silhouette-based K selection.
 
-Runs ``n_init`` independent restarts, each from its own derived random
+Runs ``N_INIT`` independent restarts, each from its own derived random
 substream, and keeps the result with the lowest inertia (ties go to the
 earlier restart), so the outcome does not depend on scheduling order.
 """
@@ -16,6 +16,9 @@ from .rng import substream
 
 __all__ = ["KmeansResult", "kmeans", "silhouette_mean", "select_k_silhouette"]
 
+N_INIT = 10
+MAX_ITER = 300
+
 
 @dataclass
 class KmeansResult:
@@ -23,7 +26,6 @@ class KmeansResult:
     centers: np.ndarray
     inertia: float
     iterations: int
-    restarts_used: int
     inertia_path: list = field(default_factory=list, repr=False)
 
 
@@ -58,13 +60,13 @@ def _kmeanspp_init(points, k, gen):
     return centers
 
 
-def _lloyd(points, k, gen, max_iter):
+def _lloyd(points, k, gen):
     n = points.shape[0]
     centers = _kmeanspp_init(points, k, gen)
     labels = np.full(n, -1, dtype=np.int64)
     path = []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         d2 = _sq_distances(points, centers)
         new_labels = np.argmin(d2, axis=1)
         # repair empty clusters: the point farthest from its center becomes
@@ -91,8 +93,7 @@ def _lloyd(points, k, gen, max_iter):
     return labels, centers, inertia, iterations, path
 
 
-def kmeans(points, k: int, seed: int = 0, max_iter: int = 300,
-           n_init: int = 10) -> KmeansResult:
+def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
     """Cluster the rows of ``points`` into ``k`` groups.
 
     Each restart seeds centers with k-means++ and iterates Lloyd updates
@@ -108,13 +109,13 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 300,
     if k < 1:
         raise ValueError("k must be at least 1")
     best = None
-    for restart in range(max(1, n_init)):
+    for restart in range(N_INIT):
         gen = substream(seed, "kmeans-restart", restart)
-        labels, centers, inertia, iterations, path = _lloyd(points, k, gen, max_iter)
+        labels, centers, inertia, iterations, path = _lloyd(points, k, gen)
         key = (inertia, restart)
         if best is None or key < best[0]:
             best = (key, KmeansResult(labels, centers, inertia, iterations,
-                                      restarts_used=max(1, n_init), inertia_path=path))
+                                      inertia_path=path))
     return best[1]
 
 

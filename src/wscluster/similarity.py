@@ -62,16 +62,15 @@ class SimilarityMatrix:
         return len(self.entity_ids)
 
 
-def pairwise_distances(dataset: Dataset, threads: int = 1,
-                       max_n: int = MAX_DENSE_ENTITIES) -> DistanceMatrix:
+def pairwise_distances(dataset: Dataset, threads: int = 1) -> DistanceMatrix:
     """Compute all pairwise Wasserstein distances of a dataset.
 
     Only the upper triangle is computed; each entry has a fixed writer and
     a fixed write location, so the result is identical for any ``threads``.
     """
     n = dataset.n
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the dense-matrix guard ({max_n})")
+    if n > MAX_DENSE_ENTITIES:
+        raise ValueError(f"n={n} exceeds the dense-matrix guard ({MAX_DENSE_ENTITIES})")
     supports = [e.support for e in dataset.ecdfs]
     cums = [_padded_cum(e) for e in dataset.ecdfs]
     out = np.zeros((n, n), dtype=np.float64)

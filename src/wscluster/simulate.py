@@ -39,6 +39,7 @@ __all__ = [
     "feature_kmeans_baseline",
     "hc_complete_baseline",
     "complete_linkage_merges",
+    "BENCH_METHODS",
     "BenchmarkResult",
     "run_benchmark",
     "subsample_sweep",
@@ -47,6 +48,12 @@ __all__ = [
 SETTING_SIZES = {"a": (30, 50, 75), "b": (60, 100, 150), "c": (120, 200, 300)}
 
 METRIC_FNS = {"ri": rand_index, "ca": cluster_accuracy, "nmi": nmi}
+
+# method names run_benchmark accepts; "wsc" expands to the two variants
+BENCH_METHODS = ("wsc", "wsc_dense", "wsc_knn", "subwsc", "feature_kmeans", "hc")
+
+# neighbor threshold of the sparsified wsc_knn variant
+KNN_K0 = 10
 
 
 @dataclass(frozen=True)
@@ -259,8 +266,7 @@ class BenchmarkResult:
         return "\n".join(lines)
 
 
-def _timed_partition(method, dataset, batches, distances, k, seed, knn_k0,
-                     subsample_fraction, n_init):
+def _timed_partition(method, dataset, batches, distances, k, seed, subsample_fraction):
     """Run one method on precomputed distances; returns (partition, seconds).
 
     Timing starts after the distance matrix on purpose: the distance stage
@@ -269,14 +275,12 @@ def _timed_partition(method, dataset, batches, distances, k, seed, knn_k0,
     """
     start = time.perf_counter()
     if method in ("wsc_dense", "wsc_knn"):
-        k0 = min(knn_k0, dataset.n - 1) if method == "wsc_knn" else None
-        part = wsc_run(dataset, k, seed=seed, distances=distances, knn_k0=k0,
-                       n_init=n_init).partition
+        k0 = min(KNN_K0, dataset.n - 1) if method == "wsc_knn" else None
+        part = wsc_run(dataset, k, seed=seed, distances=distances, knn_k0=k0).partition
     elif method == "subwsc":
         n_s = max(k, int(round(subsample_fraction * dataset.n)))
         plan = subsample_plan(dataset.n, n_s, seed=seed)
-        part = subwsc_run(dataset, k, plan, seed=seed, distances=distances,
-                          n_init=n_init).partition
+        part = subwsc_run(dataset, k, plan, seed=seed, distances=distances).partition
     elif method == "feature_kmeans":
         part = feature_kmeans_baseline(batches, k, seed=seed)
     elif method == "hc":
@@ -286,8 +290,8 @@ def _timed_partition(method, dataset, batches, distances, k, seed, knn_k0,
     return part, time.perf_counter() - start
 
 
-def _replicate(spec: SimSpec, runs, replications: int, seed: int, knn_k0: int,
-               n_init: int, setting: str) -> BenchmarkResult:
+def _replicate(spec: SimSpec, runs, replications: int, seed: int,
+               setting: str) -> BenchmarkResult:
     """Score every ``(name, method, subsample fraction)`` run per replication.
 
     Each replication draws fresh data from a derived seed, runs every
@@ -307,8 +311,7 @@ def _replicate(spec: SimSpec, runs, replications: int, seed: int, knn_k0: int,
         for name, method, fraction in runs:
             try:
                 part, seconds = _timed_partition(
-                    method, dataset, batches, distances, spec.k, rep_seed,
-                    knn_k0, fraction, n_init)
+                    method, dataset, batches, distances, spec.k, rep_seed, fraction)
             except Exception as exc:  # recorded, run continues
                 result.failures.append({"method": name, "replication": rep,
                                         "error": f"{type(exc).__name__}: {exc}"})
@@ -345,9 +348,8 @@ def _summarize(result: BenchmarkResult, methods) -> BenchmarkResult:
 
 
 def run_benchmark(spec: SimSpec, methods=("wsc", "feature_kmeans", "hc"),
-                  replications: int = 20, seed: int = 0, *, knn_k0: int = 10,
-                  subsample_fraction: float = 0.3, n_init: int = 10,
-                  setting: str = "custom") -> BenchmarkResult:
+                  replications: int = 20, seed: int = 0, *,
+                  subsample_fraction: float = 0.3, setting: str = "custom") -> BenchmarkResult:
     """Replicate the simulation protocol and aggregate metric summaries.
 
     ``"wsc"`` expands to a dense and a k0-sparsified variant; both are
@@ -359,7 +361,7 @@ def run_benchmark(spec: SimSpec, methods=("wsc", "feature_kmeans", "hc"),
     for m in methods:
         expanded.extend(("wsc_dense", "wsc_knn") if m == "wsc" else (m,))
     result = _replicate(spec, [(m, m, subsample_fraction) for m in expanded],
-                        replications, seed, knn_k0, n_init, setting)
+                        replications, seed, setting)
     if "wsc_dense" in expanded and "wsc_knn" in expanded:
         mean_ri = {m: np.mean(_series(result, m, "ri") or [-1]) for m in ("wsc_dense", "wsc_knn")}
         winner = "wsc_dense" if mean_ri["wsc_dense"] >= mean_ri["wsc_knn"] else "wsc_knn"
@@ -370,7 +372,7 @@ def run_benchmark(spec: SimSpec, methods=("wsc", "feature_kmeans", "hc"),
 
 
 def subsample_sweep(spec: SimSpec, fractions, replications: int = 5, seed: int = 0,
-                    *, n_init: int = 10, setting: str = "custom") -> BenchmarkResult:
+                    *, setting: str = "custom") -> BenchmarkResult:
     """Quality and wall-time of the subsampled pipeline across sample sizes.
 
     Shares one distance matrix per replication between the full pipeline
@@ -379,5 +381,5 @@ def subsample_sweep(spec: SimSpec, fractions, replications: int = 5, seed: int =
     """
     runs = [("wsc_dense", "wsc_dense", None)]
     runs += [(f"subwsc@{float(f):g}", "subwsc", float(f)) for f in fractions]
-    result = _replicate(spec, runs, replications, seed, 10, n_init, setting)
+    result = _replicate(spec, runs, replications, seed, setting)
     return _summarize(result, [name for name, _, _ in runs])

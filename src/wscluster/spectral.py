@@ -40,7 +40,6 @@ __all__ = [
     "Laplacian",
     "SpectralEmbedding",
     "SubsamplePlan",
-    "SubLaplacian",
     "ClusteringRun",
     "normalized_laplacian",
     "sym_eig_topk",
@@ -54,6 +53,7 @@ __all__ = [
     "subwsc_run",
 ]
 
+EIG_TOLERANCE = 1e-8
 RANK_TOLERANCE = 1e-10
 
 
@@ -89,21 +89,10 @@ class SubsamplePlan:
 
     n: int
     selected: np.ndarray
-    seed: int | None = None
 
     @property
     def n_s(self) -> int:
         return int(self.selected.size)
-
-
-@dataclass
-class SubLaplacian:
-    """The n x n_s slice of the normalized Laplacian along sampled columns."""
-
-    entries: np.ndarray
-    row_degrees: np.ndarray
-    col_degrees: np.ndarray
-    selected: np.ndarray
 
 
 @dataclass
@@ -135,13 +124,13 @@ def normalized_laplacian(s: SimilarityMatrix) -> Laplacian:
     return Laplacian(entries=s.entries * np.outer(scale, scale), degrees=degrees)
 
 
-def sym_eig_topk(m: np.ndarray, k: int, tol: float = 1e-8):
+def sym_eig_topk(m: np.ndarray, k: int):
     """The k algebraically largest eigenpairs of a symmetric matrix.
 
     Returns ``(eigenvalues, vectors)`` with eigenvalues descending and
     orthonormal eigenvector columns. Each eigenvector is sign-fixed so its
     first non-negligible component is positive. Every returned pair must
-    satisfy ||m v - lambda v|| <= tol * ||m||; otherwise the solve is
+    satisfy ||m v - lambda v|| <= EIG_TOLERANCE * ||m||; otherwise the solve is
     treated as failed.
     """
     m = np.asarray(m, dtype=np.float64)
@@ -167,9 +156,9 @@ def sym_eig_topk(m: np.ndarray, k: int, tol: float = 1e-8):
             top_vecs[:, col] = -v
     norm = float(np.abs(eigenvalues).max()) if n else 0.0
     residual = np.linalg.norm(m @ top_vecs - top_vecs * top_vals, axis=0)
-    if norm > 0 and np.any(residual > tol * norm):
+    if norm > 0 and np.any(residual > EIG_TOLERANCE * norm):
         raise NoConvergence(
-            f"residual {residual.max():.3e} exceeds {tol:.1e} * ||m||")
+            f"residual {residual.max():.3e} exceeds {EIG_TOLERANCE:.1e} * ||m||")
     return top_vals, top_vecs
 
 
@@ -228,7 +217,7 @@ def subsample_plan(n: int, n_s: int, seed: int = 0) -> SubsamplePlan:
     if not 1 <= n_s <= n:
         raise SizeOutOfRange(f"n_s={n_s} outside [1, {n}]")
     selected = substream(seed, "subsample-plan").permutation(n)[:n_s]
-    return SubsamplePlan(n=n, selected=selected.astype(np.intp), seed=seed)
+    return SubsamplePlan(n=n, selected=selected.astype(np.intp))
 
 
 def _similarity_graph(distances: DistanceMatrix, sigma: float | None,
@@ -241,7 +230,7 @@ def _similarity_graph(distances: DistanceMatrix, sigma: float | None,
 
 
 def _cluster(dataset: Dataset, k: int, operator, embed, *, sigma, knn_k0, seed,
-             threads, n_init, max_iter, distances, plan=None) -> ClusteringRun:
+             distances, plan=None) -> ClusteringRun:
     """The stage both pipelines share: graph, embedding, K-means.
 
     ``operator`` turns the similarity graph into the matrix the embedding
@@ -256,7 +245,7 @@ def _cluster(dataset: Dataset, k: int, operator, embed, *, sigma, knn_k0, seed,
     timings = {}
     if distances is None:
         t0 = time.perf_counter()
-        distances = pairwise_distances(dataset, threads=threads)
+        distances = pairwise_distances(dataset)
         timings["distances"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -273,7 +262,7 @@ def _cluster(dataset: Dataset, k: int, operator, embed, *, sigma, knn_k0, seed,
     timings["eigensolve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = kmeans(embedding.rows, k, seed=seed, n_init=n_init, max_iter=max_iter)
+    result = kmeans(embedding.rows, k, seed=seed)
     occupied = np.unique(result.labels).size
     warn_list = []
     if occupied < k:
@@ -287,16 +276,14 @@ def _cluster(dataset: Dataset, k: int, operator, embed, *, sigma, knn_k0, seed,
 
 
 def wsc_run(dataset: Dataset, k: int, *, sigma: float | None = None,
-            knn_k0: int | None = None, seed: int = 0, threads: int = 1,
-            n_init: int = 10, max_iter: int = 300, eig_tol: float = 1e-8,
+            knn_k0: int | None = None, seed: int = 0,
             distances: DistanceMatrix | None = None) -> ClusteringRun:
     """Full-spectrum pipeline; returns the partition with its diagnostics."""
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} outside [1, {dataset.n}]")
     return _cluster(dataset, k, normalized_laplacian,
-                    lambda lap: sym_eig_topk(lap.entries, k, tol=eig_tol),
-                    sigma=sigma, knn_k0=knn_k0, seed=seed, threads=threads,
-                    n_init=n_init, max_iter=max_iter, distances=distances)
+                    lambda lap: sym_eig_topk(lap.entries, k),
+                    sigma=sigma, knn_k0=knn_k0, seed=seed, distances=distances)
 
 
 def wsc(dataset: Dataset, k: int, **kwargs) -> Partition:
@@ -304,33 +291,28 @@ def wsc(dataset: Dataset, k: int, **kwargs) -> Partition:
     return wsc_run(dataset, k, **kwargs).partition
 
 
-def build_sub_laplacian(sim: SimilarityMatrix, plan: SubsamplePlan) -> SubLaplacian:
-    """Column slice of the normalized Laplacian along the sampled entities."""
+def build_sub_laplacian(sim: SimilarityMatrix, plan: SubsamplePlan) -> np.ndarray:
+    """The n x n_s column slice of the normalized Laplacian along the sample."""
     degrees = _degrees(sim)
-    col_degrees = degrees[plan.selected]
-    entries = sim.entries[:, plan.selected] / np.sqrt(np.outer(degrees, col_degrees))
-    return SubLaplacian(entries=entries, row_degrees=degrees,
-                        col_degrees=col_degrees, selected=plan.selected)
+    return sim.entries[:, plan.selected] / np.sqrt(np.outer(degrees, degrees[plan.selected]))
 
 
-def _gram_embedding(sub: SubLaplacian, k: int, eig_tol: float, rank_tol: float):
+def _gram_embedding(sub: np.ndarray, k: int):
     """Rows L_s V Sigma^{-1/2} from the K leading eigenpairs of L_s^T L_s."""
-    gram = sub.entries.T @ sub.entries
+    gram = sub.T @ sub
     gram = (gram + gram.T) / 2.0
-    eigenvalues, vectors = sym_eig_topk(gram, k, tol=eig_tol)
-    if eigenvalues[0] <= 0 or eigenvalues[k - 1] <= rank_tol * eigenvalues[0]:
+    eigenvalues, vectors = sym_eig_topk(gram, k)
+    if eigenvalues[0] <= 0 or eigenvalues[k - 1] <= RANK_TOLERANCE * eigenvalues[0]:
         raise RankDeficientSample(
             f"Gram eigenvalue {k} of {eigenvalues[k - 1]:.3e} is negligible "
             f"next to {eigenvalues[0]:.3e}; the sample likely missed a cluster, "
             "resample or enlarge n_s")
-    return eigenvalues, sub.entries @ (vectors / np.sqrt(eigenvalues))
+    return eigenvalues, sub @ (vectors / np.sqrt(eigenvalues))
 
 
 def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
                n_s: int | None = None, sigma: float | None = None,
-               knn_k0: int | None = None, seed: int = 0, threads: int = 1,
-               n_init: int = 10, max_iter: int = 300, eig_tol: float = 1e-8,
-               rank_tol: float = RANK_TOLERANCE,
+               knn_k0: int | None = None, seed: int = 0,
                distances: DistanceMatrix | None = None) -> ClusteringRun:
     """Subsampled pipeline over all n entities.
 
@@ -350,9 +332,8 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
     if k > plan.n_s:
         raise KOutOfRange(f"k={k} exceeds the subsample size {plan.n_s}")
     return _cluster(dataset, k, lambda sim: build_sub_laplacian(sim, plan),
-                    lambda sub: _gram_embedding(sub, k, eig_tol, rank_tol),
-                    sigma=sigma, knn_k0=knn_k0, seed=seed, threads=threads,
-                    n_init=n_init, max_iter=max_iter, distances=distances, plan=plan)
+                    lambda sub: _gram_embedding(sub, k),
+                    sigma=sigma, knn_k0=knn_k0, seed=seed, distances=distances, plan=plan)
 
 
 def subwsc(dataset: Dataset, k: int, plan: SubsamplePlan | None = None,

@@ -102,12 +102,18 @@ class TestCluster:
         csv_path, _ = toy_csv
         assert main(["cluster", str(csv_path), "--out", str(tmp_path / "o")]) == 1
 
-    def test_bad_amount_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row, message", [
+        ("b,oops", "row 3"),
+        ("b,nan", "NaN or infinite"),
+        ("b,inf", "NaN or infinite"),
+        ("b,-1", "negative"),
+    ], ids=["text", "nan", "inf", "negative"])
+    def test_bad_amount_is_input_error(self, tmp_path, capsys, row, message):
         path = tmp_path / "bad.csv"
-        path.write_text("entity_id,amount\na,1\nb,oops\n")
+        path.write_text(f"entity_id,amount\na,1\n{row}\n")
         assert main(["cluster", str(path), "--k", "2",
                      "--out", str(tmp_path / "o")]) == 2
-        assert "row 3" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_pipeline_error_exit_code(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
@@ -180,9 +186,15 @@ class TestCluster:
     (["bench", "--sizes", "0,5"], {}),
     (["bench", "--beta", "0"], {}),
     (["plotdata", "{csv}", "{csv}", "--bins", "0"], {}),
+    (["cluster", "{csv}", "--k", "3", "--knn-k0", "0"], {}),
+    (["embed", "{csv}", "--k", "3", "--knn-k0", "-1"], {}),
+    (["cluster", "{csv}", "--k-selection", "eigengap", "--k-max", "0"], {}),
+    (["bench", "--subsample-fraction", "5"], {}),
+    (["bench", "--methods", "wsc,fkm"], {}),
 ], ids=["sigma-negative", "sigma-zero", "threads-negative", "threads-env-text", "cap-zero",
         "n-s-zero", "distances-sigma", "embed-k-zero", "sizes-text", "sizes-zero",
-        "beta-zero", "bins-zero"])
+        "beta-zero", "bins-zero", "knn-k0-zero", "embed-knn-k0-negative", "k-max-zero",
+        "subsample-fraction-above-one", "methods-unknown"])
 def test_bad_flag_is_usage_error(toy_csv, tmp_path, argv, env):
     csv_path, _ = toy_csv
     argv = [arg.format(csv=csv_path) for arg in argv] + ["--out", str(tmp_path / "o")]

@@ -80,7 +80,7 @@ class TestKmeans:
             n = int(gen.integers(4, 9))
             k = int(gen.integers(2, 4))
             points = gen.standard_normal((n, 2))
-            result = kmeans(points, k, seed=int(gen.integers(2**31)), n_init=10)
+            result = kmeans(points, k, seed=int(gen.integers(2**31)))
             best = exhaustive_best_inertia(points, k)
             if result.inertia > best + 1e-9 * max(1.0, best):
                 misses += 1

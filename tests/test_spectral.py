@@ -220,12 +220,6 @@ class TestWsc:
             spread = np.abs(group_rows - group_rows[0]).max()
             assert spread <= 1e-8
 
-    def test_deterministic_across_threads(self, duplicate_dataset):
-        dataset, _ = duplicate_dataset
-        p1 = wsc(dataset, 3, seed=3, threads=1)
-        p2 = wsc(dataset, 3, seed=3, threads=4)
-        assert np.array_equal(p1.labels, p2.labels)
-
     def test_sparsified_variant_still_works(self, duplicate_dataset):
         dataset, labels = duplicate_dataset
         part = wsc(dataset, 3, seed=0, knn_k0=10)
@@ -312,4 +306,4 @@ class TestSubwsc:
         degrees = sim.entries.sum(axis=1)
         for j, col in enumerate(plan.selected):
             expected = sim.entries[:, col] / np.sqrt(degrees * degrees[col])
-            assert np.allclose(sub.entries[:, j], expected, atol=1e-15)
+            assert np.allclose(sub[:, j], expected, atol=1e-15)
