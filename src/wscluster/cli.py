@@ -2,8 +2,7 @@
 
 Subcommands: ``cluster``, ``eval``, ``bench``, ``plotdata``, ``distances``,
 ``embed``. Exit codes: 0 success, 1 usage, 2 input problems, 3 pipeline
-errors. Every command is deterministic for a fixed ``--seed`` regardless
-of ``--threads``.
+errors. Every command is deterministic for a fixed ``--seed``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,14 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import __version__
-from .ecdf import DEFAULT_TRANSACTION_CAP, cap_transactions, read_transactions_csv, standardize
+from .ecdf import (
+    DEFAULT_TRANSACTION_CAP,
+    TransactionBatch,
+    build_ecdf,
+    cap_transactions,
+    read_transactions_csv,
+    standardize,
+)
 from .errors import CsvFormatError, InputError, WsclusterError
 from .kmeans import select_k_silhouette
 from .metrics import (
@@ -77,19 +83,10 @@ class RunConfig:
     n_s: int | None = None
     cap: int | None = None
     seed: int = 0
-    threads: int = 0
 
     def resolved_threads(self) -> int:
-        if self.threads < 0:
-            raise UsageError(f"--threads must be at least 0, got {self.threads}")
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("WSC_THREADS")
-        if env:
-            if not env.isdecimal() or int(env) < 1:
-                raise UsageError(f"WSC_THREADS must be a positive integer, got {env!r}")
-            return int(env)
-        return os.cpu_count() or 1
+        """Always 1, as the distance stage is sequential; wscbench records this number."""
+        return 1
 
 
 def _positive(kind):
@@ -108,12 +105,6 @@ def _cluster_sizes(text):
 
 
 _cluster_sizes.__name__ = "comma-separated positive int"
-
-
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0,
-                   help="0 = WSC_THREADS env var or available parallelism")
 
 
 def build_parser():
@@ -139,7 +130,7 @@ def build_parser():
                    default=None,
                    help="subsample large entities down to this many amounts")
     p.add_argument("--out", default=".", help="output directory")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", help="score predicted labels against truth labels")
     p.add_argument("labels", help="CSV with header entity_id,label")
@@ -160,7 +151,7 @@ def build_parser():
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--dump-raw", action="store_true",
                    help="also write per-replication metric values")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("plotdata", help="export per-cluster distribution curves")
     p.add_argument("input", help="CSV with header entity_id,amount")
@@ -174,7 +165,7 @@ def build_parser():
     p.add_argument("--similarity", action="store_true",
                    help="also write the similarity matrix")
     p.add_argument("--out", default=".", help="output directory")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("embed", help="export embedding rows and eigenvalues")
     p.add_argument("input", help="CSV with header entity_id,amount")
@@ -184,7 +175,7 @@ def build_parser():
     p.add_argument("--knn-k0", type=_positive(int), default=None)
     p.add_argument("--n-s", type=_positive(int), default=None)
     p.add_argument("--out", default=".", help="output directory")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -215,18 +206,17 @@ def _write_labels_csv(path, entity_ids, labels):
             writer.writerow([eid, int(label)])
 
 
-def _load(args, config: RunConfig, timings):
+def _load(path, cap, seed, timings):
     """Read, cap if asked, standardize; returns ``(dataset, batches, distances)``."""
-    threads = config.resolved_threads()
     t0 = time.perf_counter()
-    batches = read_transactions_csv(args.input)
-    if config.cap is not None:
-        batches = [cap_transactions(b, config.cap, seed=config.seed) for b in batches]
+    batches = read_transactions_csv(path)
+    if cap is not None:
+        batches = [cap_transactions(b, cap, seed=seed) for b in batches]
     dataset = standardize(batches)
     timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    distances = pairwise_distances(dataset, threads=threads)
+    distances = pairwise_distances(dataset)
     timings["distances"] = time.perf_counter() - t0
     return dataset, batches, distances
 
@@ -255,10 +245,9 @@ def _resolve_k(config, dataset, distances, cluster_fn):
 def cmd_cluster(args) -> int:
     config = RunConfig(method=args.method, k=args.k, k_selection=args.k_selection,
                        k_max=args.k_max, sigma=args.sigma, knn_k0=args.knn_k0,
-                       n_s=args.n_s, cap=args.cap, seed=args.seed, threads=args.threads)
-    os.makedirs(args.out, exist_ok=True)
+                       n_s=args.n_s, cap=args.cap, seed=args.seed)
     timings = {}
-    dataset, batches, distances = _load(args, config, timings)
+    dataset, batches, distances = _load(args.input, config.cap, config.seed, timings)
 
     def run_method(k):
         if config.method == "wsc":
@@ -282,6 +271,7 @@ def cmd_cluster(args) -> int:
     timings["cluster"] = time.perf_counter() - t0
     timings.update({f"stage_{k_}": v for k_, v in run.timings.items()})
 
+    os.makedirs(args.out, exist_ok=True)
     labels_path = os.path.join(args.out, "labels.csv")
     _write_labels_csv(labels_path, dataset.entity_ids, run.partition.labels)
     run_info = {
@@ -345,6 +335,8 @@ def _write_bench_csv(path, rows):
 
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise UsageError("--methods names no method")
     unknown = [m for m in methods if m not in BENCH_METHODS]
     if unknown:
         raise UsageError(f"unknown method {unknown[0]!r}; choose from {', '.join(BENCH_METHODS)}")
@@ -400,13 +392,12 @@ def cmd_plotdata(args) -> int:
 
     manifest = {"clusters": {}, "histogram": "histogram.csv"}
     for c, amounts in pooled.items():
-        support, counts = np.unique(amounts, return_counts=True)
-        cum = np.cumsum(counts) / amounts.size
+        ecdf = build_ecdf(TransactionBatch(c, amounts))
         fname = f"cluster_{c}_ecdf.csv"
         with open(os.path.join(args.out, fname), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "F"])
-            for x, f in zip(support, cum):
+            for x, f in zip(ecdf.support, ecdf.cum_prob):
                 writer.writerow([repr(float(x)), repr(float(f))])
         manifest["clusters"][str(c)] = {"file": fname, "entities":
                                         sum(1 for e in labels.values() if e == c),
@@ -426,7 +417,7 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    _, _, d = _load(args, RunConfig(seed=args.seed, threads=args.threads), {})
+    _, _, d = _load(args.input, None, args.seed, {})
     os.makedirs(args.out, exist_ok=True)
     d_path = os.path.join(args.out, "distances.csv")
     write_matrix_csv(d_path, d.entity_ids, d.entries)
@@ -441,7 +432,7 @@ def cmd_distances(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    dataset, _, distances = _load(args, RunConfig(seed=args.seed, threads=args.threads), {})
+    dataset, _, distances = _load(args.input, None, args.seed, {})
     if args.method == "wsc":
         run = wsc_run(dataset, args.k, sigma=args.sigma, knn_k0=args.knn_k0,
                       seed=args.seed, distances=distances)

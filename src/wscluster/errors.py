@@ -31,6 +31,10 @@ class CsvFormatError(InputError):
     """A transaction or label CSV could not be parsed; message carries the row."""
 
 
+class TooManyEntities(InputError, ValueError):
+    """More entities than the dense n x n distance matrix is allowed to hold."""
+
+
 # --- similarity graph -------------------------------------------------------
 
 class NoVariation(WsclusterError):

@@ -9,13 +9,12 @@ weak edges while keeping the matrix symmetric.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ecdf import Dataset, _padded_cum, _w1
-from .errors import K0OutOfRange, NoVariation
+from .errors import K0OutOfRange, NoVariation, TooManyEntities
 
 __all__ = [
     "DistanceMatrix",
@@ -62,32 +61,22 @@ class SimilarityMatrix:
         return len(self.entity_ids)
 
 
-def pairwise_distances(dataset: Dataset, threads: int = 1) -> DistanceMatrix:
+def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     """Compute all pairwise Wasserstein distances of a dataset.
 
-    Only the upper triangle is computed; each entry has a fixed writer and
-    a fixed write location, so the result is identical for any ``threads``.
+    Only the upper triangle is computed, row by row, and mirrored.
     """
     n = dataset.n
     if n > MAX_DENSE_ENTITIES:
-        raise ValueError(f"n={n} exceeds the dense-matrix guard ({MAX_DENSE_ENTITIES})")
+        raise TooManyEntities(f"n={n} exceeds the dense-matrix guard ({MAX_DENSE_ENTITIES})")
     supports = [e.support for e in dataset.ecdfs]
     cums = [_padded_cum(e) for e in dataset.ecdfs]
     out = np.zeros((n, n), dtype=np.float64)
-
-    def fill_row(i):
+    for i in range(n - 1):
         si, ci = supports[i], cums[i]
         row = out[i]
         for j in range(i + 1, n):
             row[j] = _w1(si, ci, supports[j], cums[j])
-
-    if threads and threads > 1 and n > 2:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(n - 1)))
-    else:
-        for i in range(n - 1):
-            fill_row(i)
-
     out += out.T
     return DistanceMatrix(list(dataset.entity_ids), out)
 

@@ -25,7 +25,7 @@ def test_environment_reads_the_cli_thread_default(monkeypatch):
     # environment() may set WSC_THREADS; monkeypatch restores it afterwards
     monkeypatch.setenv("WSC_THREADS", "1")
     info = run.environment()
-    assert info["threads_default"] >= 1
+    assert info["threads_default"] == 1
 
 
 def test_select_k_session(tmp_path):

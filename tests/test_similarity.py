@@ -15,8 +15,9 @@ from wscluster import (
     knn_sparsify,
     pairwise_distances,
 )
+from wscluster import similarity
 from wscluster.similarity import read_matrix_csv, write_matrix_csv
-from wscluster.errors import K0OutOfRange, NoVariation
+from wscluster.errors import InputError, K0OutOfRange, NoVariation, TooManyEntities
 
 
 def _dataset(amount_lists):
@@ -52,12 +53,12 @@ class TestPairwiseDistances:
         assert np.array_equal(d.entries, d.entries.T)
         assert np.all(np.diag(d.entries) == 0.0)
 
-    def test_thread_count_does_not_change_results(self):
-        gen = np.random.default_rng(1)
-        ds = _dataset([gen.random(gen.integers(1, 20)) for _ in range(15)])
-        d1 = pairwise_distances(ds, threads=1)
-        d4 = pairwise_distances(ds, threads=4)
-        assert np.array_equal(d1.entries, d4.entries)
+    def test_dense_guard_is_input_error(self, monkeypatch):
+        monkeypatch.setattr(similarity, "MAX_DENSE_ENTITIES", 2)
+        with pytest.raises(TooManyEntities, match="n=3") as info:
+            pairwise_distances(_dataset([[1.0], [2.0], [3.0]]))
+        assert isinstance(info.value, InputError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestBuildSimilarity:
