@@ -206,6 +206,15 @@ def _write_labels_csv(path, entity_ids, labels):
             writer.writerow([eid, int(label)])
 
 
+def _output_dir(path):
+    """Create the directory ``path`` if needed; one that cannot be made is a usage error."""
+    try:
+        os.makedirs(path or ".", exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path!r}: {exc.strerror}") from None
+    return path
+
+
 def _load(path, cap, seed, timings):
     """Read, cap if asked, standardize; returns ``(dataset, batches, distances)``."""
     t0 = time.perf_counter()
@@ -271,8 +280,7 @@ def cmd_cluster(args) -> int:
     timings["cluster"] = time.perf_counter() - t0
     timings.update({f"stage_{k_}": v for k_, v in run.timings.items()})
 
-    os.makedirs(args.out, exist_ok=True)
-    labels_path = os.path.join(args.out, "labels.csv")
+    labels_path = os.path.join(_output_dir(args.out), "labels.csv")
     _write_labels_csv(labels_path, dataset.entity_ids, run.partition.labels)
     run_info = {
         "version": __version__,
@@ -305,6 +313,8 @@ def cmd_eval(args) -> int:
     truth_part = Partition.from_labels([truth[e] for e in ids], entity_ids=ids)
     pred_part = Partition.from_labels([pred[e] for e in ids], entity_ids=ids)
     report = metric_report(truth_part, pred_part)
+    if args.json_out:
+        _output_dir(os.path.dirname(args.json_out))
     print(render_report_table(report))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -345,9 +355,9 @@ def cmd_bench(args) -> int:
     sizes = args.sizes or SETTING_SIZES[args.setting]
     setting = "custom" if args.sizes else args.setting
     spec = SimSpec(sizes, args.beta, args.example, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    if args.subsample_sweep:
-        fractions = _parse_sweep(args.subsample_sweep)
+    fractions = _parse_sweep(args.subsample_sweep) if args.subsample_sweep else None
+    _output_dir(args.out)
+    if fractions:
         result = subsample_sweep(spec, fractions, replications=args.m,
                                  seed=args.seed, setting=setting)
         out_csv = os.path.join(args.out, "sweep.csv")
@@ -381,7 +391,7 @@ def cmd_plotdata(args) -> int:
     missing = sorted({b.entity_id for b in batches} - set(labels))
     if missing:
         raise CsvFormatError(f"labels missing for entities: {missing[:5]}")
-    os.makedirs(args.out, exist_ok=True)
+    _output_dir(args.out)
     clusters = {}
     for b in batches:
         clusters.setdefault(labels[b.entity_id], []).append(b.amounts)
@@ -399,8 +409,7 @@ def cmd_plotdata(args) -> int:
             writer.writerow(["x", "F"])
             for x, f in zip(ecdf.support, ecdf.cum_prob):
                 writer.writerow([repr(float(x)), repr(float(f))])
-        manifest["clusters"][str(c)] = {"file": fname, "entities":
-                                        sum(1 for e in labels.values() if e == c),
+        manifest["clusters"][str(c)] = {"file": fname, "entities": len(clusters[c]),
                                         "amounts": int(amounts.size)}
     with open(os.path.join(args.out, "histogram.csv"), "w", newline="",
               encoding="utf-8") as fh:
@@ -418,8 +427,7 @@ def cmd_plotdata(args) -> int:
 
 def cmd_distances(args) -> int:
     _, _, d = _load(args.input, None, args.seed, {})
-    os.makedirs(args.out, exist_ok=True)
-    d_path = os.path.join(args.out, "distances.csv")
+    d_path = os.path.join(_output_dir(args.out), "distances.csv")
     write_matrix_csv(d_path, d.entity_ids, d.entries)
     written = [d_path]
     if args.similarity:
@@ -439,8 +447,7 @@ def cmd_embed(args) -> int:
     else:
         run = subwsc_run(dataset, args.k, n_s=args.n_s, sigma=args.sigma,
                          knn_k0=args.knn_k0, seed=args.seed, distances=distances)
-    os.makedirs(args.out, exist_ok=True)
-    emb_path = os.path.join(args.out, "embedding.csv")
+    emb_path = os.path.join(_output_dir(args.out), "embedding.csv")
     with open(emb_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["entity_id", *(f"v{i + 1}" for i in range(run.embedding.k))])

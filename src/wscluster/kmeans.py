@@ -119,27 +119,18 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
     return best[1]
 
 
-def silhouette_mean(data, labels, metric: str = "euclidean") -> float:
+def silhouette_mean(distances, labels) -> float:
     """Mean silhouette coefficient over all points.
 
-    ``data`` is either an n x d point matrix (``metric="euclidean"``) or a
-    precomputed n x n distance matrix (``metric="precomputed"``). A point
-    in a singleton cluster contributes 0, as does a point whose intra- and
+    ``distances`` is the n x n distance matrix of the points. A point in a
+    singleton cluster contributes 0, as does a point whose intra- and
     inter-cluster distances are both 0.
     """
     labels = np.asarray(labels)
     uniq = np.unique(labels)
     if uniq.size < 2:
         raise SingleCluster("silhouette needs at least two occupied clusters")
-    if metric == "precomputed":
-        dist = np.asarray(data, dtype=np.float64)
-    elif metric == "euclidean":
-        pts = np.asarray(data, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        dist = np.sqrt(_sq_distances(pts, pts))
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    dist = np.asarray(distances, dtype=np.float64)
 
     n = len(labels)
     members = {c: np.flatnonzero(labels == c) for c in uniq}
@@ -174,6 +165,6 @@ def select_k_silhouette(cluster_fn, k_range, distances, seed: int = 0):
     scores = {}
     for k in k_range:
         part = cluster_fn(k, seed)
-        scores[k] = silhouette_mean(dist, part.labels, metric="precomputed")
+        scores[k] = silhouette_mean(dist, part.labels)
     best = min(k_range, key=lambda k: (-scores[k], k))
     return best, scores

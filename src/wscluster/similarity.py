@@ -107,12 +107,10 @@ def nearest_neighbor_sets(d: DistanceMatrix, k0: int) -> np.ndarray:
     n = d.n
     if not 1 <= k0 <= n - 1:
         raise K0OutOfRange(f"k0={k0} outside [1, {n - 1}]")
-    idx = np.arange(n)
-    neighbors = np.empty((n, k0), dtype=np.intp)
-    for j in range(n):
-        order = np.lexsort((idx, d.entries[:, j]))
-        neighbors[j] = order[order != j][:k0]
-    return neighbors
+    # column j holds the distances to j; a stable sort keeps ties in index order
+    order = np.argsort(d.entries.T.copy(), axis=1, kind="stable")
+    not_self = order != np.arange(n)[:, None]
+    return order[not_self].reshape(n, n - 1)[:, :k0]
 
 
 def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int) -> SimilarityMatrix:

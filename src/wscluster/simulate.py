@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.cluster.hierarchy import cut_tree, linkage
+from scipy.spatial.distance import squareform
 
 from .ecdf import Dataset, TransactionBatch, standardize
 from .errors import KTooLarge
@@ -38,7 +40,6 @@ __all__ = [
     "generate_dataset",
     "feature_kmeans_baseline",
     "hc_complete_baseline",
-    "complete_linkage_merges",
     "BENCH_METHODS",
     "BenchmarkResult",
     "run_benchmark",
@@ -175,56 +176,21 @@ def feature_kmeans_baseline(batches, k: int, seed: int = 0) -> Partition:
     return Partition.from_labels(result.labels, entity_ids=[b.entity_id for b in batches])
 
 
-def complete_linkage_merges(d: DistanceMatrix):
-    """Full agglomerative merge sequence under complete linkage.
-
-    Returns ``(merges, heights)`` where each merge is (kept cluster id,
-    absorbed cluster id) over current cluster ids, lowest linkage first.
-    Ties pick the lexicographically smallest id pair. Heights are
-    non-decreasing because complete linkage is monotone.
-    """
-    n = d.n
-    work = d.entries.astype(np.float64).copy()
-    inf = np.inf
-    work[np.tril_indices(n)] = inf
-    active = np.ones(n, dtype=bool)
-    merges, heights = [], []
-    for _ in range(n - 1):
-        flat = int(np.argmin(work))
-        i, j = divmod(flat, n)
-        heights.append(float(work[i, j]))
-        merges.append((i, j))
-        # complete linkage: distance to the merged cluster is the max leg;
-        # each pair value is stored once in the upper triangle, so min picks it
-        d_i = np.minimum(work[i], work[:, i])
-        d_j = np.minimum(work[j], work[:, j])
-        merged_rows = np.maximum(d_i, d_j)
-        active[j] = False
-        work[j, :] = inf
-        work[:, j] = inf
-        work[i, :] = inf
-        work[:, i] = inf
-        cols = np.flatnonzero(active)
-        cols = cols[cols != i]
-        if cols.size:
-            lo = np.minimum(i, cols)
-            hi = np.maximum(i, cols)
-            work[lo, hi] = merged_rows[cols]
-    return merges, heights
-
-
 def hc_complete_baseline(d: DistanceMatrix, k: int) -> Partition:
-    """Complete-linkage agglomerative clustering cut at k clusters."""
+    """Complete-linkage agglomerative clustering cut at k clusters.
+
+    The tree comes from scipy's complete linkage on the upper triangle of
+    the distances; ties between equal linkage heights follow scipy's merge
+    order. The cut always yields exactly k clusters.
+    """
     n = d.n
     if k > n:
         raise KTooLarge(f"k={k} exceeds n={n}")
-    merges, _ = complete_linkage_merges(d)
-    members = {i: [i] for i in range(n)}
-    for i, j in merges[: n - k]:
-        members[i].extend(members.pop(j))
-    labels = np.empty(n, dtype=np.int64)
-    for new_label, root in enumerate(sorted(members)):
-        labels[members[root]] = new_label
+    if n == 1:
+        # linkage needs at least one pair
+        return Partition.from_labels([0], entity_ids=list(d.entity_ids))
+    tree = linkage(squareform(d.entries, checks=False), "complete")
+    labels = cut_tree(tree, n_clusters=k)[:, 0]
     return Partition.from_labels(labels, entity_ids=list(d.entity_ids))
 
 

@@ -163,6 +163,14 @@ class TestCluster:
         expected, _ = sym_eig_topk(lap.entries, 6)
         assert run["k_selection"]["eigengap_eigenvalues"] == expected.tolist()
 
+    def test_hc_on_one_entity(self, tmp_path):
+        path = tmp_path / "one.csv"
+        write_transactions(path, [("a", [1.0, 2.0])])
+        out = tmp_path / "out"
+        assert main(["cluster", str(path), "--method", "hc", "--k", "1",
+                     "--out", str(out)]) == 0
+        assert read_labels(out / "labels.csv") == {"a": "0"}
+
     def test_cap_flag(self, tmp_path):
         gen = np.random.default_rng(1)
         path = tmp_path / "big.csv"
@@ -205,6 +213,29 @@ def test_bad_flag_is_usage_error(toy_csv, tmp_path, argv):
     assert "usage error" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "{csv}", "--k", "3", "--out", "{out}"],
+    ["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "1", "--methods", "hc",
+     "--out", "{out}"],
+    ["plotdata", "{csv}", "{truth}", "--out", "{out}"],
+    ["distances", "{csv}", "--out", "{out}"],
+    ["embed", "{csv}", "--k", "3", "--out", "{out}"],
+    ["eval", "{truth}", "{truth}", "--json-out", "{out}/r.json"],
+], ids=["cluster", "bench", "plotdata", "distances", "embed", "eval"])
+def test_uncreatable_output_is_usage_error(toy_csv, tmp_path, argv):
+    csv_path, truth_path = toy_csv
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [arg.format(csv=csv_path, truth=truth_path, out=blocker / "out") for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "wscluster.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "cannot create output directory" in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestEval:
     def test_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -225,6 +256,13 @@ class TestEval:
         assert report["ri"] == 0.5
         assert report["ca"] == 0.75
         assert report["matching_matrix"] == [[1, 1], [0, 2]]
+
+    def test_json_out_into_missing_directory(self, tmp_path):
+        a = tmp_path / "a.csv"
+        write_labels(a, [("x", 0), ("y", 1)])
+        json_out = tmp_path / "nodir" / "r.json"
+        assert main(["eval", str(a), str(a), "--json-out", str(json_out)]) == 0
+        assert json.loads(json_out.read_text())["ri"] == 1.0
 
     def test_missing_entity_is_input_error(self, tmp_path, capsys):
         truth = tmp_path / "t.csv"
@@ -257,8 +295,9 @@ class TestBench:
                              "subwsc@0.4", "subwsc@0.5"}
 
     def test_bad_sweep_spec(self, tmp_path):
-        assert main(["bench", "--subsample-sweep", "nope",
-                     "--out", str(tmp_path)]) == 1
+        out = tmp_path / "sweepdir"
+        assert main(["bench", "--subsample-sweep", "nope", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_m_zero_usage_error(self, tmp_path):
         assert main(["bench", "--m", "0", "--out", str(tmp_path)]) == 1
@@ -288,6 +327,16 @@ class TestPlotdata:
             assert fs[-1] == 1.0
         hist = list(csv.DictReader(open(out / "histogram.csv")))
         assert {r["cluster"] for r in hist} == {"0", "1", "2"}
+
+    def test_counts_only_input_entities(self, toy_csv, tmp_path):
+        csv_path, truth_path = toy_csv
+        labels = tmp_path / "extra.csv"
+        write_labels(labels, [*read_labels(truth_path).items(), ("zz", 1), ("yy", 1)])
+        out = tmp_path / "plots"
+        assert main(["plotdata", str(csv_path), str(labels), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {c: info["entities"] for c, info in manifest["clusters"].items()} == {
+            "0": 10, "1": 10, "2": 10}
 
     def test_missing_labels(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv

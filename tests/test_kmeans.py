@@ -99,11 +99,15 @@ class TestKmeans:
             kmeans(np.zeros((3, 1)), 4)
 
 
+def euclidean(points):
+    return np.linalg.norm(points[:, None] - points[None, :], axis=2)
+
+
 class TestSilhouette:
     def test_three_point_example(self):
-        points = np.array([0.0, 1.0, 10.0])
+        points = np.array([[0.0], [1.0], [10.0]])
         labels = [0, 0, 1]
-        value = silhouette_mean(points, labels)
+        value = silhouette_mean(euclidean(points), labels)
         # per-point oracle: s0 = (10-1)/10, s1 = (9-1)/9, singleton -> 0
         expected = (0.9 + 8.0 / 9.0 + 0.0) / 3.0
         assert value == pytest.approx(expected, abs=1e-12)
@@ -114,7 +118,7 @@ class TestSilhouette:
         labels = gen.integers(0, 3, size=15)
         while len(set(labels.tolist())) < 2:
             labels = gen.integers(0, 3, size=15)
-        value = silhouette_mean(points, labels)
+        value = silhouette_mean(euclidean(points), labels)
 
         def point_silhouette(i):
             own = [j for j in range(15) if labels[j] == labels[i] and j != i]
@@ -134,27 +138,18 @@ class TestSilhouette:
 
     def test_identical_points(self):
         points = np.zeros((6, 2))
-        assert silhouette_mean(points, [0, 0, 0, 1, 1, 1]) == 0.0
+        assert silhouette_mean(euclidean(points), [0, 0, 0, 1, 1, 1]) == 0.0
 
     def test_tight_far_clusters(self):
         gen = np.random.default_rng(7)
         points = np.vstack([gen.standard_normal((10, 2)) * 0.01,
                             gen.standard_normal((10, 2)) * 0.01 + 100.0])
         labels = [0] * 10 + [1] * 10
-        assert silhouette_mean(points, labels) > 0.9
-
-    def test_precomputed_matches_euclidean(self):
-        gen = np.random.default_rng(8)
-        points = gen.standard_normal((12, 3))
-        labels = gen.integers(0, 2, size=12)
-        labels[0], labels[1] = 0, 1
-        dist = np.linalg.norm(points[:, None] - points[None, :], axis=2)
-        assert silhouette_mean(dist, labels, metric="precomputed") == pytest.approx(
-            silhouette_mean(points, labels), abs=1e-12)
+        assert silhouette_mean(euclidean(points), labels) > 0.9
 
     def test_single_cluster_error(self):
         with pytest.raises(SingleCluster):
-            silhouette_mean(np.zeros((4, 1)), [0, 0, 0, 0])
+            silhouette_mean(np.zeros((4, 4)), [0, 0, 0, 0])
 
 
 class TestSelectK:

@@ -18,7 +18,7 @@ from wscluster import (
     pairwise_distances,
     run_benchmark,
 )
-from wscluster.simulate import SETTING_SIZES, complete_linkage_merges, subsample_sweep
+from wscluster.simulate import SETTING_SIZES, subsample_sweep
 from wscluster.errors import KTooLarge
 
 
@@ -141,6 +141,17 @@ def _dmatrix(entries):
     return DistanceMatrix([f"e{i}" for i in range(len(entries))], entries)
 
 
+def greedy_complete_linkage(entries, k):
+    """Clusters left after merging the closest pair under complete linkage until k remain."""
+    clusters = [[i] for i in range(len(entries))]
+    while len(clusters) > k:
+        a, b = min(itertools.combinations(range(len(clusters)), 2),
+                   key=lambda pair: max(entries[i][j] for i in clusters[pair[0]]
+                                        for j in clusters[pair[1]]))
+        clusters[a] += clusters.pop(b)
+    return {frozenset(c) for c in clusters}
+
+
 class TestHcComplete:
     def test_k_equals_n(self):
         gen = np.random.default_rng(1)
@@ -190,12 +201,25 @@ class TestHcComplete:
             ours = part.labels == part.labels[0]
             assert np.array_equal(ours, best_mask) or np.array_equal(ours, ~best_mask)
 
-    def test_merge_heights_monotone(self):
+    def test_matches_greedy_oracle_without_ties(self):
         gen = np.random.default_rng(3)
-        raw = gen.random((12, 12))
-        d = _dmatrix(np.triu(raw, 1) + np.triu(raw, 1).T)
-        _, heights = complete_linkage_merges(d)
-        assert all(h2 >= h1 - 1e-15 for h1, h2 in zip(heights, heights[1:]))
+        for _ in range(5):
+            raw = gen.random((12, 12))
+            entries = np.triu(raw, 1) + np.triu(raw, 1).T
+            d = _dmatrix(entries)
+            for k in range(1, 13):
+                part = hc_complete_baseline(d, k)
+                ours = {frozenset(np.flatnonzero(part.labels == c).tolist())
+                        for c in range(part.k)}
+                assert ours == greedy_complete_linkage(entries.tolist(), k)
+
+    def test_exactly_k_clusters_on_tied_heights(self):
+        # integer amounts and few transactions give many equal distances
+        for seed in range(1, 16):
+            dataset, _, _ = generate_dataset(SimSpec((10, 15, 20), 8, example=2, seed=seed))
+            d = pairwise_distances(dataset)
+            for k in range(1, d.n + 1):
+                assert hc_complete_baseline(d, k).k == k
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
