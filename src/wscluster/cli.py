@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import math
 import os
@@ -22,6 +24,7 @@ from . import __version__
 from .ecdf import (
     DEFAULT_TRANSACTION_CAP,
     TransactionBatch,
+    _csv_reader,
     build_ecdf,
     cap_transactions,
     read_transactions_csv,
@@ -29,30 +32,21 @@ from .ecdf import (
 )
 from .errors import CsvFormatError, InputError, WsclusterError
 from .kmeans import select_k_silhouette
-from .metrics import (
-    Partition,
-    metric_report,
-    render_report_table,
-    report_to_json,
-)
-from .similarity import build_similarity, pairwise_distances, write_matrix_csv
+from .metrics import Partition, metric_report, render_report_table
+from .similarity import build_similarity, pairwise_distances
 from .simulate import (
     BENCH_METHODS,
     SETTING_SIZES,
     SimSpec,
-    feature_kmeans_baseline,
-    hc_complete_baseline,
     run_benchmark,
+    run_method,
     subsample_sweep,
 )
 from .spectral import (
-    ClusteringRun,
     _similarity_graph,
     eigengap_suggest_k,
     normalized_laplacian,
-    subwsc_run,
     sym_eig_topk,
-    wsc_run,
 )
 
 EXIT_OK = 0
@@ -182,28 +176,36 @@ def build_parser():
 
 def _read_labels_csv(path):
     out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["entity_id", "label"]:
-            raise CsvFormatError(f"{path}: expected header 'entity_id,label'")
+    with _csv_reader(path, ("entity_id", "label")) as reader:
         for rownum, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < 2:
                 raise CsvFormatError(f"{path}: row {rownum}: expected 2 columns")
+            if row[0] in out:
+                raise CsvFormatError(f"{path}: row {rownum}: repeated entity id {row[0]!r}")
             out[row[0]] = row[1]
     if not out:
         raise CsvFormatError(f"{path}: no data rows")
     return out
 
 
-def _write_labels_csv(path, entity_ids, labels):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity_id", "label"])
-        for eid, label in zip(entity_ids, labels):
-            writer.writerow([eid, int(label)])
+def _write(path, emit):
+    """Write ``path`` through ``emit(fh)``; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            emit(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
+    return path
+
+
+def _write_csv(path, header, rows):
+    return _write(path, lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
+
+
+def _write_json(path, obj):
+    return _write(path, lambda fh: json.dump(obj, fh, indent=2, sort_keys=True))
 
 
 def _output_dir(path):
@@ -257,31 +259,20 @@ def cmd_cluster(args) -> int:
                        n_s=args.n_s, cap=args.cap, seed=args.seed)
     timings = {}
     dataset, batches, distances = _load(args.input, config.cap, config.seed, timings)
-
-    def run_method(k):
-        if config.method == "wsc":
-            return wsc_run(dataset, k, sigma=config.sigma, knn_k0=config.knn_k0,
-                           seed=config.seed, distances=distances)
-        if config.method == "subwsc":
-            return subwsc_run(dataset, k, n_s=config.n_s, sigma=config.sigma,
-                              knn_k0=config.knn_k0, seed=config.seed,
-                              distances=distances)
-        if config.method == "feature_kmeans":
-            part = feature_kmeans_baseline(batches, k, seed=config.seed)
-        else:
-            part = hc_complete_baseline(distances, k)
-        return ClusteringRun(part, None, sigma=None)
-
+    cluster = functools.partial(run_method, config.method, dataset, batches, distances,
+                                seed=config.seed, sigma=config.sigma,
+                                knn_k0=config.knn_k0, n_s=config.n_s)
     k, selection_info = _resolve_k(config, dataset, distances,
-                                   lambda k: run_method(k).partition)
+                                   lambda k: cluster(k).partition)
 
     t0 = time.perf_counter()
-    run = run_method(k)
+    run = cluster(k)
     timings["cluster"] = time.perf_counter() - t0
     timings.update({f"stage_{k_}": v for k_, v in run.timings.items()})
 
-    labels_path = os.path.join(_output_dir(args.out), "labels.csv")
-    _write_labels_csv(labels_path, dataset.entity_ids, run.partition.labels)
+    labels_path = _write_csv(os.path.join(_output_dir(args.out), "labels.csv"),
+                             ["entity_id", "label"],
+                             zip(dataset.entity_ids, run.partition.labels.tolist()))
     run_info = {
         "version": __version__,
         "config": asdict(config),
@@ -294,8 +285,7 @@ def cmd_cluster(args) -> int:
     }
     if selection_info:
         run_info["k_selection"] = selection_info
-    with open(os.path.join(args.out, "run.json"), "w", encoding="utf-8") as fh:
-        json.dump(run_info, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(args.out, "run.json"), run_info)
     print(f"wrote {labels_path} (n={dataset.n}, k={k})")
     return EXIT_OK
 
@@ -315,10 +305,8 @@ def cmd_eval(args) -> int:
     report = metric_report(truth_part, pred_part)
     if args.json_out:
         _output_dir(os.path.dirname(args.json_out))
+        _write_json(args.json_out, report)
     print(render_report_table(report))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
     return EXIT_OK
 
 
@@ -331,16 +319,6 @@ def _parse_sweep(text):
         raise UsageError("sweep fractions must satisfy 0 < START <= STOP <= 1, STEP > 0")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [round(start + i * step, 10) for i in range(count)]
-
-
-def _write_bench_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["example", "setting", "beta", "method", "metric",
-                         "mean", "sd", "M"])
-        for r in rows:
-            writer.writerow([r["example"], r["setting"], r["beta"], r["method"],
-                             r["metric"], repr(r["mean"]), repr(r["sd"]), r["M"]])
 
 
 def cmd_bench(args) -> int:
@@ -366,16 +344,14 @@ def cmd_bench(args) -> int:
                                subsample_fraction=args.subsample_fraction,
                                setting=setting)
         out_csv = os.path.join(args.out, "bench.csv")
-    _write_bench_csv(out_csv, result.rows)
+    _write_csv(out_csv, ["example", "setting", "beta", "method", "metric", "mean", "sd", "M"],
+               ([r["example"], r["setting"], r["beta"], r["method"], r["metric"],
+                 repr(r["mean"]), repr(r["sd"]), r["M"]] for r in result.rows))
     if args.dump_raw:
-        raw_path = os.path.join(args.out, "bench_raw.csv")
-        with open(raw_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["example", "setting", "beta", "method", "metric",
-                             "replication", "value"])
-            for r in result.raw:
-                writer.writerow([spec.example, setting, spec.beta, r["method"],
-                                 r["metric"], r["replication"], repr(r["value"])])
+        _write_csv(os.path.join(args.out, "bench_raw.csv"),
+                   ["example", "setting", "beta", "method", "metric", "replication", "value"],
+                   ([spec.example, setting, spec.beta, r["method"], r["metric"],
+                     r["replication"], repr(r["value"])] for r in result.raw))
     print(f"example {spec.example}, setting {setting}, beta {spec.beta:g}, "
           f"M={args.m}")
     print(result.table())
@@ -404,61 +380,50 @@ def cmd_plotdata(args) -> int:
     for c, amounts in pooled.items():
         ecdf = build_ecdf(TransactionBatch(c, amounts))
         fname = f"cluster_{c}_ecdf.csv"
-        with open(os.path.join(args.out, fname), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "F"])
-            for x, f in zip(ecdf.support, ecdf.cum_prob):
-                writer.writerow([repr(float(x)), repr(float(f))])
+        _write_csv(os.path.join(args.out, fname), ["x", "F"],
+                   zip(map(repr, ecdf.support.tolist()), map(repr, ecdf.cum_prob.tolist())))
         manifest["clusters"][str(c)] = {"file": fname, "entities": len(clusters[c]),
                                         "amounts": int(amounts.size)}
-    with open(os.path.join(args.out, "histogram.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "bin_left", "bin_right", "count"])
-        for c, amounts in pooled.items():
-            counts, _ = np.histogram(amounts, bins=edges)
-            for left, right, count in zip(edges[:-1], edges[1:], counts):
-                writer.writerow([c, repr(float(left)), repr(float(right)), int(count)])
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    rows = []
+    for c, amounts in pooled.items():
+        counts, _ = np.histogram(amounts, bins=edges)
+        rows.extend([c, repr(float(left)), repr(float(right)), int(count)]
+                    for left, right, count in zip(edges[:-1], edges[1:], counts))
+    _write_csv(os.path.join(args.out, "histogram.csv"),
+               ["cluster", "bin_left", "bin_right", "count"], rows)
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
     print(f"wrote {len(pooled)} cluster ECDF files to {args.out}")
     return EXIT_OK
 
 
+def _matrix_rows(entity_ids, entries):
+    # one row at a time: entries.tolist() would hold all n^2 Python floats at once
+    return ([eid, *map(repr, row.tolist())] for eid, row in zip(entity_ids, entries))
+
+
 def cmd_distances(args) -> int:
     _, _, d = _load(args.input, None, args.seed, {})
-    d_path = os.path.join(_output_dir(args.out), "distances.csv")
-    write_matrix_csv(d_path, d.entity_ids, d.entries)
-    written = [d_path]
+    header = ["entity_id", *d.entity_ids]
+    written = [_write_csv(os.path.join(_output_dir(args.out), "distances.csv"), header,
+                          _matrix_rows(d.entity_ids, d.entries))]
     if args.similarity:
         s = build_similarity(d, sigma=args.sigma)
-        s_path = os.path.join(args.out, "similarity.csv")
-        write_matrix_csv(s_path, s.entity_ids, s.entries)
-        written.append(s_path)
+        written.append(_write_csv(os.path.join(args.out, "similarity.csv"), header,
+                                  _matrix_rows(s.entity_ids, s.entries)))
     print("wrote " + ", ".join(written))
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
-    dataset, _, distances = _load(args.input, None, args.seed, {})
-    if args.method == "wsc":
-        run = wsc_run(dataset, args.k, sigma=args.sigma, knn_k0=args.knn_k0,
-                      seed=args.seed, distances=distances)
-    else:
-        run = subwsc_run(dataset, args.k, n_s=args.n_s, sigma=args.sigma,
-                         knn_k0=args.knn_k0, seed=args.seed, distances=distances)
-    emb_path = os.path.join(_output_dir(args.out), "embedding.csv")
-    with open(emb_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity_id", *(f"v{i + 1}" for i in range(run.embedding.k))])
-        for eid, row in zip(dataset.entity_ids, run.embedding.rows):
-            writer.writerow([eid, *(repr(float(v)) for v in row)])
-    eig_path = os.path.join(args.out, "eigenvalues.csv")
-    with open(eig_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, v in enumerate(run.embedding.eigenvalues, start=1):
-            writer.writerow([i, repr(float(v))])
+    dataset, batches, distances = _load(args.input, None, args.seed, {})
+    run = run_method(args.method, dataset, batches, distances, args.k, seed=args.seed,
+                     sigma=args.sigma, knn_k0=args.knn_k0, n_s=args.n_s)
+    emb = run.embedding
+    emb_path = _write_csv(os.path.join(_output_dir(args.out), "embedding.csv"),
+                          ["entity_id", *(f"v{i + 1}" for i in range(emb.k))],
+                          _matrix_rows(dataset.entity_ids, emb.rows))
+    eig_path = _write_csv(os.path.join(args.out, "eigenvalues.csv"), ["index", "eigenvalue"],
+                          enumerate(map(repr, emb.eigenvalues.tolist()), start=1))
     print(f"wrote {emb_path} and {eig_path}")
     return EXIT_OK
 
@@ -485,7 +450,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
+        # every write goes through _write, so an OSError here comes from reading an input
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except WsclusterError as exc:

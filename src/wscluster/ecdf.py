@@ -13,6 +13,7 @@ functions, and satisfies the triangle inequality.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -227,19 +228,38 @@ def _w1(support_a, cum0_a, support_b, cum0_b) -> float:
     return float(np.sum(np.abs(fa - fb) * np.diff(grid)))
 
 
+@contextlib.contextmanager
+def _csv_reader(path, columns):
+    """A csv reader over ``path``, past its header of ``columns``.
+
+    A different header, bytes that are not UTF-8 and oversized fields
+    raise :class:`CsvFormatError`.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header[:2]] != list(columns):
+                raise CsvFormatError(f"{path}: expected header '{','.join(columns)}'")
+            yield reader
+        except UnicodeDecodeError as exc:
+            # the file is decoded a block ahead of the reader, so the bad byte lies past line_num
+            raise CsvFormatError(
+                f"{path}: not UTF-8 text after line {reader.line_num}: {exc.reason}") from None
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def read_transactions_csv(path) -> list[TransactionBatch]:
     """Read a ``entity_id,amount`` CSV into per-entity batches.
 
     One row per observation; entities keep their order of first
     appearance. Any row whose amount does not parse as a decimal real
-    aborts ingestion with the offending row number.
+    aborts ingestion with the offending row number, and so do bytes that
+    are not UTF-8 and oversized fields.
     """
     amounts: dict[str, list[float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["entity_id", "amount"]:
-            raise CsvFormatError(f"{path}: expected header 'entity_id,amount'")
+    with _csv_reader(path, ("entity_id", "amount")) as reader:
         for rownum, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue

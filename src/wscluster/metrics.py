@@ -9,7 +9,6 @@ logarithms throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,7 +166,3 @@ def render_report_table(report: dict) -> str:
     for row in matrix:
         lines.append("  ".join(f"{v:>{width}}" for v in row))
     return "\n".join(lines)
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

@@ -8,7 +8,6 @@ weak edges while keeping the matrix symmetric.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ __all__ = [
     "pairwise_distances",
     "build_similarity",
     "knn_sparsify",
-    "write_matrix_csv",
-    "read_matrix_csv",
 ]
 
 # dense storage guard; beyond this the quadratic memory is a deliberate choice
@@ -130,22 +127,3 @@ def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int) -> SimilarityM
     entries = np.where(keep, s.entries, 0.0)
     return SimilarityMatrix(list(s.entity_ids), entries, sigma=s.sigma,
                             sparsified=True, k0=k0)
-
-
-def write_matrix_csv(path, entity_ids, entries) -> None:
-    """Write a square matrix as CSV, row-major, header = entity ids."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity_id", *entity_ids])
-        for eid, row in zip(entity_ids, entries):
-            writer.writerow([eid, *(repr(v) for v in row.tolist())])
-
-
-def read_matrix_csv(path):
-    """Inverse of :func:`write_matrix_csv`; returns (entity_ids, ndarray)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        ids = header[1:]
-        rows = [list(map(float, row[1:])) for row in reader]
-    return ids, np.asarray(rows, dtype=np.float64)

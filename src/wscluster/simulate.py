@@ -30,7 +30,7 @@ from .kmeans import kmeans
 from .metrics import Partition, cluster_accuracy, nmi, rand_index
 from .rng import substream
 from .similarity import DistanceMatrix, pairwise_distances
-from .spectral import subsample_plan, subwsc_run, wsc_run
+from .spectral import ClusteringRun, subwsc_run, wsc_run
 
 __all__ = [
     "SimSpec",
@@ -40,6 +40,7 @@ __all__ = [
     "generate_dataset",
     "feature_kmeans_baseline",
     "hc_complete_baseline",
+    "run_method",
     "BENCH_METHODS",
     "BenchmarkResult",
     "run_benchmark",
@@ -232,33 +233,32 @@ class BenchmarkResult:
         return "\n".join(lines)
 
 
-def _timed_partition(method, dataset, batches, distances, k, seed, subsample_fraction):
-    """Run one method on precomputed distances; returns (partition, seconds).
+def run_method(method: str, dataset: Dataset, batches, distances: DistanceMatrix, k: int,
+               *, seed: int, sigma: float | None = None, knn_k0: int | None = None,
+               n_s: int | None = None) -> ClusteringRun:
+    """Cluster into k groups with ``wsc``, ``subwsc``, ``feature_kmeans`` or ``hc``.
 
-    Timing starts after the distance matrix on purpose: the distance stage
-    is shared by every distance-based method, and the point of the
-    subsampled pipeline is what happens downstream of it.
+    The spectral methods read ``dataset`` and ``distances`` and take
+    ``sigma``, ``knn_k0`` and (``subwsc`` only) ``n_s``; the baselines ignore
+    those, read ``batches`` or ``distances``, and return no embedding.
     """
-    start = time.perf_counter()
-    if method in ("wsc_dense", "wsc_knn"):
-        k0 = min(KNN_K0, dataset.n - 1) if method == "wsc_knn" else None
-        part = wsc_run(dataset, k, seed=seed, distances=distances, knn_k0=k0).partition
-    elif method == "subwsc":
-        n_s = max(k, int(round(subsample_fraction * dataset.n)))
-        plan = subsample_plan(dataset.n, n_s, seed=seed)
-        part = subwsc_run(dataset, k, plan, seed=seed, distances=distances).partition
-    elif method == "feature_kmeans":
+    if method == "wsc":
+        return wsc_run(dataset, k, sigma=sigma, knn_k0=knn_k0, seed=seed, distances=distances)
+    if method == "subwsc":
+        return subwsc_run(dataset, k, n_s=n_s, sigma=sigma, knn_k0=knn_k0, seed=seed,
+                          distances=distances)
+    if method == "feature_kmeans":
         part = feature_kmeans_baseline(batches, k, seed=seed)
     elif method == "hc":
         part = hc_complete_baseline(distances, k)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return part, time.perf_counter() - start
+    return ClusteringRun(part, None, sigma=None)
 
 
 def _replicate(spec: SimSpec, runs, replications: int, seed: int,
                setting: str) -> BenchmarkResult:
-    """Score every ``(name, method, subsample fraction)`` run per replication.
+    """Score every ``(name, method, keywords)`` run per replication.
 
     Each replication draws fresh data from a derived seed, runs every
     method on the shared distance matrix, and scores it against the ground
@@ -274,20 +274,30 @@ def _replicate(spec: SimSpec, runs, replications: int, seed: int,
         dataset, batches, truth = generate_dataset(rep_spec)
         distances = pairwise_distances(dataset)
         truth_part = Partition.from_labels(truth.labels)
-        for name, method, fraction in runs:
+        for name, method, kwargs in runs:
+            # timing starts after the distance matrix on purpose: that stage is
+            # shared by every distance-based method, and the point of the
+            # subsampled pipeline is what happens downstream of it
+            start = time.perf_counter()
             try:
-                part, seconds = _timed_partition(
-                    method, dataset, batches, distances, spec.k, rep_seed, fraction)
+                part = run_method(method, dataset, batches, distances, spec.k,
+                                  seed=rep_seed, **kwargs).partition
             except Exception as exc:  # recorded, run continues
                 result.failures.append({"method": name, "replication": rep,
                                         "error": f"{type(exc).__name__}: {exc}"})
                 continue
+            seconds = time.perf_counter() - start
             scores = {metric: fn(truth_part, part) for metric, fn in METRIC_FNS.items()}
             scores["time_s"] = seconds
             result.raw.extend({"method": name, "metric": metric, "replication": rep,
                                "seed": rep_seed, "value": value}
                               for metric, value in scores.items())
     return result
+
+
+def _subwsc_kwargs(spec: SimSpec, fraction: float) -> dict:
+    """Keywords of ``subwsc`` on a ``fraction`` of the entities, never fewer than k."""
+    return {"n_s": max(spec.k, round(fraction * spec.n))}
 
 
 def _series(result: BenchmarkResult, method: str, metric: str) -> list:
@@ -326,8 +336,11 @@ def run_benchmark(spec: SimSpec, methods=("wsc", "feature_kmeans", "hc"),
     expanded = []
     for m in methods:
         expanded.extend(("wsc_dense", "wsc_knn") if m == "wsc" else (m,))
-    result = _replicate(spec, [(m, m, subsample_fraction) for m in expanded],
-                        replications, seed, setting)
+    variants = {"wsc_dense": ("wsc", {}),
+                "wsc_knn": ("wsc", {"knn_k0": min(KNN_K0, spec.n - 1)}),
+                "subwsc": ("subwsc", _subwsc_kwargs(spec, subsample_fraction))}
+    runs = [(m, *variants.get(m, (m, {}))) for m in expanded]
+    result = _replicate(spec, runs, replications, seed, setting)
     if "wsc_dense" in expanded and "wsc_knn" in expanded:
         mean_ri = {m: np.mean(_series(result, m, "ri") or [-1]) for m in ("wsc_dense", "wsc_knn")}
         winner = "wsc_dense" if mean_ri["wsc_dense"] >= mean_ri["wsc_knn"] else "wsc_knn"
@@ -345,7 +358,7 @@ def subsample_sweep(spec: SimSpec, fractions, replications: int = 5, seed: int =
     and every sweep point, mirroring how the subsampled method is meant to
     be deployed.
     """
-    runs = [("wsc_dense", "wsc_dense", None)]
-    runs += [(f"subwsc@{float(f):g}", "subwsc", float(f)) for f in fractions]
+    runs = [("wsc_dense", "wsc", {})]
+    runs += [(f"subwsc@{float(f):g}", "subwsc", _subwsc_kwargs(spec, float(f))) for f in fractions]
     result = _replicate(spec, runs, replications, seed, setting)
     return _summarize(result, [name for name, _, _ in runs])

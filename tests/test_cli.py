@@ -23,6 +23,12 @@ from wscluster.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def run_cli(argv):
+    return subprocess.run([sys.executable, "-m", "wscluster.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+
+
 def write_transactions(path, batches):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -204,10 +210,7 @@ class TestCluster:
         "subsample-fraction-above-one", "methods-unknown", "methods-empty"])
 def test_bad_flag_is_usage_error(toy_csv, tmp_path, argv):
     csv_path, _ = toy_csv
-    argv = [arg.format(csv=csv_path) for arg in argv] + ["--out", str(tmp_path / "o")]
-    proc = subprocess.run([sys.executable, "-m", "wscluster.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=120)
+    proc = run_cli([arg.format(csv=csv_path) for arg in argv] + ["--out", str(tmp_path / "o")])
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "usage error" in proc.stderr
@@ -226,14 +229,66 @@ def test_uncreatable_output_is_usage_error(toy_csv, tmp_path, argv):
     csv_path, truth_path = toy_csv
     blocker = tmp_path / "file"
     blocker.write_text("")
-    argv = [arg.format(csv=csv_path, truth=truth_path, out=blocker / "out") for arg in argv]
-    proc = subprocess.run([sys.executable, "-m", "wscluster.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=120)
+    proc = run_cli([arg.format(csv=csv_path, truth=truth_path, out=blocker / "out")
+                    for arg in argv])
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "cannot create output directory" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["cluster", "{csv}", "--k", "3", "--out", "{out}"], "labels.csv"),
+    (["eval", "{truth}", "{truth}", "--json-out", "{out}/r.json"], "r.json"),
+    (["distances", "{csv}", "--out", "{out}"], "distances.csv"),
+    (["embed", "{csv}", "--k", "3", "--out", "{out}"], "embedding.csv"),
+    (["plotdata", "{csv}", "{truth}", "--out", "{out}"], "cluster_0_ecdf.csv"),
+    (["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "1", "--methods", "hc",
+      "--out", "{out}"], "bench.csv"),
+], ids=["cluster", "eval", "distances", "embed", "plotdata", "bench"])
+def test_output_file_that_is_a_directory_is_usage_error(toy_csv, tmp_path, argv, blocked):
+    csv_path, truth_path = toy_csv
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    proc = run_cli([arg.format(csv=csv_path, truth=truth_path, out=out) for arg in argv])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"cannot write {str(out / blocked)!r}" in proc.stderr
+    if argv[0] == "eval":
+        assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "{dir}", "--k", "3"],
+    ["eval", "{dir}", "{truth}"],
+    ["plotdata", "{dir}", "{truth}"],
+], ids=["cluster", "eval", "plotdata"])
+def test_input_path_that_is_a_directory_is_input_error(toy_csv, tmp_path, argv):
+    _, truth_path = toy_csv
+    out = tmp_path / "out"
+    proc = run_cli([arg.format(dir=tmp_path, truth=truth_path) for arg in argv]
+                   + (["--out", str(out)] if argv[0] != "eval" else []))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "input error" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "eval"])
+@pytest.mark.parametrize("row, message", [
+    (b"b,\xff2", "not UTF-8"),
+    (b"b," + b"1" * 200_000, "line 3"),
+], ids=["not-utf8", "oversized-field"])
+def test_unreadable_csv_is_input_error(toy_csv, tmp_path, capsys, command, row, message):
+    _, truth_path = toy_csv
+    header = b"entity_id,amount" if command == "cluster" else b"entity_id,label"
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(header + b"\na,1\n" + row + b"\n")
+    argv = (["cluster", str(bad), "--k", "2", "--out", str(tmp_path / "o")]
+            if command == "cluster" else ["eval", str(bad), str(truth_path)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
 
 
 class TestEval:
@@ -263,6 +318,16 @@ class TestEval:
         json_out = tmp_path / "nodir" / "r.json"
         assert main(["eval", str(a), str(a), "--json-out", str(json_out)]) == 0
         assert json.loads(json_out.read_text())["ri"] == 1.0
+
+    def test_repeated_id_is_input_error(self, tmp_path, capsys):
+        truth = tmp_path / "t.csv"
+        pred = tmp_path / "p.csv"
+        write_labels(truth, [("a", 0), ("b", 1), ("c", 1)])
+        write_labels(pred, [("a", 0), ("a", 1)])
+        assert main(["eval", str(pred), str(truth)]) == 2
+        captured = capsys.readouterr()
+        assert "row 3: repeated entity id 'a'" in captured.err
+        assert captured.out == ""
 
     def test_missing_entity_is_input_error(self, tmp_path, capsys):
         truth = tmp_path / "t.csv"
@@ -338,6 +403,15 @@ class TestPlotdata:
         assert {c: info["entities"] for c, info in manifest["clusters"].items()} == {
             "0": 10, "1": 10, "2": 10}
 
+    def test_repeated_id_is_input_error(self, toy_csv, tmp_path, capsys):
+        csv_path, truth_path = toy_csv
+        labels = tmp_path / "twice.csv"
+        write_labels(labels, [*read_labels(truth_path).items(), ("g0c0", 2)])
+        out = tmp_path / "plots"
+        assert main(["plotdata", str(csv_path), str(labels), "--out", str(out)]) == 2
+        assert "row 32: repeated entity id 'g0c0'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_labels(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
         labels = tmp_path / "partial.csv"
@@ -358,12 +432,15 @@ class TestDistancesAndEmbed:
         out = tmp_path / "mat"
         assert main(["distances", str(csv_path), "--similarity",
                      "--out", str(out)]) == 0
-        from wscluster.similarity import read_matrix_csv
-        ids, entries = read_matrix_csv(out / "distances.csv")
-        assert len(ids) == 30
-        assert np.array_equal(entries, entries.T)
-        _, sim = read_matrix_csv(out / "similarity.csv")
-        assert np.all(np.diag(sim) == 1.0)
+        d = pairwise_distances(standardize(read_transactions_csv(csv_path)))
+        expected = {"distances.csv": d.entries,
+                    "similarity.csv": build_similarity(d).entries}
+        for name, entries in expected.items():
+            with open(out / name, newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == ["entity_id", *d.entity_ids]
+            assert [row[0] for row in rows] == d.entity_ids
+            assert np.array_equal(np.array([row[1:] for row in rows], dtype=float), entries)
 
     def test_embed_export(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv

@@ -191,6 +191,18 @@ class TestCsvIngestion:
         with pytest.raises(CsvFormatError):
             read_transactions_csv(path)
 
+    def test_bytes_not_utf8(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"entity_id,amount\na,1\nb,\xff2\n")
+        with pytest.raises(CsvFormatError, match="not UTF-8"):
+            read_transactions_csv(path)
+
+    def test_oversized_field(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("entity_id,amount\na,1\nb," + "1" * 200_000 + "\n")
+        with pytest.raises(CsvFormatError, match="line 3"):
+            read_transactions_csv(path)
+
     def test_dataset_from_batches_keeps_raw_scale(self):
         ds = Dataset.from_batches([TransactionBatch("a", [2.0, 4.0])])
         assert not ds.standardized

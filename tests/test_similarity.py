@@ -16,7 +16,6 @@ from wscluster import (
     pairwise_distances,
 )
 from wscluster import similarity
-from wscluster.similarity import read_matrix_csv, write_matrix_csv
 from wscluster.errors import InputError, K0OutOfRange, NoVariation, TooManyEntities
 
 
@@ -169,13 +168,3 @@ class TestKnnSparsify:
         with pytest.raises(K0OutOfRange):
             knn_sparsify(s, d, 2)
 
-
-def test_matrix_csv_round_trip(tmp_path):
-    gen = np.random.default_rng(7)
-    raw = gen.random((4, 4))
-    entries = np.triu(raw, 1) + np.triu(raw, 1).T
-    path = tmp_path / "m.csv"
-    write_matrix_csv(path, [f"e{i}" for i in range(4)], entries)
-    ids, loaded = read_matrix_csv(path)
-    assert ids == [f"e{i}" for i in range(4)]
-    assert np.array_equal(loaded, entries)

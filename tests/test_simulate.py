@@ -18,7 +18,8 @@ from wscluster import (
     pairwise_distances,
     run_benchmark,
 )
-from wscluster.simulate import SETTING_SIZES, subsample_sweep
+from wscluster.simulate import SETTING_SIZES, run_method, subsample_sweep
+from wscluster.spectral import subsample_plan, subwsc_run, wsc_run
 from wscluster.errors import KTooLarge
 
 
@@ -224,6 +225,40 @@ class TestHcComplete:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             hc_complete_baseline(_dmatrix(np.zeros((3, 3))), 4)
+
+
+# the direct call each run_method name stands for, at k = 3 and seed 4
+DIRECT_CALLS = {
+    "wsc": ({"sigma": 0.05, "knn_k0": 5}, lambda ds, batches, d: wsc_run(
+        ds, 3, sigma=0.05, knn_k0=5, seed=4, distances=d)),
+    "subwsc": ({"n_s": 12}, lambda ds, batches, d: subwsc_run(
+        ds, 3, subsample_plan(ds.n, 12, seed=4), seed=4, distances=d)),
+    "feature_kmeans": ({}, lambda ds, batches, d: feature_kmeans_baseline(batches, 3, seed=4)),
+    "hc": ({}, lambda ds, batches, d: hc_complete_baseline(d, 3)),
+}
+
+
+class TestRunMethod:
+    @pytest.fixture(scope="class")
+    def data(self):
+        dataset, batches, _ = generate_dataset(SimSpec((8, 8, 8), beta=20, example=1, seed=3))
+        return dataset, batches, pairwise_distances(dataset)
+
+    @pytest.mark.parametrize("method", sorted(DIRECT_CALLS))
+    def test_matches_direct_call(self, data, method):
+        kwargs, direct = DIRECT_CALLS[method]
+        run = run_method(method, *data, 3, seed=4, **kwargs)
+        expected = direct(*data)
+        if isinstance(expected, Partition):  # a baseline: no embedding
+            assert run.embedding is None
+        else:
+            assert np.array_equal(run.embedding.eigenvalues, expected.embedding.eigenvalues)
+            expected = expected.partition
+        assert np.array_equal(run.partition.labels, expected.labels)
+
+    def test_unknown_method_raises(self, data):
+        with pytest.raises(ValueError, match="unknown method 'wsc_dense'"):
+            run_method("wsc_dense", *data, 3, seed=4)
 
 
 class TestBenchmark:
