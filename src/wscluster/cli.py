@@ -8,6 +8,7 @@ errors. Every command is deterministic for a fixed ``--seed``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -16,6 +17,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -174,7 +176,8 @@ def build_parser():
     return parser
 
 
-def _read_labels_csv(path):
+def _read_labels_csv(path, file_names=False):
+    """Map entity id to label; with ``file_names`` every label must be usable in a file name."""
     out = {}
     with _csv_reader(path, ("entity_id", "label")) as reader:
         for rownum, row in enumerate(reader, start=2):
@@ -184,6 +187,9 @@ def _read_labels_csv(path):
                 raise CsvFormatError(f"{path}: row {rownum}: expected 2 columns")
             if row[0] in out:
                 raise CsvFormatError(f"{path}: row {rownum}: repeated entity id {row[0]!r}")
+            if file_names and any(c in row[1] for c in "/\\\0"):
+                raise CsvFormatError(f"{path}: row {rownum}: label {row[1]!r} contains "
+                                     "a path separator or NUL")
             out[row[0]] = row[1]
     if not out:
         raise CsvFormatError(f"{path}: no data rows")
@@ -232,6 +238,20 @@ def _load(path, cap, seed, timings):
     return dataset, batches, distances
 
 
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Collect every warning raised in the block; print each to stderr on the way out."""
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield caught
+    finally:
+        for w in caught:
+            print(warnings.formatwarning(w.message, w.category, w.filename, w.lineno),
+                  end="", file=sys.stderr)
+
+
 def _resolve_k(config, dataset, distances, cluster_fn):
     if config.k_selection == "fixed":
         if config.k is None:
@@ -254,40 +274,42 @@ def _resolve_k(config, dataset, distances, cluster_fn):
 
 
 def cmd_cluster(args) -> int:
-    config = RunConfig(method=args.method, k=args.k, k_selection=args.k_selection,
-                       k_max=args.k_max, sigma=args.sigma, knn_k0=args.knn_k0,
-                       n_s=args.n_s, cap=args.cap, seed=args.seed)
-    timings = {}
-    dataset, batches, distances = _load(args.input, config.cap, config.seed, timings)
-    cluster = functools.partial(run_method, config.method, dataset, batches, distances,
-                                seed=config.seed, sigma=config.sigma,
-                                knn_k0=config.knn_k0, n_s=config.n_s)
-    k, selection_info = _resolve_k(config, dataset, distances,
-                                   lambda k: cluster(k).partition)
+    with _recorded_warnings() as caught:
+        config = RunConfig(method=args.method, k=args.k, k_selection=args.k_selection,
+                           k_max=args.k_max, sigma=args.sigma, knn_k0=args.knn_k0,
+                           n_s=args.n_s, cap=args.cap, seed=args.seed)
+        timings = {}
+        dataset, batches, distances = _load(args.input, config.cap, config.seed, timings)
+        cluster = functools.partial(run_method, config.method, dataset, batches, distances,
+                                    seed=config.seed, sigma=config.sigma,
+                                    knn_k0=config.knn_k0, n_s=config.n_s)
+        k, selection_info = _resolve_k(config, dataset, distances,
+                                       lambda k: cluster(k).partition)
 
-    t0 = time.perf_counter()
-    run = cluster(k)
-    timings["cluster"] = time.perf_counter() - t0
-    timings.update({f"stage_{k_}": v for k_, v in run.timings.items()})
+        t0 = time.perf_counter()
+        run = cluster(k)
+        timings["cluster"] = time.perf_counter() - t0
+        timings.update({f"stage_{k_}": v for k_, v in run.timings.items()})
 
-    labels_path = _write_csv(os.path.join(_output_dir(args.out), "labels.csv"),
-                             ["entity_id", "label"],
-                             zip(dataset.entity_ids, run.partition.labels.tolist()))
-    run_info = {
-        "version": __version__,
-        "config": asdict(config),
-        "k": int(k),
-        "sigma": run.sigma,
-        "n_s": run.plan.n_s if run.plan is not None else None,
-        "eigenvalues": run.embedding.eigenvalues.tolist() if run.embedding else None,
-        "timings": timings,
-        "warnings": list(run.partition.warnings),
-    }
-    if selection_info:
-        run_info["k_selection"] = selection_info
-    _write_json(os.path.join(args.out, "run.json"), run_info)
-    print(f"wrote {labels_path} (n={dataset.n}, k={k})")
-    return EXIT_OK
+        labels_path = _write_csv(os.path.join(_output_dir(args.out), "labels.csv"),
+                                 ["entity_id", "label"],
+                                 zip(dataset.entity_ids, run.partition.labels.tolist()))
+        run_info = {
+            "version": __version__,
+            "config": asdict(config),
+            "k": int(k),
+            "sigma": run.sigma,
+            "n_s": run.plan.n_s if run.plan is not None else None,
+            "eigenvalues": run.embedding.eigenvalues.tolist() if run.embedding else None,
+            "timings": timings,
+            "warnings": [{"category": w.category.__name__, "message": str(w.message)}
+                         for w in caught],
+        }
+        if selection_info:
+            run_info["k_selection"] = selection_info
+        _write_json(os.path.join(args.out, "run.json"), run_info)
+        print(f"wrote {labels_path} (n={dataset.n}, k={k})")
+        return EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -325,6 +347,8 @@ def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods names no method")
+    if len(set(methods)) < len(methods):
+        raise UsageError(f"--methods repeats a method: {args.methods!r}")
     unknown = [m for m in methods if m not in BENCH_METHODS]
     if unknown:
         raise UsageError(f"unknown method {unknown[0]!r}; choose from {', '.join(BENCH_METHODS)}")
@@ -363,7 +387,7 @@ def cmd_bench(args) -> int:
 
 def cmd_plotdata(args) -> int:
     batches = read_transactions_csv(args.input)
-    labels = _read_labels_csv(args.labels)
+    labels = _read_labels_csv(args.labels, file_names=True)
     missing = sorted({b.entity_id for b in batches} - set(labels))
     if missing:
         raise CsvFormatError(f"labels missing for entities: {missing[:5]}")

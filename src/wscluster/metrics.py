@@ -9,7 +9,7 @@ logarithms throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -41,7 +41,6 @@ class Partition:
     labels: np.ndarray
     k: int
     entity_ids: list[str] | None = None
-    warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -51,10 +50,10 @@ class Partition:
         return int(self.labels.size)
 
     @classmethod
-    def from_labels(cls, labels, entity_ids=None, warnings=None) -> "Partition":
+    def from_labels(cls, labels, entity_ids=None) -> "Partition":
         uniq, dense = np.unique(np.asarray(labels), return_inverse=True)
         return cls(dense.astype(np.int64), k=int(uniq.size),
-                   entity_ids=entity_ids, warnings=list(warnings or []))
+                   entity_ids=entity_ids)
 
 
 @dataclass

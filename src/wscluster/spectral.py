@@ -264,13 +264,10 @@ def _cluster(dataset: Dataset, k: int, operator, embed, *, sigma, knn_k0, seed,
     t0 = time.perf_counter()
     result = kmeans(embedding.rows, k, seed=seed)
     occupied = np.unique(result.labels).size
-    warn_list = []
     if occupied < k:
-        message = f"K-means produced {occupied} occupied clusters out of {k} requested"
-        warnings.warn(message, KMeansDegenerateWarning, stacklevel=4)
-        warn_list.append(message)
-    partition = Partition.from_labels(result.labels, entity_ids=dataset.entity_ids,
-                                      warnings=warn_list)
+        warnings.warn(f"K-means produced {occupied} occupied clusters out of {k} requested",
+                      KMeansDegenerateWarning, stacklevel=4)
+    partition = Partition.from_labels(result.labels, entity_ids=dataset.entity_ids)
     timings["kmeans"] = time.perf_counter() - t0
     return ClusteringRun(partition, embedding, sigma=sigma, timings=timings, plan=plan)
 

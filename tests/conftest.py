@@ -10,6 +10,7 @@ generator.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy import stats
 
 from wscluster import Dataset, TransactionBatch, build_ecdf
@@ -23,6 +24,24 @@ def random_ecdf(gen, max_points=30):
 def random_amounts(gen, max_points=30):
     m = int(gen.integers(1, max_points + 1))
     return gen.random(m)
+
+
+def _generated_amounts(seed, size, levels):
+    gen = np.random.default_rng(seed)
+    if levels is None:
+        return gen.random(size)
+    return gen.integers(0, levels, size).astype(np.float64)
+
+
+# One entity's amounts for hypothesis: a few values from a small pool (ties
+# within and across entities, point masses), or up to 400 generated amounts,
+# continuous or on a few levels.
+AMOUNTS = st.one_of(
+    st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                       st.floats(0.0, 1.0, allow_nan=False)), min_size=1, max_size=8),
+    st.builds(_generated_amounts, seed=st.integers(0, 2**32 - 1),
+              size=st.integers(1, 400), levels=st.sampled_from([None, 3, 40])),
+)
 
 
 def grid_wasserstein(a, b, points=1_000_000):

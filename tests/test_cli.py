@@ -128,6 +128,18 @@ class TestCluster:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_run_json_records_every_warning(self, tmp_path, capsys):
+        path = tmp_path / "small.csv"
+        # ln(12) = 2.48, so the one-observation entity e0 is below the floor
+        write_transactions(path, [("e0", [1.0])] + [
+            (f"e{i}", [i, i + 0.5, i + 1.0, i + 2.0]) for i in range(1, 12)])
+        out = tmp_path / "out"
+        assert main(["cluster", str(path), "--k", "2", "--out", str(out)]) == 0
+        recorded = json.loads((out / "run.json").read_text())["warnings"]
+        assert [w["category"] for w in recorded] == ["SmallSampleWarning"]
+        assert "first: 'e0'" in recorded[0]["message"]
+        assert "SmallSampleWarning: " + recorded[0]["message"] in capsys.readouterr().err
+
     def test_pipeline_error_exit_code(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
         # subwsc with k exceeding the explicit subsample size
@@ -204,10 +216,12 @@ class TestCluster:
     ["bench", "--subsample-fraction", "5"],
     ["bench", "--methods", "wsc,fkm"],
     ["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "2", "--methods", ","],
+    ["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "2", "--methods", "hc,hc"],
 ], ids=["sigma-negative", "sigma-zero", "threads-removed", "cap-zero",
         "n-s-zero", "distances-sigma", "embed-k-zero", "sizes-text", "sizes-zero",
         "beta-zero", "bins-zero", "knn-k0-zero", "embed-knn-k0-negative", "k-max-zero",
-        "subsample-fraction-above-one", "methods-unknown", "methods-empty"])
+        "subsample-fraction-above-one", "methods-unknown", "methods-empty",
+        "methods-repeated"])
 def test_bad_flag_is_usage_error(toy_csv, tmp_path, argv):
     csv_path, _ = toy_csv
     proc = run_cli([arg.format(csv=csv_path) for arg in argv] + ["--out", str(tmp_path / "o")])
@@ -411,6 +425,22 @@ class TestPlotdata:
         assert main(["plotdata", str(csv_path), str(labels), "--out", str(out)]) == 2
         assert "row 32: repeated entity id 'g0c0'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["x/y", "../../escaped", "a\\b", "nul\0"])
+    def test_label_unusable_in_file_name_is_input_error(self, toy_csv, tmp_path, capsys,
+                                                         label):
+        csv_path, truth_path = toy_csv
+        labels = tmp_path / "bad.csv"
+        pairs = list(read_labels(truth_path).items())
+        pairs[4] = (pairs[4][0], label)
+        write_labels(labels, pairs)
+        out = tmp_path / "plots"
+        # with this directory in place, "../../escaped" would resolve outside --out
+        (out / "cluster_..").mkdir(parents=True)
+        assert main(["plotdata", str(csv_path), str(labels), "--out", str(out)]) == 2
+        assert f"row 6: label {label!r}" in capsys.readouterr().err
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "bad.csv", "plots", "plots/cluster_..", "toy.csv", "truth.csv"]
 
     def test_missing_labels(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import grid_wasserstein, random_amounts
+from conftest import AMOUNTS, grid_wasserstein, random_amounts
 
 from wscluster import (
     Dataset,
@@ -147,6 +148,15 @@ class TestWasserstein:
             if dxy == 0.0:
                 assert np.array_equal(x.support, y.support)
                 assert np.array_equal(x.cum_prob, y.cum_prob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=AMOUNTS, y=AMOUNTS, z=AMOUNTS)
+    def test_metric_axioms_hypothesis(self, x, y, z):
+        x, y, z = (build_ecdf(TransactionBatch("t", a)) for a in (x, y, z))
+        dxy = wasserstein(x, y)
+        assert wasserstein(x, x) == 0.0
+        assert dxy == wasserstein(y, x)
+        assert dxy <= wasserstein(x, z) + wasserstein(z, y) + 1e-12
 
     def test_translation_invariance(self):
         gen = np.random.default_rng(5)

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import grid_wasserstein
+from conftest import AMOUNTS, grid_wasserstein
 
 from wscluster import (
     Dataset,
@@ -14,6 +18,8 @@ from wscluster import (
     build_similarity,
     knn_sparsify,
     pairwise_distances,
+    standardize,
+    wasserstein,
 )
 from wscluster import similarity
 from wscluster.errors import InputError, K0OutOfRange, NoVariation, TooManyEntities
@@ -22,6 +28,14 @@ from wscluster.errors import InputError, K0OutOfRange, NoVariation, TooManyEntit
 def _dataset(amount_lists):
     return Dataset.from_batches(
         [TransactionBatch(f"e{i}", a) for i, a in enumerate(amount_lists)])
+
+
+@st.composite
+def _amount_lists(draw):
+    """Entities of 1 to several hundred distinct values, some of them repeated verbatim."""
+    lists = draw(st.lists(AMOUNTS, min_size=1, max_size=10))
+    copies = draw(st.lists(st.integers(0, len(lists) - 1), max_size=3))
+    return lists + [lists[c] for c in copies]
 
 
 def _dmatrix(entries):
@@ -34,6 +48,10 @@ class TestPairwiseDistances:
         d = pairwise_distances(_dataset([[1.0, 2.0]]))
         assert d.entries.shape == (1, 1)
         assert d.entries[0, 0] == 0.0
+
+    def test_empty(self):
+        d = pairwise_distances(Dataset([], [], m0=1.0, standardized=True))
+        assert d.entries.shape == (0, 0)
 
     def test_three_entity_example(self):
         d = pairwise_distances(_dataset([[1, 3], [2], [1, 3]]))
@@ -51,6 +69,38 @@ class TestPairwiseDistances:
         d = pairwise_distances(ds)
         assert np.array_equal(d.entries, d.entries.T)
         assert np.all(np.diag(d.entries) == 0.0)
+
+    # BLOCK_ELEMENTS=1 puts every pair in a block of its own
+    @pytest.mark.parametrize("block", [similarity.BLOCK_ELEMENTS, 1])
+    @settings(max_examples=150, deadline=None)
+    @given(amount_lists=_amount_lists())
+    @example(amount_lists=[[0.5]])
+    @example(amount_lists=[[0.5], [0.5, 1.0]])
+    @example(amount_lists=[[0.0, 1.0], [0.0, 1.0]])
+    def test_every_entry_matches_the_oracle(self, block, amount_lists):
+        ds = standardize([TransactionBatch(f"e{i}", a) for i, a in enumerate(amount_lists)])
+        with mock.patch.object(similarity, "BLOCK_ELEMENTS", block):
+            d = pairwise_distances(ds).entries
+        oracle = np.array([[wasserstein(a, b) for b in ds.ecdfs] for a in ds.ecdfs])
+        np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
+
+    def test_one_wide_entity_among_narrow_ones(self):
+        gen = np.random.default_rng(3)
+        amounts = [gen.random(5) for _ in range(50)]
+        amounts.insert(25, gen.permutation(20_000) + 1.0)
+        ds = standardize([TransactionBatch(f"e{i}", a) for i, a in enumerate(amounts)])
+        tracemalloc.start()
+        try:
+            with mock.patch.object(similarity, "_w1_block",
+                                   wraps=similarity._w1_block) as block:
+                d = pairwise_distances(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a padded n x max|supp| matrix would take 51 * 20,000 * 8 bytes = 7.8 MB
+        assert peak < d.entries.nbytes + 3 * 2**20
+        # the wide entity's 50 pairs one by one, then one block per narrow row
+        assert block.call_count == 50 + 49
 
     def test_dense_guard_is_input_error(self, monkeypatch):
         monkeypatch.setattr(similarity, "MAX_DENSE_ENTITIES", 2)
