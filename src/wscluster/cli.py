@@ -86,10 +86,10 @@ class RunConfig:
 
 
 def _positive(kind):
-    """An argparse type that parses ``kind`` and rejects values not above 0."""
+    """An argparse type that parses ``kind`` and rejects values not above 0, and infinity."""
     def parse(text):
         value = kind(text)
-        if not value > 0:
+        if not 0 < value < math.inf:
             raise ValueError(text)
         return value
     parse.__name__ = f"positive {kind.__name__}"
@@ -391,14 +391,18 @@ def cmd_plotdata(args) -> int:
     missing = sorted({b.entity_id for b in batches} - set(labels))
     if missing:
         raise CsvFormatError(f"labels missing for entities: {missing[:5]}")
-    _output_dir(args.out)
     clusters = {}
     for b in batches:
         clusters.setdefault(labels[b.entity_id], []).append(b.amounts)
     pooled = {c: np.sort(np.concatenate(arrs)) for c, arrs in sorted(clusters.items())}
     lo = min(float(v[0]) for v in pooled.values())
     hi = max(float(v[-1]) for v in pooled.values())
-    edges = np.linspace(lo, hi, args.bins + 1) if hi > lo else np.array([lo, lo + 1.0])
+    try:
+        edges = np.linspace(lo, hi, args.bins + 1) if hi > lo else np.array([lo, lo + 1.0])
+        counts = {c: np.histogram(amounts, bins=edges)[0] for c, amounts in pooled.items()}
+    except (ValueError, MemoryError):  # numpy's refusal of an array this large
+        raise UsageError(f"--bins {args.bins} is too large to allocate") from None
+    _output_dir(args.out)
 
     manifest = {"clusters": {}, "histogram": "histogram.csv"}
     for c, amounts in pooled.items():
@@ -408,11 +412,10 @@ def cmd_plotdata(args) -> int:
                    zip(map(repr, ecdf.support.tolist()), map(repr, ecdf.cum_prob.tolist())))
         manifest["clusters"][str(c)] = {"file": fname, "entities": len(clusters[c]),
                                         "amounts": int(amounts.size)}
-    rows = []
-    for c, amounts in pooled.items():
-        counts, _ = np.histogram(amounts, bins=edges)
-        rows.extend([c, repr(float(left)), repr(float(right)), int(count)]
-                    for left, right, count in zip(edges[:-1], edges[1:], counts))
+    # one row at a time, as in _matrix_rows: a list would hold every bin of every cluster
+    rows = ([c, repr(float(left)), repr(float(right)), int(count)]
+            for c, cluster_counts in counts.items()
+            for left, right, count in zip(edges[:-1], edges[1:], cluster_counts))
     _write_csv(os.path.join(args.out, "histogram.csv"),
                ["cluster", "bin_left", "bin_right", "count"], rows)
     _write_json(os.path.join(args.out, "manifest.json"), manifest)

@@ -79,6 +79,18 @@ class TooFewEigenvalues(WsclusterError):
     """Eigengap selection needs at least two eigenvalues."""
 
 
+class NotSquare(WsclusterError, ValueError):
+    """The eigensolver was given a matrix that is not square."""
+
+
+class NotSymmetric(WsclusterError, ValueError):
+    """The eigensolver was given a matrix that is not symmetric."""
+
+
+class CoverageArgumentOutOfRange(WsclusterError, ValueError):
+    """The coverage rule got n below 2, or k or n_min below 1."""
+
+
 # --- clustering -------------------------------------------------------------
 
 class KTooLarge(WsclusterError):
@@ -91,6 +103,10 @@ class SingleCluster(WsclusterError):
 
 class LengthMismatch(WsclusterError):
     """Two partitions being compared have different lengths."""
+
+
+class InertiaIncreased(WsclusterError):
+    """A Lloyd iteration raised the K-means inertia: a bug, never a property of the input."""
 
 
 # --- warnings ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import KTooLarge, SingleCluster
+from .errors import InertiaIncreased, KTooLarge, SingleCluster
 from .rng import substream
 
 __all__ = ["KmeansResult", "kmeans", "silhouette_mean", "select_k_silhouette"]
@@ -81,7 +81,7 @@ def _lloyd(points, k, gen):
         inertia = float(d2[np.arange(n), new_labels].sum())
         path.append(inertia)
         if len(path) > 1 and inertia > path[-2] + 1e-9 * max(1.0, path[-2]):
-            raise AssertionError("Lloyd iteration increased inertia")
+            raise InertiaIncreased("Lloyd iteration increased inertia")
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import LengthMismatch
 
@@ -106,6 +105,9 @@ def rand_index(truth, pred) -> float:
 
 def cluster_accuracy(truth, pred) -> float:
     """Best achievable accuracy under a one-to-one cluster-to-class matching."""
+    # imported here so that clustering runs, which never score, load no scipy
+    from scipy.optimize import linear_sum_assignment
+
     t, p = _aligned_labels(truth, pred)
     table = _contingency(t, p)
     rows, cols = linear_sum_assignment(table, maximize=True)

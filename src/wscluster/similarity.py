@@ -70,7 +70,7 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     merged with every other's, at most BLOCK_ELEMENTS values unless one
     pair alone is wider. Each pair is computed once and mirrored. Scratch
     memory is O(BLOCK_ELEMENTS + total support size) beyond the n x n
-    result.
+    result, allocated once and reused by every block.
     """
     n = dataset.n
     if n > MAX_DENSE_ENTITIES:
@@ -87,22 +87,48 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     cum0 = np.concatenate([_padded_cum(e) for e in ecdfs])
     support_start = np.cumsum(sizes) - sizes
     cum_start = support_start + np.arange(n)
+    block_rows = np.maximum(1, BLOCK_ELEMENTS // (2 * sizes[:-1]))
+    # a row's first block is its largest, as the entities after it are no wider
+    first_block = np.minimum(block_rows, np.arange(n - 1, 0, -1)) * (sizes[:-1] + sizes[1:])
+    scratch = _BlockScratch(int(first_block.max()))
     out = np.zeros((n, n), dtype=np.float64)
     for i in range(n - 1):
         m = int(sizes[i])
         support_i = support[support_start[i]:support_start[i] + m]
         cum0_i = cum0[cum_start[i]:cum_start[i] + m + 1]
-        rows = max(1, BLOCK_ELEMENTS // (2 * m))
+        rows = int(block_rows[i])
         for lo in range(i + 1, n, rows):
             hi = min(lo + rows, n)
             out[by_size[i], by_size[lo:hi]] = _w1_block(
                 support_i, cum0_i, support, cum0, sizes[lo:hi], support_start[lo:hi],
-                cum_start[lo:hi])
+                cum_start[lo:hi], scratch)
     out += out.T
     return DistanceMatrix(list(dataset.entity_ids), out)
 
 
-def _w1_block(support_i, cum0_i, support, cum0, sizes, support_start, cum_start):
+class _BlockScratch:
+    """Flat buffers of ``size`` elements that every block of one call reuses.
+
+    A block's arrays take turns in them, each moving in once the previous
+    holder is dead: ``a`` holds the merged values, then the widths Δx;
+    ``b`` the gathered pads, the sorted values, then F_j's lookups; ``c``
+    the gaps; ``index`` the pad indices, then count_i; ``from_i`` marks i's
+    points. count_j reuses the array of the sort order.
+    """
+
+    def __init__(self, size):
+        self.a, self.b, self.c = np.empty(size), np.empty(size), np.empty(size)
+        self.index = np.empty(size, dtype=np.intp)
+        self.from_i = np.empty(size, dtype=bool)
+        self.ramp = np.arange(size)
+
+
+def _shaped(buffer, rows, cols):
+    """The leading rows x cols elements of a flat buffer, as a C-ordered view."""
+    return buffer[:rows * cols].reshape(rows, cols)
+
+
+def _w1_block(support_i, cum0_i, support, cum0, sizes, support_start, cum_start, scratch):
     """Exact W1 between one ECDF and a block of others.
 
     ``support`` and ``cum0`` are every entity's support and padded
@@ -114,24 +140,44 @@ def _w1_block(support_i, cum0_i, support, cum0, sizes, support_start, cum_start)
     capped at j's support size, give F_j. Where it is equal the term has
     zero width, so neither the pads nor the order of ties change the sum.
     The stable sort merges the two sorted runs, faster than quicksort.
+
+    Every array but the sort order lives in ``scratch``, a
+    :class:`_BlockScratch`. ``take`` runs with ``mode="clip"``, a no-op on
+    these valid indices, as its default mode copies ``out`` first.
     """
     m = support_i.size
+    rows = sizes.size
     width = int(sizes.max())
     length = m + width
-    merged = np.empty((sizes.size, length))
+    merged = _shaped(scratch.a, rows, length)
     merged[:, :m] = support_i
-    pad = np.minimum(np.arange(width), sizes[:, None] - 1)
-    merged[:, m:] = support[support_start[:, None] + pad]
+    pad = _shaped(scratch.index, rows, width)
+    np.minimum(scratch.ramp[:width], sizes[:, None] - 1, out=pad)
+    pad += support_start[:, None]
+    padded = _shaped(scratch.b, rows, width)
+    np.take(support, pad, out=padded, mode="clip")
+    merged[:, m:] = padded
     order = merged.argsort(axis=1, kind="stable")
-    count_i = np.cumsum(order[:, :-1] < m, axis=1)
+    from_i = _shaped(scratch.from_i, rows, length - 1)
+    np.less(order[:, :-1], m, out=from_i)
+    count_i = _shaped(scratch.index, rows, length - 1)
+    np.cumsum(from_i, axis=1, out=count_i)
     order += np.arange(0, merged.size, length)[:, None]
-    x = merged.ravel()[order]
-    count_j = np.minimum(np.arange(1, length) - count_i, sizes[:, None])
+    x = _shaped(scratch.b, rows, length)
+    np.take(merged.ravel(), order, out=x, mode="clip")
+    dx = _shaped(scratch.a, rows, length - 1)
+    np.subtract(x[:, 1:], x[:, :-1], out=dx)
+    count_j = _shaped(order.ravel(), rows, length - 1)
+    np.subtract(scratch.ramp[1:length], count_i, out=count_j)
+    np.minimum(count_j, sizes[:, None], out=count_j)
     count_j += cum_start[:, None]
-    gap = cum0_i[count_i]
-    gap -= cum0[count_j]
+    gap = _shaped(scratch.c, rows, length - 1)
+    np.take(cum0_i, count_i, out=gap, mode="clip")
+    cum_j = _shaped(scratch.b, rows, length - 1)
+    np.take(cum0, count_j, out=cum_j, mode="clip")
+    gap -= cum_j
     np.abs(gap, out=gap)
-    return np.einsum("ij,ij->i", gap, x[:, 1:] - x[:, :-1])
+    return np.einsum("ij,ij->i", gap, dx)
 
 
 def build_similarity(d: DistanceMatrix, sigma: float | None = None) -> SimilarityMatrix:

@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import cut_tree, linkage
-from scipy.spatial.distance import squareform
 
 from .ecdf import Dataset, TransactionBatch, standardize
 from .errors import KTooLarge
@@ -190,6 +188,10 @@ def hc_complete_baseline(d: DistanceMatrix, k: int) -> Partition:
     if n == 1:
         # linkage needs at least one pair
         return Partition.from_labels([0], entity_ids=list(d.entity_ids))
+    # imported here so that only hc runs pay scipy's start-up
+    from scipy.cluster.hierarchy import cut_tree, linkage
+    from scipy.spatial.distance import squareform
+
     tree = linkage(squareform(d.entries, checks=False), "complete")
     labels = cut_tree(tree, n_clusters=k)[:, 0]
     return Partition.from_labels(labels, entity_ids=list(d.entity_ids))

@@ -21,11 +21,14 @@ import numpy as np
 
 from .ecdf import Dataset
 from .errors import (
+    CoverageArgumentOutOfRange,
     DegenerateProportion,
     KMeansDegenerateWarning,
     KOutOfRange,
     NoConvergence,
+    NotSquare,
     NotStandardizedWarning,
+    NotSymmetric,
     RankDeficientSample,
     SizeOutOfRange,
     TooFewEigenvalues,
@@ -135,13 +138,13 @@ def sym_eig_topk(m: np.ndarray, k: int):
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
+        raise NotSquare("matrix must be square")
     n = m.shape[0]
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside [1, {n}]")
     asym = float(np.abs(m - m.T).max()) if n > 1 else 0.0
     if asym > 1e-12:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+        raise NotSymmetric(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     try:
         eigenvalues, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -187,11 +190,11 @@ def required_subsample_size(n: int, n_min: int, k: int) -> int:
     least 1 - 1/n. The result is clamped to [k, n].
     """
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise CoverageArgumentOutOfRange("n must be at least 2")
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise CoverageArgumentOutOfRange("k must be at least 1")
     if n_min < 1:
-        raise ValueError("n_min must be at least 1")
+        raise CoverageArgumentOutOfRange("n_min must be at least 1")
     if n_min >= n:
         raise DegenerateProportion(f"n_min={n_min} must be below n={n}")
     alpha = -1.0 / math.log(1.0 - n_min / n)

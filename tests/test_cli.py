@@ -19,6 +19,7 @@ from wscluster import (
 )
 from wscluster import similarity
 from wscluster.cli import main
+from wscluster.simulate import SimSpec, generate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -140,6 +141,22 @@ class TestCluster:
         assert "first: 'e0'" in recorded[0]["message"]
         assert "SmallSampleWarning: " + recorded[0]["message"] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["wsc", "subwsc"])
+    def test_loads_no_scipy(self, tmp_path, method):
+        batches, _ = generate(SimSpec((10, 10, 10), beta=30, example=1, seed=1))
+        path = tmp_path / "example1.csv"
+        write_transactions(path, [(b.entity_id, b.amounts.tolist()) for b in batches])
+        # a fresh interpreter, so that only what the run imports is in sys.modules
+        probe = ("import sys; from wscluster.cli import main; code = main(sys.argv[1:]); "
+                 "print([m for m in sys.modules if m.startswith('scipy')]); sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "cluster", str(path), "--method", method,
+             "--k", "3", "--seed", "1", "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_pipeline_error_exit_code(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
         # subwsc with k exceeding the explicit subsample size
@@ -201,6 +218,8 @@ class TestCluster:
 @pytest.mark.parametrize("argv", [
     ["cluster", "{csv}", "--k", "3", "--sigma", "-1"],
     ["cluster", "{csv}", "--k", "3", "--sigma", "0"],
+    ["cluster", "{csv}", "--k", "3", "--sigma", "1e999"],
+    ["bench", "--beta", "inf"],
     ["cluster", "{csv}", "--k", "3", "--threads", "2"],
     ["cluster", "{csv}", "--k", "3", "--cap", "0"],
     ["cluster", "{csv}", "--method", "subwsc", "--k", "3", "--n-s", "0"],
@@ -217,11 +236,11 @@ class TestCluster:
     ["bench", "--methods", "wsc,fkm"],
     ["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "2", "--methods", ","],
     ["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "2", "--methods", "hc,hc"],
-], ids=["sigma-negative", "sigma-zero", "threads-removed", "cap-zero",
-        "n-s-zero", "distances-sigma", "embed-k-zero", "sizes-text", "sizes-zero",
-        "beta-zero", "bins-zero", "knn-k0-zero", "embed-knn-k0-negative", "k-max-zero",
-        "subsample-fraction-above-one", "methods-unknown", "methods-empty",
-        "methods-repeated"])
+], ids=["sigma-negative", "sigma-zero", "sigma-infinite", "beta-infinite",
+        "threads-removed", "cap-zero", "n-s-zero", "distances-sigma", "embed-k-zero",
+        "sizes-text", "sizes-zero", "beta-zero", "bins-zero", "knn-k0-zero",
+        "embed-knn-k0-negative", "k-max-zero", "subsample-fraction-above-one",
+        "methods-unknown", "methods-empty", "methods-repeated"])
 def test_bad_flag_is_usage_error(toy_csv, tmp_path, argv):
     csv_path, _ = toy_csv
     proc = run_cli([arg.format(csv=csv_path) for arg in argv] + ["--out", str(tmp_path / "o")])
@@ -441,6 +460,14 @@ class TestPlotdata:
         assert f"row 6: label {label!r}" in capsys.readouterr().err
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "bad.csv", "plots", "plots/cluster_..", "toy.csv", "truth.csv"]
+
+    def test_bins_beyond_any_array_is_usage_error(self, toy_csv, tmp_path, capsys):
+        csv_path, truth_path = toy_csv
+        out = tmp_path / "plots"
+        assert main(["plotdata", str(csv_path), str(truth_path), "--bins", "9" * 25,
+                     "--out", str(out)]) == 1
+        assert "usage error: --bins 9999" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_labels(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv

@@ -1,10 +1,14 @@
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
 from wscluster import kmeans, select_k_silhouette, silhouette_mean
-from wscluster.errors import KTooLarge, SingleCluster
+from wscluster.errors import InertiaIncreased, KTooLarge, SingleCluster
+
+# the package re-exports the function kmeans under the submodule's name
+kmeans_module = importlib.import_module("wscluster.kmeans")
 
 
 def exhaustive_best_inertia(points, k):
@@ -57,6 +61,17 @@ class TestKmeans:
         result = kmeans(points, 5, seed=3)
         path = np.asarray(result.inertia_path)
         assert np.all(np.diff(path) <= 1e-9 * np.maximum(1.0, path[:-1]))
+
+    def test_increasing_inertia_is_a_typed_error(self, monkeypatch):
+        # every distance evaluation adds 1 to all squared distances, so the
+        # second Lloyd iteration sees a larger inertia than the first
+        exact = kmeans_module._sq_distances
+        calls = iter(range(10**6))
+        monkeypatch.setattr(kmeans_module, "_sq_distances",
+                            lambda points, centers: exact(points, centers) + next(calls))
+        points = np.random.default_rng(2).standard_normal((20, 2))
+        with pytest.raises(InertiaIncreased, match="increased inertia"):
+            kmeans(points, 3, seed=0)
 
     def test_inertia_invariant_to_relabeling(self):
         gen = np.random.default_rng(3)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -101,6 +105,36 @@ class TestPairwiseDistances:
         assert peak < d.entries.nbytes + 3 * 2**20
         # the wide entity's 50 pairs one by one, then one block per narrow row
         assert block.call_count == 50 + 49
+
+    def test_a_later_block_larger_than_the_first(self):
+        # the two widest rows take one 6,000-value pair per block; the third
+        # takes 8192 // 4000 = 2 rows of 2,000 + 2,000 values, 8,000 in all
+        gen = np.random.default_rng(7)
+        ds = standardize([TransactionBatch(f"e{i}", gen.random(size))
+                          for i, size in enumerate([3000, 3000, 2000, 2000, 2000])])
+        d = pairwise_distances(ds).entries
+        oracle = np.array([[wasserstein(a, b) for b in ds.ecdfs] for a in ds.ecdfs])
+        np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
+
+    def test_first_call_on_a_cold_heap(self):
+        # a fresh interpreter that has loaded nothing large: a kernel that
+        # allocated its scratch per block made glibc trim and re-fault the
+        # heap top on every block, about 220,000 minor faults on this input
+        probe = """
+import resource
+from wscluster import pairwise_distances, standardize
+from wscluster.simulate import SimSpec, generate
+batches, _ = generate(SimSpec((130, 130, 140), beta=100, example=1, seed=1))
+dataset = standardize(batches)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+pairwise_distances(dataset)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 20_000
 
     def test_dense_guard_is_input_error(self, monkeypatch):
         monkeypatch.setattr(similarity, "MAX_DENSE_ENTITIES", 2)

@@ -23,8 +23,11 @@ from wscluster import (
     wsc_run,
 )
 from wscluster.errors import (
+    CoverageArgumentOutOfRange,
     DegenerateProportion,
     KOutOfRange,
+    NotSquare,
+    NotSymmetric,
     RankDeficientSample,
     SizeOutOfRange,
     TooFewEigenvalues,
@@ -115,8 +118,15 @@ class TestSymEigTopk:
         assert np.allclose(vectors.T @ vectors, np.eye(5), atol=1e-8)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotSymmetric, match="1.000e-06") as info:
             sym_eig_topk(np.array([[0.0, 1e-6], [0.0, 0.0]]), 1)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(NotSquare) as info:
+            sym_eig_topk(np.zeros(shape), 1)
+        assert isinstance(info.value, ValueError)
 
     def test_k_out_of_range(self):
         with pytest.raises(KOutOfRange):
@@ -156,6 +166,13 @@ class TestRequiredSubsampleSize:
     def test_degenerate_proportion(self):
         with pytest.raises(DegenerateProportion):
             required_subsample_size(10, 10, 2)
+
+    @pytest.mark.parametrize("n, n_min, k, name", [
+        (1, 1, 1, "n"), (10, 5, 0, "k"), (10, 0, 2, "n_min")])
+    def test_argument_below_its_minimum(self, n, n_min, k, name):
+        with pytest.raises(CoverageArgumentOutOfRange, match=f"^{name} must") as info:
+            required_subsample_size(n, n_min, k)
+        assert isinstance(info.value, ValueError)
 
 
 class TestSubsamplePlan:
