@@ -32,6 +32,7 @@ from .spectral import (
     SubsamplePlan,
     default_subsample_size,
     eigengap_suggest_k,
+    graph_laplacian,
     normalized_laplacian,
     required_subsample_size,
     subsample_plan,
@@ -70,7 +71,7 @@ __all__ = [
     "DistanceMatrix", "SimilarityMatrix", "build_similarity", "knn_sparsify",
     "pairwise_distances",
     "ClusteringRun", "Laplacian", "SpectralEmbedding", "SubsamplePlan",
-    "default_subsample_size", "eigengap_suggest_k", "normalized_laplacian",
+    "default_subsample_size", "eigengap_suggest_k", "graph_laplacian", "normalized_laplacian",
     "required_subsample_size", "subsample_plan", "subwsc", "subwsc_run",
     "sym_eig_topk", "wsc", "wsc_run",
     "KmeansResult", "kmeans", "select_k_silhouette", "silhouette_mean",

@@ -44,12 +44,7 @@ from .simulate import (
     run_method,
     subsample_sweep,
 )
-from .spectral import (
-    _similarity_graph,
-    eigengap_suggest_k,
-    normalized_laplacian,
-    sym_eig_topk,
-)
+from .spectral import eigengap_suggest_k, graph_laplacian, sym_eig_topk
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,7 +156,6 @@ def build_parser():
     p.add_argument("--similarity", action="store_true",
                    help="also write the similarity matrix")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("embed", help="export embedding rows and eigenvalues")
     p.add_argument("input", help="CSV with header entity_id,amount")
@@ -223,7 +217,7 @@ def _output_dir(path):
     return path
 
 
-def _load(path, cap, seed, timings):
+def _load(path, timings, cap=None, seed=0):
     """Read, cap if asked, standardize; returns ``(dataset, batches, distances)``."""
     t0 = time.perf_counter()
     batches = read_transactions_csv(path)
@@ -261,7 +255,7 @@ def _resolve_k(config, dataset, distances, cluster_fn):
         raise UsageError("--k conflicts with automatic --k-selection")
     n = dataset.n
     if config.k_selection == "eigengap":
-        lap = normalized_laplacian(_similarity_graph(distances, config.sigma, config.knn_k0))
+        lap, _ = graph_laplacian(distances, config.sigma, config.knn_k0)
         eigenvalues, _ = sym_eig_topk(lap.entries, min(n, config.k_max + 1))
         k = eigengap_suggest_k(eigenvalues, k_max=config.k_max + 1)
         return k, {"eigengap_eigenvalues": eigenvalues.tolist()}
@@ -279,7 +273,7 @@ def cmd_cluster(args) -> int:
                            k_max=args.k_max, sigma=args.sigma, knn_k0=args.knn_k0,
                            n_s=args.n_s, cap=args.cap, seed=args.seed)
         timings = {}
-        dataset, batches, distances = _load(args.input, config.cap, config.seed, timings)
+        dataset, batches, distances = _load(args.input, timings, config.cap, config.seed)
         cluster = functools.partial(run_method, config.method, dataset, batches, distances,
                                     seed=config.seed, sigma=config.sigma,
                                     knn_k0=config.knn_k0, n_s=config.n_s)
@@ -429,12 +423,12 @@ def _matrix_rows(entity_ids, entries):
 
 
 def cmd_distances(args) -> int:
-    _, _, d = _load(args.input, None, args.seed, {})
+    _, _, d = _load(args.input, {})
+    s = build_similarity(d, sigma=args.sigma) if args.similarity else None
     header = ["entity_id", *d.entity_ids]
     written = [_write_csv(os.path.join(_output_dir(args.out), "distances.csv"), header,
                           _matrix_rows(d.entity_ids, d.entries))]
-    if args.similarity:
-        s = build_similarity(d, sigma=args.sigma)
+    if s is not None:
         written.append(_write_csv(os.path.join(args.out, "similarity.csv"), header,
                                   _matrix_rows(s.entity_ids, s.entries)))
     print("wrote " + ", ".join(written))
@@ -442,7 +436,7 @@ def cmd_distances(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    dataset, batches, distances = _load(args.input, None, args.seed, {})
+    dataset, batches, distances = _load(args.input, {})
     run = run_method(args.method, dataset, batches, distances, args.k, seed=args.seed,
                      sigma=args.sigma, knn_k0=args.knn_k0, n_s=args.n_s)
     emb = run.embedding

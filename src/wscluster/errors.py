@@ -41,12 +41,20 @@ class NoVariation(WsclusterError):
     """All pairwise distances are zero, so no default scale exists."""
 
 
+class NonPositiveSigma(WsclusterError, ValueError):
+    """The kernel scale sigma is zero or negative."""
+
+
+class IsolatedEntity(WsclusterError):
+    """Sigma is so small that an entity has no positive similarity to any other."""
+
+
 class K0OutOfRange(WsclusterError):
     """Neighbor threshold k0 outside [1, n-1]."""
 
 
-class KOutOfRange(WsclusterError):
-    """Requested neighbor or eigenpair count outside the valid range."""
+class KOutOfRange(WsclusterError, ValueError):
+    """A requested cluster, neighbor or eigenpair count, or a K range, is out of range."""
 
 
 class UnknownEntity(WsclusterError):

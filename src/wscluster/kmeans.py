@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InertiaIncreased, KTooLarge, SingleCluster
+from .errors import InertiaIncreased, KOutOfRange, KTooLarge, SingleCluster
 from .rng import substream
 
 __all__ = ["KmeansResult", "kmeans", "silhouette_mean", "select_k_silhouette"]
@@ -107,7 +107,7 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
     if k > n:
         raise KTooLarge(f"k={k} exceeds the number of points ({n})")
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise KOutOfRange("k must be at least 1")
     best = None
     for restart in range(N_INIT):
         gen = substream(seed, "kmeans-restart", restart)
@@ -126,23 +126,21 @@ def silhouette_mean(distances, labels) -> float:
     singleton cluster contributes 0, as does a point whose intra- and
     inter-cluster distances are both 0.
     """
-    labels = np.asarray(labels)
-    uniq = np.unique(labels)
+    uniq, own = np.unique(np.asarray(labels), return_inverse=True)
     if uniq.size < 2:
         raise SingleCluster("silhouette needs at least two occupied clusters")
-    dist = np.asarray(distances, dtype=np.float64)
-
-    n = len(labels)
-    members = {c: np.flatnonzero(labels == c) for c in uniq}
+    n, points = own.size, np.arange(own.size)
+    # each point's summed distance to each cluster, through a one-hot matrix
+    sums = np.asarray(distances, dtype=np.float64) @ np.eye(uniq.size)[own]
+    sizes = np.bincount(own)
+    own_size = sizes[own]
+    a = sums[points, own] / np.maximum(own_size - 1, 1)  # its own cluster, less itself
+    means = sums / sizes
+    means[points, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
     scores = np.zeros(n)
-    for i in range(n):
-        own = members[labels[i]]
-        if own.size == 1:
-            continue
-        a = dist[i, own].sum() / (own.size - 1)
-        b = min(dist[i, members[c]].mean() for c in uniq if c != labels[i])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    np.divide(b - a, denom, out=scores, where=(own_size > 1) & (denom != 0.0))
     return float(scores.mean())
 
 
@@ -157,11 +155,11 @@ def select_k_silhouette(cluster_fn, k_range, distances, seed: int = 0):
     """
     k_range = sorted(set(int(k) for k in k_range))
     if not k_range:
-        raise ValueError("empty k_range")
+        raise KOutOfRange("empty k_range")
     dist = distances.entries if hasattr(distances, "entries") else np.asarray(distances)
     n = dist.shape[0]
     if k_range[0] < 2 or k_range[-1] > n - 1:
-        raise ValueError(f"k_range must lie within [2, {n - 1}]")
+        raise KOutOfRange(f"k_range must lie within [2, {n - 1}]")
     scores = {}
     for k in k_range:
         part = cluster_fn(k, seed)

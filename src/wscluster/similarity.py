@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import Dataset, _padded_cum
-from .errors import K0OutOfRange, NoVariation, TooManyEntities
+from .errors import IsolatedEntity, K0OutOfRange, NonPositiveSigma, NoVariation, TooManyEntities
 
 __all__ = [
     "DistanceMatrix",
@@ -184,15 +184,23 @@ def build_similarity(d: DistanceMatrix, sigma: float | None = None) -> Similarit
     """Exponential-kernel similarities exp(-W / sigma).
 
     When ``sigma`` is omitted it defaults to the largest observed distance,
-    which maps the distance range onto [exp(-1), 1].
+    which maps the distance range onto [exp(-1), 1]. A sigma so small that
+    an entity has similarity 0 to every other raises :class:`IsolatedEntity`.
     """
     if sigma is None:
         sigma = float(d.entries.max())
         if sigma <= 0:
             raise NoVariation("all pairwise distances are zero; supply sigma explicitly")
     elif sigma <= 0:
-        raise ValueError("sigma must be positive")
-    entries = np.exp(-d.entries / sigma)
+        raise NonPositiveSigma("sigma must be positive")
+    with np.errstate(over="ignore"):  # W / sigma beyond the float range: exp gives 0
+        entries = np.exp(-d.entries / sigma)
+    if d.n >= 2:  # a row's largest similarity is its nearest neighbor's, which kNN keeps
+        np.fill_diagonal(entries, 0.0)
+        isolated = np.flatnonzero(entries.max(axis=1) <= 0)
+        if isolated.size:
+            raise IsolatedEntity(f"entity {d.entity_ids[isolated[0]]!r} has similarity 0 to "
+                                 f"every other entity at sigma={sigma:g}; increase sigma")
     np.fill_diagonal(entries, 1.0)
     return SimilarityMatrix(list(d.entity_ids), entries, sigma=float(sigma))
 

@@ -7,7 +7,8 @@ and K-means those rows directly, without row normalization.
 The subsampled pipeline keeps only n_s columns of L, takes the K leading
 eigenpairs of the small Gram matrix L_s^T L_s, and recovers an embedding
 for all n entities as U = L_s V Sigma^{-1/2}; its columns are orthonormal
-by construction. Degrees still come from the full similarity matrix.
+by construction. Both read L from :func:`graph_laplacian`, so degrees
+come from the full similarity matrix in either.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "SubsamplePlan",
     "ClusteringRun",
     "normalized_laplacian",
+    "graph_laplacian",
     "sym_eig_topk",
     "eigengap_suggest_k",
     "required_subsample_size",
@@ -109,20 +111,14 @@ class ClusteringRun:
     plan: SubsamplePlan | None = None
 
 
-def _degrees(sim: SimilarityMatrix) -> np.ndarray:
-    """Full row sums of S; an isolated entity raises :class:`ZeroDegree`."""
-    degrees = sim.entries.sum(axis=1)
+def normalized_laplacian(s: SimilarityMatrix) -> Laplacian:
+    """L = D^{-1/2} S D^{-1/2}, degrees the full row sums of S; a zero one raises ZeroDegree."""
+    degrees = s.entries.sum(axis=1)
     bad = np.flatnonzero(degrees <= 0)
     if bad.size:
         raise ZeroDegree(
-            f"entity {sim.entity_ids[bad[0]]!r} has zero degree; "
+            f"entity {s.entity_ids[bad[0]]!r} has zero degree; "
             "increase k0 or disable sparsification")
-    return degrees
-
-
-def normalized_laplacian(s: SimilarityMatrix) -> Laplacian:
-    """L = D^{-1/2} S D^{-1/2} with degrees the full row sums of S."""
-    degrees = _degrees(s)
     scale = 1.0 / np.sqrt(degrees)
     return Laplacian(entries=s.entries * np.outer(scale, scale), degrees=degrees)
 
@@ -223,23 +219,25 @@ def subsample_plan(n: int, n_s: int, seed: int = 0) -> SubsamplePlan:
     return SubsamplePlan(n=n, selected=selected.astype(np.intp))
 
 
-def _similarity_graph(distances: DistanceMatrix, sigma: float | None,
-                      knn_k0: int | None) -> SimilarityMatrix:
-    """Kernel graph exp(-W / sigma), reduced to mutual k0-neighbors if asked."""
-    sim = build_similarity(distances, sigma=sigma)
+def graph_laplacian(distances: DistanceMatrix, sigma: float | None = None,
+                    knn_k0: int | None = None) -> tuple[Laplacian, float]:
+    """L of the kernel graph exp(-W / sigma), mutual k0-neighbors only if ``knn_k0`` is given.
+
+    Returns ``(L, sigma)``; ``wsc``, ``subwsc`` and eigengap selection of K all read this L.
+    """
+    sim = build_similarity(distances, sigma)
     if knn_k0 is not None:
         sim = knn_sparsify(sim, distances, knn_k0)
-    return sim
+    return normalized_laplacian(sim), sim.sigma
 
 
-def _cluster(dataset: Dataset, k: int, operator, embed, *, sigma, knn_k0, seed,
+def _cluster(dataset: Dataset, k: int, embed, *, sigma, knn_k0, seed,
              distances, plan=None) -> ClusteringRun:
     """The stage both pipelines share: graph, embedding, K-means.
 
-    ``operator`` turns the similarity graph into the matrix the embedding
-    reads and is timed with the graph as ``similarity``; ``embed`` turns
-    that matrix into ``(eigenvalues, rows)`` and is timed as
-    ``eigensolve``. Each matrix is released once the next one exists.
+    The graph is timed as ``similarity``; ``embed`` turns the entries of
+    its Laplacian into ``(eigenvalues, rows)`` and is timed as
+    ``eigensolve``. The Laplacian is released once the embedding exists.
     """
     if not dataset.standardized:
         warnings.warn(
@@ -252,15 +250,12 @@ def _cluster(dataset: Dataset, k: int, operator, embed, *, sigma, knn_k0, seed,
         timings["distances"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sim = _similarity_graph(distances, sigma, knn_k0)
-    sigma = sim.sigma
-    matrix = operator(sim)
-    del sim
+    lap, sigma = graph_laplacian(distances, sigma, knn_k0)
     timings["similarity"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    eigenvalues, rows = embed(matrix)
-    del matrix
+    eigenvalues, rows = embed(lap.entries)
+    del lap
     embedding = SpectralEmbedding(rows=rows, eigenvalues=eigenvalues)
     timings["eigensolve"] = time.perf_counter() - t0
 
@@ -281,20 +276,13 @@ def wsc_run(dataset: Dataset, k: int, *, sigma: float | None = None,
     """Full-spectrum pipeline; returns the partition with its diagnostics."""
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} outside [1, {dataset.n}]")
-    return _cluster(dataset, k, normalized_laplacian,
-                    lambda lap: sym_eig_topk(lap.entries, k),
+    return _cluster(dataset, k, lambda entries: sym_eig_topk(entries, k),
                     sigma=sigma, knn_k0=knn_k0, seed=seed, distances=distances)
 
 
 def wsc(dataset: Dataset, k: int, **kwargs) -> Partition:
     """Spectral clustering of a dataset into k groups; see :func:`wsc_run`."""
     return wsc_run(dataset, k, **kwargs).partition
-
-
-def build_sub_laplacian(sim: SimilarityMatrix, plan: SubsamplePlan) -> np.ndarray:
-    """The n x n_s column slice of the normalized Laplacian along the sample."""
-    degrees = _degrees(sim)
-    return sim.entries[:, plan.selected] / np.sqrt(np.outer(degrees, degrees[plan.selected]))
 
 
 def _gram_embedding(sub: np.ndarray, k: int):
@@ -331,8 +319,8 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
         raise SizeOutOfRange(f"plan is over {plan.n} entities, dataset has {n}")
     if k > plan.n_s:
         raise KOutOfRange(f"k={k} exceeds the subsample size {plan.n_s}")
-    return _cluster(dataset, k, lambda sim: build_sub_laplacian(sim, plan),
-                    lambda sub: _gram_embedding(sub, k),
+    return _cluster(dataset, k,
+                    lambda entries: _gram_embedding(entries[:, plan.selected], k),
                     sigma=sigma, knn_k0=knn_k0, seed=seed, distances=distances, plan=plan)
 
 

@@ -225,12 +225,14 @@ def test_c08_subsampled_approximation():
         ri_s.append(rand_index(truth_part, sub.partition))
     elapsed = time.perf_counter() - start
     ri_ratio = np.mean(ri_s) / np.mean(ri_w)
-    time_ratio = np.mean(t_s) / np.mean(t_w)
+    # each replication times both pipelines back to back, so a slow period on a
+    # shared machine hits both sides of its ratio; the median drops outliers
+    time_ratio = float(np.median(np.array(t_s) / np.array(t_w)))
     ok = ri_ratio >= 0.85 and time_ratio <= 0.5 and elapsed <= 600.0
     assert _report(8, "subsampled approximation at 30%", ok,
                    f"RI retention {ri_ratio:.3f} (need >= 0.85, "
                    f"WSC {np.mean(ri_w):.3f} vs SubWSC {np.mean(ri_s):.3f}), "
-                   f"time ratio {time_ratio:.2f} (need <= 0.5), {elapsed:.0f}s")
+                   f"median time ratio {time_ratio:.2f} (need <= 0.5), {elapsed:.0f}s")
 
 
 def test_c09_subsample_size_formula_and_coverage():

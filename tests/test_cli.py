@@ -65,6 +65,15 @@ def toy_csv(tmp_path):
     return path, truth_path
 
 
+@pytest.fixture
+def six_csv(tmp_path):
+    """Six entities, no two alike, in two loose groups."""
+    path = tmp_path / "six.csv"
+    write_transactions(path, [("a", [1, 2, 2]), ("b", [1, 2, 3]), ("c", [2, 2]),
+                              ("d", [9, 10, 10]), ("e", [9, 11]), ("f", [10])])
+    return path
+
+
 def read_labels(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -163,6 +172,26 @@ class TestCluster:
         assert main(["cluster", str(csv_path), "--method", "subwsc", "--k", "3",
                      "--n-s", "2", "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--k", "7"],
+        ["--method", "subwsc", "--k", "2", "--n-s", "7"],
+    ], ids=["k", "n-s"])
+    def test_flag_too_large_for_the_input_is_pipeline_error(self, six_csv, tmp_path, flags):
+        out = tmp_path / "out"
+        assert main(["cluster", str(six_csv), *flags, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-6", "1e-320"])
+    def test_sigma_too_small_for_an_edge_is_pipeline_error(self, six_csv, tmp_path, capsys,
+                                                           sigma):
+        out = tmp_path / "out"
+        assert main(["cluster", str(six_csv), "--k", "3", "--sigma", sigma,
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "IsolatedEntity: entity 'a'" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
     def test_silhouette_selection(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
         out = tmp_path / "out"
@@ -224,6 +253,7 @@ class TestCluster:
     ["cluster", "{csv}", "--k", "3", "--cap", "0"],
     ["cluster", "{csv}", "--method", "subwsc", "--k", "3", "--n-s", "0"],
     ["distances", "{csv}", "--similarity", "--sigma", "-1"],
+    ["distances", "{csv}", "--seed", "1"],
     ["embed", "{csv}", "--k", "0"],
     ["bench", "--sizes", "a,b"],
     ["bench", "--sizes", "0,5"],
@@ -237,7 +267,8 @@ class TestCluster:
     ["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "2", "--methods", ","],
     ["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "2", "--methods", "hc,hc"],
 ], ids=["sigma-negative", "sigma-zero", "sigma-infinite", "beta-infinite",
-        "threads-removed", "cap-zero", "n-s-zero", "distances-sigma", "embed-k-zero",
+        "threads-removed", "cap-zero", "n-s-zero", "distances-sigma",
+        "distances-seed-removed", "embed-k-zero",
         "sizes-text", "sizes-zero", "beta-zero", "bins-zero", "knn-k0-zero",
         "embed-knn-k0-negative", "k-max-zero", "subsample-fraction-above-one",
         "methods-unknown", "methods-empty", "methods-repeated"])
@@ -498,6 +529,12 @@ class TestDistancesAndEmbed:
             assert header == ["entity_id", *d.entity_ids]
             assert [row[0] for row in rows] == d.entity_ids
             assert np.array_equal(np.array([row[1:] for row in rows], dtype=float), entries)
+
+    def test_similarity_without_an_edge_writes_nothing(self, six_csv, tmp_path):
+        out = tmp_path / "mat"
+        assert main(["distances", str(six_csv), "--similarity", "--sigma", "1e-6",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_embed_export(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv

@@ -6,9 +6,9 @@ The bytes mix raw binary with CSV-shaped tokens (separators, quotes,
 numbers, non-finite and negative amounts, bytes that are not UTF-8), so
 both the parsing and the validation paths are reached.
 
-``cluster`` and ``plotdata`` get the flags of the real parser with
-arbitrary values against a tiny valid CSV, and exit with one of the
-documented codes, never with a traceback.
+``cluster``, ``plotdata``, ``embed`` and ``distances`` get the flags of
+the real parser with arbitrary values against a tiny valid CSV, and exit
+with one of the documented codes, never with a traceback.
 """
 
 import argparse
@@ -136,3 +136,13 @@ def test_plotdata_flags_exit_with_a_documented_code(tmp_path, monkeypatch, data)
     path.write_text(TINY_CSV)
     labels.write_text(TINY_LABELS)
     _run(data.draw(_argv("plotdata", [str(path), str(labels)], _outs(tmp_path))), tmp_path)
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(["embed", "distances"]))
+def test_embed_and_distances_flags_exit_with_a_documented_code(tmp_path, monkeypatch, data,
+                                                               command):
+    monkeypatch.chdir(tmp_path)  # where the default --out . writes
+    path = tmp_path / "t.csv"
+    path.write_text(TINY_CSV)
+    _run(data.draw(_argv(command, [str(path)], _outs(tmp_path))), tmp_path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wscluster import kmeans, select_k_silhouette, silhouette_mean
-from wscluster.errors import InertiaIncreased, KTooLarge, SingleCluster
+from wscluster.errors import InertiaIncreased, KOutOfRange, KTooLarge, SingleCluster
 
 # the package re-exports the function kmeans under the submodule's name
 kmeans_module = importlib.import_module("wscluster.kmeans")
@@ -113,6 +113,11 @@ class TestKmeans:
         with pytest.raises(KTooLarge):
             kmeans(np.zeros((3, 1)), 4)
 
+    def test_k_below_one_is_typed(self):
+        with pytest.raises(KOutOfRange) as info:
+            kmeans(np.zeros((3, 1)), 0)
+        assert isinstance(info.value, ValueError)
+
 
 def euclidean(points):
     return np.linalg.norm(points[:, None] - points[None, :], axis=2)
@@ -195,6 +200,12 @@ class TestSelectK:
             select_k_silhouette(lambda k, seed: None, [1, 2], dist)
         with pytest.raises(ValueError):
             select_k_silhouette(lambda k, seed: None, [3], dist)
+
+    @pytest.mark.parametrize("k_range", [[], [1, 2], [3]], ids=["empty", "below", "above"])
+    def test_k_range_errors_are_typed(self, k_range):
+        with pytest.raises(KOutOfRange) as info:
+            select_k_silhouette(lambda k, seed: None, k_range, np.zeros((3, 3)))
+        assert isinstance(info.value, ValueError)
 
     def test_ties_prefer_smaller_k(self):
         labels_by_k = {2: np.array([0, 0, 1, 1]), 3: np.array([0, 0, 1, 1])}

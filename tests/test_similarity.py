@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +27,14 @@ from wscluster import (
     wasserstein,
 )
 from wscluster import similarity
-from wscluster.errors import InputError, K0OutOfRange, NoVariation, TooManyEntities
+from wscluster.errors import (
+    InputError,
+    IsolatedEntity,
+    K0OutOfRange,
+    NonPositiveSigma,
+    NoVariation,
+    TooManyEntities,
+)
 
 
 def _dataset(amount_lists):
@@ -169,6 +177,24 @@ class TestBuildSimilarity:
     def test_no_variation(self):
         with pytest.raises(NoVariation):
             build_similarity(_dmatrix(np.zeros((3, 3))))
+
+    def test_non_positive_sigma_is_typed(self):
+        with pytest.raises(NonPositiveSigma) as info:
+            build_similarity(_dmatrix([[0, 1.0], [1.0, 0]]), sigma=0.0)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("sigma", [1e-6, 1e-320])
+    def test_sigma_too_small_for_an_edge(self, sigma):
+        # e1 and e2 stay joined at sigma 1e-6; e0 is alone at either sigma
+        d = _dmatrix([[0, 1.0, 1.0], [1.0, 0, 1e-5], [1.0, 1e-5, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from W / sigma
+            with pytest.raises(IsolatedEntity, match="'e0'"):
+                build_similarity(d, sigma=sigma)
+
+    def test_one_entity_is_never_isolated(self):
+        s = build_similarity(_dmatrix([[0.0]]), sigma=1e-320)
+        assert s.entries.tolist() == [[1.0]]
 
     def test_monotone_in_distance(self):
         gen = np.random.default_rng(2)

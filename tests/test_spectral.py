@@ -11,6 +11,7 @@ from wscluster import (
     TransactionBatch,
     cluster_accuracy,
     eigengap_suggest_k,
+    graph_laplacian,
     normalized_laplacian,
     pairwise_distances,
     required_subsample_size,
@@ -33,7 +34,6 @@ from wscluster.errors import (
     TooFewEigenvalues,
     ZeroDegree,
 )
-from wscluster.spectral import build_sub_laplacian
 from wscluster.similarity import build_similarity, knn_sparsify
 
 
@@ -82,6 +82,20 @@ class TestNormalizedLaplacian:
         entries[1, 1] = 0.0
         with pytest.raises(ZeroDegree, match="e1"):
             normalized_laplacian(_sim(entries))
+
+
+class TestGraphLaplacian:
+    @pytest.mark.parametrize("sigma, k0", [(None, None), (0.5, None), (None, 9), (2.0, 4)])
+    def test_kernel_then_knn_then_laplacian(self, duplicate_dataset, sigma, k0):
+        dataset, _ = duplicate_dataset
+        distances = pairwise_distances(dataset)
+        lap, used = graph_laplacian(distances, sigma, k0)
+        sim = build_similarity(distances, sigma)
+        if k0 is not None:
+            sim = knn_sparsify(sim, distances, k0)
+        assert used == sim.sigma
+        assert np.array_equal(lap.entries, normalized_laplacian(sim).entries)
+        assert np.array_equal(lap.degrees, sim.entries.sum(axis=1))
 
 
 class TestSymEigTopk:
@@ -319,7 +333,7 @@ class TestSubwsc:
         distances = pairwise_distances(dataset)
         sim = build_similarity(distances)
         plan = subsample_plan(dataset.n, 7, seed=5)
-        sub = build_sub_laplacian(sim, plan)
+        sub = normalized_laplacian(sim).entries[:, plan.selected]
         degrees = sim.entries.sum(axis=1)
         for j, col in enumerate(plan.selected):
             expected = sim.entries[:, col] / np.sqrt(degrees * degrees[col])
