@@ -29,6 +29,7 @@ from .spectral import (
     ClusteringRun,
     Laplacian,
     SpectralEmbedding,
+    Spectrum,
     SubsamplePlan,
     default_subsample_size,
     eigengap_suggest_k,
@@ -41,6 +42,7 @@ from .spectral import (
     sym_eig_topk,
     wsc,
     wsc_run,
+    wsc_spectrum,
 )
 from .kmeans import KmeansResult, kmeans, select_k_silhouette, silhouette_mean
 from .metrics import (
@@ -70,10 +72,10 @@ __all__ = [
     "read_transactions_csv", "standardize", "wasserstein",
     "DistanceMatrix", "SimilarityMatrix", "build_similarity", "knn_sparsify",
     "pairwise_distances",
-    "ClusteringRun", "Laplacian", "SpectralEmbedding", "SubsamplePlan",
+    "ClusteringRun", "Laplacian", "SpectralEmbedding", "Spectrum", "SubsamplePlan",
     "default_subsample_size", "eigengap_suggest_k", "graph_laplacian", "normalized_laplacian",
     "required_subsample_size", "subsample_plan", "subwsc", "subwsc_run",
-    "sym_eig_topk", "wsc", "wsc_run",
+    "sym_eig_topk", "wsc", "wsc_run", "wsc_spectrum",
     "KmeansResult", "kmeans", "select_k_silhouette", "silhouette_mean",
     "MatchingMatrix", "Partition", "cluster_accuracy", "matching_matrix",
     "metric_report", "nmi", "rand_index",

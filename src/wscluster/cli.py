@@ -44,7 +44,7 @@ from .simulate import (
     run_method,
     subsample_sweep,
 )
-from .spectral import eigengap_suggest_k, graph_laplacian, sym_eig_topk
+from .spectral import eigengap_suggest_k, wsc_spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,7 +114,8 @@ def build_parser():
                    help="largest K considered by automatic selection")
     p.add_argument("--sigma", type=_positive(float), default=None)
     p.add_argument("--knn-k0", type=_positive(int), default=None,
-                   help="keep only mutual k0-nearest-neighbor similarities")
+                   help="keep a similarity only where one end is among the other's "
+                        "k0 nearest neighbors")
     p.add_argument("--n-s", type=_positive(int), default=None,
                    help="subsample size for subwsc (default: coverage heuristic)")
     p.add_argument("--cap", type=_positive(int), nargs="?", const=DEFAULT_TRANSACTION_CAP,
@@ -246,25 +247,40 @@ def _recorded_warnings():
                   end="", file=sys.stderr)
 
 
-def _resolve_k(config, dataset, distances, cluster_fn):
+def _select(config, dataset, distances, cluster):
+    """The given or selected K, its run, and what the selection saw.
+
+    Eigengap selection reads the leading eigenvalues of the ``wsc`` graph.
+    With ``--method wsc`` one solve of that graph serves every candidate K,
+    since the embedding for K is the first K columns of the embedding for
+    the largest K. The other methods run once per candidate. Either way the
+    chosen K's run is the final one.
+    """
     if config.k_selection == "fixed":
         if config.k is None:
             raise UsageError("--k is required with --k-selection fixed")
-        return config.k, None
+        return config.k, cluster(config.k), None
     if config.k is not None:
         raise UsageError("--k conflicts with automatic --k-selection")
     n = dataset.n
+    spectrum = functools.partial(wsc_spectrum, dataset, sigma=config.sigma,
+                                 knn_k0=config.knn_k0, distances=distances)
     if config.k_selection == "eigengap":
-        lap, _ = graph_laplacian(distances, config.sigma, config.knn_k0)
-        eigenvalues, _ = sym_eig_topk(lap.entries, min(n, config.k_max + 1))
+        top = spectrum(min(n, config.k_max + 1))
+        eigenvalues = top.embedding.eigenvalues
         k = eigengap_suggest_k(eigenvalues, k_max=config.k_max + 1)
-        return k, {"eigengap_eigenvalues": eigenvalues.tolist()}
+        run = top.cluster(k, config.seed) if config.method == "wsc" else cluster(k)
+        return k, run, {"eigengap_eigenvalues": eigenvalues.tolist()}
     k_range = range(2, min(config.k_max, n - 1) + 1)
     if not len(k_range):
         raise UsageError("dataset too small for silhouette selection")
+    if config.method == "wsc":
+        cluster = functools.partial(spectrum(k_range[-1]).cluster, seed=config.seed)
+    runs = {}
     best, scores = select_k_silhouette(
-        lambda k, seed: cluster_fn(k), k_range, distances, seed=config.seed)
-    return best, {"silhouette_scores": {str(k): v for k, v in scores.items()}}
+        lambda k, seed: runs.setdefault(k, cluster(k)).partition, k_range, distances,
+        seed=config.seed)
+    return best, runs[best], {"silhouette_scores": {str(k): v for k, v in scores.items()}}
 
 
 def cmd_cluster(args) -> int:
@@ -277,11 +293,8 @@ def cmd_cluster(args) -> int:
         cluster = functools.partial(run_method, config.method, dataset, batches, distances,
                                     seed=config.seed, sigma=config.sigma,
                                     knn_k0=config.knn_k0, n_s=config.n_s)
-        k, selection_info = _resolve_k(config, dataset, distances,
-                                       lambda k: cluster(k).partition)
-
         t0 = time.perf_counter()
-        run = cluster(k)
+        k, run, selection_info = _select(config, dataset, distances, cluster)
         timings["cluster"] = time.perf_counter() - t0
         timings.update({f"stage_{k_}": v for k_, v in run.timings.items()})
 

@@ -22,10 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CapOutOfRange,
     CsvFormatError,
     EmptyBatch,
     NegativeAmount,
     NonFiniteAmount,
+    NonPositiveM0,
     SmallSampleWarning,
     SuppliedM0TooSmall,
     UnknownEntity,
@@ -152,7 +154,7 @@ def cap_transactions(batch: TransactionBatch, cap: int = DEFAULT_TRANSACTION_CAP
     substream so the result depends only on (seed, entity_id).
     """
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise CapOutOfRange("cap must be at least 1")
     if batch.size <= cap:
         return batch
     gen = substream(seed, "cap", batch.entity_id)
@@ -177,7 +179,7 @@ def standardize(batches, m0: float | None = None) -> Dataset:
     else:
         m0 = float(m0)
         if m0 <= 0:
-            raise ValueError("m0 must be positive")
+            raise NonPositiveM0("m0 must be positive")
         if m0 < global_max:
             raise SuppliedM0TooSmall(
                 f"supplied m0={m0} is below the data maximum {global_max}")

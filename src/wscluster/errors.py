@@ -35,6 +35,14 @@ class TooManyEntities(InputError, ValueError):
     """More entities than the dense n x n distance matrix is allowed to hold."""
 
 
+class CapOutOfRange(WsclusterError, ValueError):
+    """A transaction cap below 1."""
+
+
+class NonPositiveM0(WsclusterError, ValueError):
+    """A user-supplied standardization constant that is zero or negative."""
+
+
 # --- similarity graph -------------------------------------------------------
 
 class NoVariation(WsclusterError):
@@ -115,6 +123,20 @@ class LengthMismatch(WsclusterError):
 
 class InertiaIncreased(WsclusterError):
     """A Lloyd iteration raised the K-means inertia: a bug, never a property of the input."""
+
+
+# --- simulation and benchmark -----------------------------------------------
+
+class InvalidSimSpec(WsclusterError, ValueError):
+    """A simulation spec names no known example, or has a cluster size or beta not above 0."""
+
+
+class UnknownMethod(WsclusterError, ValueError):
+    """A clustering method name that the method table does not hold."""
+
+
+class ReplicationsOutOfRange(WsclusterError, ValueError):
+    """A benchmark asked for fewer than one replication."""
 
 
 # --- warnings ---------------------------------------------------------------

@@ -221,10 +221,11 @@ def nearest_neighbor_sets(d: DistanceMatrix, k0: int) -> np.ndarray:
 
 
 def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int) -> SimilarityMatrix:
-    """Zero all similarities outside mutual neighbor relations.
+    """Zero all similarities outside the union k0-nearest-neighbor graph.
 
     Entry (i, j) survives when i is among j's k0 nearest neighbors or vice
-    versa; the diagonal always survives. Applying the same reconstruction
+    versa (either end suffices, so the graph is not the mutual one); the
+    diagonal always survives. Applying the same reconstruction
     twice is a no-op.
     """
     neighbors = nearest_neighbor_sets(d, k0)

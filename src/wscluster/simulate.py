@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecdf import Dataset, TransactionBatch, standardize
-from .errors import KTooLarge
+from .errors import InvalidSimSpec, KTooLarge, ReplicationsOutOfRange, UnknownMethod
 from .kmeans import kmeans
 from .metrics import Partition, cluster_accuracy, nmi, rand_index
 from .rng import substream
@@ -67,11 +67,11 @@ class SimSpec:
 
     def __post_init__(self):
         if self.example not in (1, 2):
-            raise ValueError("example must be 1 (continuous) or 2 (discrete)")
+            raise InvalidSimSpec("example must be 1 (continuous) or 2 (discrete)")
         if any(s < 1 for s in self.cluster_sizes):
-            raise ValueError("cluster sizes must be positive")
+            raise InvalidSimSpec("cluster sizes must be positive")
         if self.beta <= 0:
-            raise ValueError("beta must be positive")
+            raise InvalidSimSpec("beta must be positive")
 
     @property
     def n(self) -> int:
@@ -254,7 +254,7 @@ def run_method(method: str, dataset: Dataset, batches, distances: DistanceMatrix
     elif method == "hc":
         part = hc_complete_baseline(distances, k)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownMethod(f"unknown method {method!r}")
     return ClusteringRun(part, None, sigma=None)
 
 
@@ -268,7 +268,7 @@ def _replicate(spec: SimSpec, runs, replications: int, seed: int,
     failures are recorded and skipped rather than aborting the run.
     """
     if replications < 1:
-        raise ValueError("replications must be at least 1")
+        raise ReplicationsOutOfRange("replications must be at least 1")
     result = BenchmarkResult(setting=setting, spec=spec)
     for rep in range(replications):
         rep_seed = int(substream(seed, "replication", rep).integers(2**63))

@@ -17,7 +17,7 @@ from wscluster import (
     standardize,
     sym_eig_topk,
 )
-from wscluster import similarity
+from wscluster import similarity, spectral
 from wscluster.cli import main
 from wscluster.simulate import SimSpec, generate
 
@@ -215,7 +215,7 @@ class TestCluster:
 
     def test_eigengap_uses_the_wsc_graph(self, toy_csv, tmp_path):
         # the eigenvalues behind the gap come from the same graph that
-        # wsc_run clusters: mutual k0-NN sparsified kernel, full Laplacian
+        # wsc_run clusters: union k0-NN sparsified kernel, full Laplacian
         csv_path, _ = toy_csv
         out = tmp_path / "out"
         assert main(["cluster", str(csv_path), "--k-selection", "eigengap",
@@ -226,6 +226,28 @@ class TestCluster:
         lap = normalized_laplacian(knn_sparsify(build_similarity(d), d, 9))
         expected, _ = sym_eig_topk(lap.entries, 6)
         assert run["k_selection"]["eigengap_eigenvalues"] == expected.tolist()
+
+    @pytest.mark.parametrize("method", ["wsc", "subwsc"])
+    @pytest.mark.parametrize("selection, k_max, solves", [
+        # wsc clusters every candidate K from one graph and one solve; subwsc's
+        # Gram embedding depends on K, so it solves once per candidate, after
+        # the eigengap's own solve for k_max + 1 pairs of the wsc graph
+        ("silhouette", 3, {"wsc": [3], "subwsc": [2, 3]}),
+        ("eigengap", 5, {"wsc": [6], "subwsc": [6, 3]}),
+    ])
+    def test_selection_solves_once_for_wsc(self, toy_csv, tmp_path, monkeypatch, method,
+                                           selection, k_max, solves):
+        calls = []
+        solve = spectral.sym_eig_topk
+        monkeypatch.setattr(spectral, "sym_eig_topk",
+                            lambda m, k: calls.append(k) or solve(m, k))
+        csv_path, _ = toy_csv
+        out = tmp_path / "out"
+        assert main(["cluster", str(csv_path), "--method", method, "--k-selection", selection,
+                     "--k-max", str(k_max), "--knn-k0", "9", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["k"] == 3
+        assert calls == solves[method]
 
     def test_hc_on_one_entity(self, tmp_path):
         path = tmp_path / "one.csv"

@@ -16,10 +16,12 @@ from wscluster import (
     wasserstein,
 )
 from wscluster.errors import (
+    CapOutOfRange,
     CsvFormatError,
     EmptyBatch,
     NegativeAmount,
     NonFiniteAmount,
+    NonPositiveM0,
     SmallSampleWarning,
     SuppliedM0TooSmall,
 )
@@ -83,6 +85,12 @@ class TestCapTransactions:
         c3 = cap_transactions(b, cap=400, seed=10)
         assert not np.array_equal(c1.amounts, c3.amounts)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one(self, cap):
+        with pytest.raises(CapOutOfRange, match="at least 1") as info:
+            cap_transactions(TransactionBatch("a", [1.0, 2.0]), cap=cap)
+        assert isinstance(info.value, ValueError)
+
 
 class TestStandardize:
     def test_divides_by_global_max(self):
@@ -100,6 +108,12 @@ class TestStandardize:
     def test_supplied_m0_too_small(self):
         with pytest.raises(SuppliedM0TooSmall):
             standardize([TransactionBatch("a", [120.0])], m0=100.0)
+
+    @pytest.mark.parametrize("m0", [0.0, -1.0])
+    def test_supplied_m0_not_positive(self, m0):
+        with pytest.raises(NonPositiveM0, match="positive") as info:
+            standardize([TransactionBatch("a", [0.0])], m0=m0)
+        assert isinstance(info.value, ValueError)
 
     def test_supplied_m0_allows_headroom(self):
         ds = standardize([TransactionBatch("a", [50.0])], m0=100.0)

@@ -8,7 +8,10 @@ both the parsing and the validation paths are reached.
 
 ``cluster``, ``plotdata``, ``embed`` and ``distances`` get the flags of
 the real parser with arbitrary values against a tiny valid CSV, and exit
-with one of the documented codes, never with a traceback.
+with one of the documented codes, never with a traceback. So does
+``bench``, on a few tiny clusters and at most two replications: its
+``--sizes``, ``--m`` and ``--beta`` set how much work a run does, so they
+take only small values.
 """
 
 import argparse
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from wscluster import read_transactions_csv
 from wscluster.cli import build_parser, main
 from wscluster.errors import InputError
+from wscluster.simulate import BENCH_METHODS
 
 TOKENS = [b"a", b"b", b",", b"\n", b"\r\n", b'"', b"1", b"2.5", b"-3", b"nan", b"inf",
           b"1e999", b" ", b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x82"]
@@ -83,11 +87,13 @@ def _options(command):
 
 
 @st.composite
-def _argv(draw, command, positionals, outs):
+def _argv(draw, command, positionals, outs, values=None):
+    """``command`` with some of its flags; ``values`` maps a dest to the only values it takes."""
+    values = values or {}
     argv = [command, *positionals]
     actions = draw(st.lists(st.sampled_from(_options(command)), unique_by=id))
     # one flag at most takes an arbitrary value, so that most runs get past the parser
-    arbitrary = draw(st.sampled_from([None, *actions]))
+    arbitrary = draw(st.sampled_from([None, *(a for a in actions if a.dest not in values)]))
     for action in actions:
         argv.append(draw(st.sampled_from(action.option_strings)))
         if action.dest == "out":  # keep every write under the test's directory
@@ -96,8 +102,10 @@ def _argv(draw, command, positionals, outs):
             continue
         elif action is arbitrary:
             argv.append(draw(VALUES))
+        elif action.dest in values:
+            argv.append(draw(values[action.dest]))
         else:
-            argv.append(draw(st.sampled_from(list(action.choices)) if action.choices
+            argv.append(draw(st.sampled_from(list(map(str, action.choices))) if action.choices
                              else st.integers(1, 12).map(str)))
     return argv
 
@@ -146,3 +154,22 @@ def test_embed_and_distances_flags_exit_with_a_documented_code(tmp_path, monkeyp
     path = tmp_path / "t.csv"
     path.write_text(TINY_CSV)
     _run(data.draw(_argv(command, [str(path)], _outs(tmp_path))), tmp_path)
+
+
+BENCH_VALUES = {
+    "sizes": st.sampled_from(["1", "2", "1,1,1", "3,3", "2,3,4"]),
+    "m": st.sampled_from(["1", "2"]),
+    "beta": st.sampled_from(["1e-320", "0.5", "3", "15"]),
+    "methods": st.lists(st.sampled_from(BENCH_METHODS), min_size=1, unique=True).map(",".join),
+    "subsample_fraction": st.sampled_from(["1e-320", "0.05", "0.5", "1"]),
+    "subsample_sweep": st.sampled_from(["1:1:1", "0.5:1:0.5", "0.1:0.3:0.1"]),
+}
+
+
+@FUZZ
+@given(data=st.data())
+def test_bench_flags_exit_with_a_documented_code(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)  # where the default --out . writes
+    sizes, m = data.draw(BENCH_VALUES["sizes"]), data.draw(BENCH_VALUES["m"])
+    _run(data.draw(_argv("bench", ["--sizes", sizes, "--m", m], _outs(tmp_path),
+                         BENCH_VALUES)), tmp_path)

@@ -20,7 +20,18 @@ from wscluster import (
 )
 from wscluster.simulate import SETTING_SIZES, run_method, subsample_sweep
 from wscluster.spectral import subsample_plan, subwsc_run, wsc_run
-from wscluster.errors import KTooLarge
+from wscluster.errors import InvalidSimSpec, KTooLarge, ReplicationsOutOfRange, UnknownMethod
+
+
+@pytest.mark.parametrize("sizes, beta, example, message", [
+    ((5, 5), 10.0, 3, "example must be"),
+    ((5, 0), 10.0, 1, "cluster sizes"),
+    ((5, 5), 0.0, 2, "beta"),
+], ids=["example", "size", "beta"])
+def test_invalid_sim_spec(sizes, beta, example, message):
+    with pytest.raises(InvalidSimSpec, match=message) as info:
+        SimSpec(sizes, beta, example)
+    assert isinstance(info.value, ValueError)
 
 
 class TestGenerate:
@@ -257,8 +268,9 @@ class TestRunMethod:
         assert np.array_equal(run.partition.labels, expected.labels)
 
     def test_unknown_method_raises(self, data):
-        with pytest.raises(ValueError, match="unknown method 'wsc_dense'"):
+        with pytest.raises(UnknownMethod, match="unknown method 'wsc_dense'") as info:
             run_method("wsc_dense", *data, 3, seed=4)
+        assert isinstance(info.value, ValueError)
 
 
 class TestBenchmark:
@@ -277,6 +289,12 @@ class TestBenchmark:
         metrics = {r["metric"] for r in result.rows if r["method"] == "hc"}
         assert metrics == {"ri", "ca", "nmi", "time_s"}
         assert all(r["M"] == 2 for r in result.rows)
+
+    def test_zero_replications(self):
+        spec = SimSpec((4, 4, 4), beta=15, example=1, seed=2)
+        with pytest.raises(ReplicationsOutOfRange) as info:
+            run_benchmark(spec, ["wsc"], replications=0, seed=0)
+        assert isinstance(info.value, ValueError)
 
     def test_failures_recorded_not_raised(self):
         spec = SimSpec((4, 4, 4), beta=15, example=1, seed=2)

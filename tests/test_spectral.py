@@ -22,11 +22,14 @@ from wscluster import (
     sym_eig_topk,
     wsc,
     wsc_run,
+    wsc_spectrum,
 )
+from wscluster import spectral
 from wscluster.errors import (
     CoverageArgumentOutOfRange,
     DegenerateProportion,
     KOutOfRange,
+    NoConvergence,
     NotSquare,
     NotSymmetric,
     RankDeficientSample,
@@ -147,6 +150,119 @@ class TestSymEigTopk:
             sym_eig_topk(np.eye(3), 4)
 
 
+def _laplacian_of_points(x):
+    """Normalized Laplacian of the kernel exp(-|x_i - x_j| / max distance) on 1-D points."""
+    d = np.abs(x[:, None] - x[None, :])
+    return normalized_laplacian(_sim(np.exp(-d / d.max()))).entries
+
+
+def _assert_sym_eig_contract(m, values, vectors):
+    """Descending values, orthonormal sign-fixed columns, residuals within the tolerance."""
+    assert np.all(np.diff(values) <= 0)
+    assert np.abs(vectors.T @ vectors - np.eye(values.size)).max() <= 1e-10
+    for col in vectors.T:
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
+        assert col[nz[0]] > 0
+    residual = np.linalg.norm(m @ vectors - vectors * values, axis=0)
+    assert residual.max() <= spectral.EIG_TOLERANCE * np.abs(values).max()
+
+
+@pytest.fixture(scope="module")
+def partial_size_laplacian():
+    """A three-group Laplacian at the partial-solve cut-over, with numpy's full solution."""
+    n = spectral.PARTIAL_EIG_MIN_N
+    gen = np.random.default_rng(11)
+    x = np.concatenate([gen.normal(c, 0.3, n // 3 + 1) for c in (0.0, 2.0, 4.0)])[:n]
+    m = _laplacian_of_points(x)
+    values, vectors = np.linalg.eigh(m)
+    return m, values[::-1], vectors[:, ::-1]
+
+
+class TestPartialEigensolve:
+    """At n >= PARTIAL_EIG_MIN_N only the k wanted pairs are solved for (LAPACK dsyevr)."""
+
+    K = 4
+
+    @pytest.fixture(autouse=True)
+    def count_lapack_calls(self, monkeypatch):
+        import scipy.linalg
+        self.calls = []
+        for module, name in ((scipy.linalg, "evr"), (np.linalg, "eigh")):
+            solve = getattr(module, "eigh")
+
+            def counted(*args, _solve=solve, _name=name, **kwargs):
+                self.calls.append(_name)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(module, "eigh", counted)
+
+    def test_eigenvalues_match_the_full_solve(self, partial_size_laplacian):
+        m, full_values, _ = partial_size_laplacian
+        values, _ = sym_eig_topk(m, self.K)
+        assert self.calls == ["evr"]
+        norm = np.abs(full_values).max()
+        assert np.abs(values - full_values[:self.K]).max() <= 1e-12 * norm
+
+    def test_top_projector_matches_the_full_solve(self, partial_size_laplacian):
+        m, full_values, full_vectors = partial_size_laplacian
+        k = 3
+        # three groups, so the third gap is wide and the projector well defined
+        assert full_values[k - 1] - full_values[k] > 1e-2
+        _, vectors = sym_eig_topk(m, k)
+        expected = full_vectors[:, :k] @ full_vectors[:, :k].T
+        assert np.abs(vectors @ vectors.T - expected).max() <= 1e-10
+
+    def test_residual_and_sign_contracts(self, partial_size_laplacian):
+        m, _, _ = partial_size_laplacian
+        values, vectors = sym_eig_topk(m, self.K)
+        _assert_sym_eig_contract(m, values, vectors)
+
+    def test_repeated_leading_eigenvalue_is_returned_twice(self):
+        # two components: the block-diagonal Laplacian has eigenvalue 1 twice
+        n = spectral.PARTIAL_EIG_MIN_N
+        gen = np.random.default_rng(12)
+        half = n // 2
+        m = np.zeros((n, n))
+        m[:half, :half] = _laplacian_of_points(gen.normal(0.0, 1.0, half))
+        m[half:, half:] = _laplacian_of_points(gen.normal(0.0, 1.0, n - half))
+        values, vectors = sym_eig_topk(m, 3)
+        assert self.calls == ["evr"]
+        assert np.abs(values[:2] - 1.0).max() <= 1e-12
+        assert values[2] < 1.0 - 1e-6
+        _assert_sym_eig_contract(m, values, vectors)
+        # the eigenspace of 1 is spanned by each block's sqrt-degree vector
+        assert np.abs(vectors[:half, :2]).max() > 0 and np.abs(vectors[half:, :2]).max() > 0
+        basis = np.zeros((n, 2))
+        for j, rows in enumerate((slice(0, half), slice(half, n))):
+            top = np.linalg.eigh(m[rows, rows])[1][:, -1]
+            basis[rows, j] = top
+        assert np.abs(vectors[:, :2] @ vectors[:, :2].T - basis @ basis.T).max() <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_no_convergence(self, partial_size_laplacian, bad):
+        m = partial_size_laplacian[0].copy()
+        m[0, 0] = bad
+        with pytest.raises(NoConvergence):
+            sym_eig_topk(m, self.K)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_below_the_cut_over_is_no_convergence(self, bad):
+        m = np.eye(5)
+        m[0, 0] = bad
+        with pytest.raises(NoConvergence):
+            sym_eig_topk(m, 2)
+        assert self.calls == ["eigh"]
+
+    def test_partial_path_starts_at_the_cut_over(self):
+        n = spectral.PARTIAL_EIG_MIN_N
+        m = np.diag(np.linspace(0.0, 1.0, n))
+        sym_eig_topk(m[1:, 1:], 2)
+        assert self.calls == ["eigh"]
+        sym_eig_topk(m, 2)
+        assert self.calls == ["eigh", "evr"]
+
+
 class TestEigengap:
     def test_clear_gap(self):
         assert eigengap_suggest_k([1.0, 0.98, 0.3, 0.1]) == 2
@@ -255,6 +371,22 @@ class TestWsc:
         dataset, labels = duplicate_dataset
         part = wsc(dataset, 3, seed=0, knn_k0=10)
         assert cluster_accuracy(Partition.from_labels(labels), part) == 1.0
+
+    def test_every_k_reads_a_prefix_of_one_solve(self, duplicate_dataset):
+        # below the partial-solve cut-over the first k columns of the solve
+        # for 6 pairs are bitwise the solve for k pairs
+        dataset, _ = duplicate_dataset
+        distances = pairwise_distances(dataset)
+        top = wsc_spectrum(dataset, 6, knn_k0=9, distances=distances)
+        for k in range(1, 7):
+            alone = wsc_run(dataset, k, knn_k0=9, seed=4, distances=distances)
+            shared = top.cluster(k, seed=4)
+            assert np.array_equal(shared.embedding.rows, alone.embedding.rows)
+            assert np.array_equal(shared.embedding.eigenvalues, alone.embedding.eigenvalues)
+            assert np.array_equal(shared.partition.labels, alone.partition.labels)
+            assert shared.sigma == alone.sigma
+        with pytest.raises(KOutOfRange):
+            top.cluster(7)
 
     def test_warns_on_raw_scale_dataset(self):
         from wscluster import Dataset
