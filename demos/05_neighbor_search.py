@@ -29,7 +29,7 @@ dataset = standardize(batches)
 distances = pairwise_distances(dataset)
 
 query = "g1c03"
-q = dataset.index_of(query)
+q = dataset.entity_ids.index(query)
 neighbors = [dataset.entity_ids[j] for j in nearest_neighbor_sets(distances, 5)[q]]
 print(f"5 nearest to {query}: {neighbors}")
 print("all in the query's group:", all(e.startswith("g1") for e in neighbors))

@@ -32,7 +32,7 @@ from .ecdf import (
     read_transactions_csv,
     standardize,
 )
-from .errors import CsvFormatError, InputError, WsclusterError
+from .errors import CsvFormatError, InputError, InvalidSimSpec, WsclusterError
 from .kmeans import select_k_silhouette
 from .metrics import Partition, metric_report, render_report_table
 from .similarity import build_similarity, pairwise_distances
@@ -363,7 +363,10 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--subsample-fraction must lie in (0, 1], got {args.subsample_fraction}")
     sizes = args.sizes or SETTING_SIZES[args.setting]
     setting = "custom" if args.sizes else args.setting
-    spec = SimSpec(sizes, args.beta, args.example, seed=args.seed)
+    try:
+        spec = SimSpec(sizes, args.beta, args.example, seed=args.seed)
+    except InvalidSimSpec as exc:
+        raise UsageError(str(exc)) from None
     fractions = _parse_sweep(args.subsample_sweep) if args.subsample_sweep else None
     _output_dir(args.out)
     if fractions:

@@ -9,6 +9,11 @@ between two entities is the area between their ECDFs,
 which for step functions is an exact finite sum over the merged support.
 W is a metric on ECDFs: it is symmetric, zero exactly for identical step
 functions, and satisfies the triangle inequality.
+
+Transactions arrive as an ``entity_id,amount`` CSV. Quote-free files are
+read a chunk at a time, with each entity's amounts parsed by numpy; every
+other file, and every error report, goes through the ``csv`` module, which
+stays the reference for what the fast path returns.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import contextlib
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .errors import (
     NonPositiveM0,
     SmallSampleWarning,
     SuppliedM0TooSmall,
-    UnknownEntity,
 )
 from .rng import substream
 
@@ -46,6 +50,9 @@ __all__ = [
 ]
 
 DEFAULT_TRANSACTION_CAP = 1000
+
+# characters the quote-free reader takes per chunk before extending it to the line end
+READ_CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,21 +113,10 @@ class Dataset:
     ecdfs: list[Ecdf]
     m0: float
     standardized: bool
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {e: i for i, e in enumerate(self.entity_ids)}
 
     @property
     def n(self) -> int:
         return len(self.ecdfs)
-
-    def index_of(self, entity_id: str) -> int:
-        try:
-            return self._index[entity_id]
-        except KeyError:
-            raise UnknownEntity(f"entity {entity_id!r} not in dataset") from None
 
     @classmethod
     def from_batches(cls, batches) -> "Dataset":
@@ -256,9 +252,23 @@ def read_transactions_csv(path) -> list[TransactionBatch]:
     """Read a ``entity_id,amount`` CSV into per-entity batches.
 
     One row per observation; entities keep their order of first
-    appearance. Any row whose amount does not parse as a decimal real
-    aborts ingestion with the offending row number, and so do bytes that
-    are not UTF-8 and oversized fields.
+    appearance. Quote-free input takes a fast path that parses amounts
+    with numpy a chunk at a time. Any other input, and any input that path
+    has a doubt about, is read again from the start by the ``csv`` module,
+    which returns bitwise-identical batches where both succeed. Any row
+    whose amount does not parse as a decimal real aborts ingestion with
+    the offending row number, and so do bytes that are not UTF-8 and
+    oversized fields.
+    """
+    batches = _read_quote_free(path)
+    return _read_with_csv(path) if batches is None else batches
+
+
+def _read_with_csv(path) -> list[TransactionBatch]:
+    """The reference reader: every row through the ``csv`` module.
+
+    It is the only reader of quoted input and the only one that reports
+    a row or line number.
     """
     amounts: dict[str, list[float]] = {}
     with _csv_reader(path, ("entity_id", "amount")) as reader:
@@ -276,3 +286,76 @@ def read_transactions_csv(path) -> list[TransactionBatch]:
     if not amounts:
         raise CsvFormatError(f"{path}: no data rows")
     return [TransactionBatch(e, np.asarray(v)) for e, v in amounts.items()]
+
+
+def _read_quote_free(path) -> list[TransactionBatch] | None:
+    """The batches of a quote-free file, or None where only the csv module may judge it.
+
+    The text is read in chunks of about ``READ_CHUNK_CHARS``, each extended
+    to the next line end, and every line is split at its first comma. At
+    each chunk's end one ``np.array(strings, dtype=np.float64)`` parses its
+    amounts, and numpy parses a string as ``float()`` does, so the values
+    are the csv path's bit for bit. Each row keeps the rank of its entity,
+    looked up once per run of rows of one entity. Once the whole file is
+    read, the amounts are grouped per entity, with a stable sort only when
+    some entity's rows are not contiguous.
+
+    A quote, a NUL, a carriage return outside a CRLF line end, a header
+    other than ``entity_id,amount``, a line longer than
+    ``csv.field_size_limit()``, a non-blank line without a comma, an amount
+    that does not parse, bytes that are not UTF-8 and a file without data
+    rows all return None.
+    """
+    limit = csv.field_size_limit()
+    ranks: dict[str, int] = {}  # entity id -> its rank in order of first appearance
+    amounts, row_ranks = [], []  # per chunk: the parsed amounts and each row's entity rank
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            header = fh.readline()
+            if (len(header) > limit or not _plain(header)
+                    or header.strip().lower() != "entity_id,amount"):
+                return None
+            while chunk := fh.read(READ_CHUNK_CHARS):
+                chunk += fh.readline()
+                if not _plain(chunk):
+                    return None
+                lines = chunk.split("\n")
+                if max(map(len, lines)) > limit:
+                    return None
+                strings, run_ranks, run_starts = [], [], []  # runs of rows of one entity
+                current = None
+                for line in lines:
+                    entity, comma, amount = line.partition(",")
+                    if not comma:
+                        if line.strip():
+                            return None
+                        continue
+                    if entity != current:
+                        current = entity
+                        run_ranks.append(ranks.setdefault(entity, len(ranks)))
+                        run_starts.append(len(strings))
+                    strings.append(amount)
+                try:
+                    amounts.append(np.array(strings, dtype=np.float64))
+                except ValueError:  # an amount float() refuses as well
+                    return None
+                row_ranks.append(np.repeat(np.array(run_ranks, dtype=np.int32),
+                                           np.diff(run_starts + [len(strings)])))
+    except UnicodeDecodeError:
+        return None
+    if not ranks:
+        return None
+    # rebinding each name frees its list of chunks once they are joined
+    amounts = np.concatenate(amounts)
+    row_ranks = np.concatenate(row_ranks)
+    lengths = np.bincount(row_ranks)
+    if np.any(row_ranks[1:] < row_ranks[:-1]):  # some entity's rows are not contiguous
+        amounts = amounts[np.argsort(row_ranks, kind="stable")]
+    # built only once the whole file is read, so a bad amount raises as on the csv path
+    return [TransactionBatch(e, a)
+            for e, a in zip(ranks, np.split(amounts, np.cumsum(lengths)[:-1]))]
+
+
+def _plain(text) -> bool:
+    """True when ``text`` holds no quote, no NUL and no carriage return outside CRLF."""
+    return not ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n"))

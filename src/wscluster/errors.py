@@ -65,10 +65,6 @@ class KOutOfRange(WsclusterError, ValueError):
     """A requested cluster, neighbor or eigenpair count, or a K range, is out of range."""
 
 
-class UnknownEntity(WsclusterError):
-    """An entity id is not present in the dataset."""
-
-
 # --- spectral engine --------------------------------------------------------
 
 class ZeroDegree(WsclusterError):
@@ -128,7 +124,12 @@ class InertiaIncreased(WsclusterError):
 # --- simulation and benchmark -----------------------------------------------
 
 class InvalidSimSpec(WsclusterError, ValueError):
-    """A simulation spec names no known example, or has a cluster size or beta not above 0."""
+    """A simulation spec that cannot be drawn.
+
+    It names no known example, has a cluster size below 1, or has a beta
+    that is not positive and finite or whose expected draw beta * n
+    exceeds ``simulate.MAX_SIM_AMOUNTS``.
+    """
 
 
 class UnknownMethod(WsclusterError, ValueError):
@@ -151,3 +152,7 @@ class KMeansDegenerateWarning(UserWarning):
 
 class NotStandardizedWarning(UserWarning):
     """A pipeline ran on a dataset whose amounts were never rescaled to [0, 1]."""
+
+
+class CandidateSkippedWarning(UserWarning):
+    """A candidate cluster count could not be embedded, so K selection gave it no score."""

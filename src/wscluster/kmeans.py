@@ -7,11 +7,19 @@ earlier restart), so the outcome does not depend on scheduling order.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InertiaIncreased, KOutOfRange, KTooLarge, SingleCluster
+from .errors import (
+    CandidateSkippedWarning,
+    InertiaIncreased,
+    KOutOfRange,
+    KTooLarge,
+    RankDeficientSample,
+    SingleCluster,
+)
 from .rng import substream
 
 __all__ = ["KmeansResult", "kmeans", "silhouette_mean", "select_k_silhouette"]
@@ -151,7 +159,10 @@ def select_k_silhouette(cluster_fn, k_range, distances, seed: int = 0):
     return an object with a ``labels`` array; ``distances`` is the square
     matrix the silhouette is evaluated on (entity-space Wasserstein
     distances by default in the pipelines). Ties go to the smaller K.
-    Returns ``(best_k, scores)`` with one score per candidate.
+    A candidate whose run raises :class:`RankDeficientSample` is skipped
+    with a :class:`CandidateSkippedWarning` and gets no score; the error is
+    raised only when every candidate was skipped. Returns
+    ``(best_k, scores)`` with one score per candidate that was clustered.
     """
     k_range = sorted(set(int(k) for k in k_range))
     if not k_range:
@@ -162,7 +173,14 @@ def select_k_silhouette(cluster_fn, k_range, distances, seed: int = 0):
         raise KOutOfRange(f"k_range must lie within [2, {n - 1}]")
     scores = {}
     for k in k_range:
-        part = cluster_fn(k, seed)
+        try:
+            part = cluster_fn(k, seed)
+        except RankDeficientSample as exc:
+            if k == k_range[-1] and not scores:
+                raise
+            warnings.warn(f"K={k} skipped by silhouette selection: {exc}",
+                          CandidateSkippedWarning, stacklevel=2)
+            continue
         scores[k] = silhouette_mean(dist, part.labels)
-    best = min(k_range, key=lambda k: (-scores[k], k))
+    best = min(scores, key=lambda k: (-scores[k], k))
     return best, scores

@@ -55,6 +55,9 @@ BENCH_METHODS = ("wsc", "wsc_dense", "wsc_knn", "subwsc", "feature_kmeans", "hc"
 # neighbor threshold of the sparsified wsc_knn variant
 KNN_K0 = 10
 
+# most amounts a spec may ask for, as beta * n: 10^8 float64 values are 0.8 GB
+MAX_SIM_AMOUNTS = 10**8
+
 
 @dataclass(frozen=True)
 class SimSpec:
@@ -70,8 +73,12 @@ class SimSpec:
             raise InvalidSimSpec("example must be 1 (continuous) or 2 (discrete)")
         if any(s < 1 for s in self.cluster_sizes):
             raise InvalidSimSpec("cluster sizes must be positive")
-        if self.beta <= 0:
-            raise InvalidSimSpec("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise InvalidSimSpec("beta must be positive and finite")
+        if self.beta * self.n > MAX_SIM_AMOUNTS:
+            raise InvalidSimSpec(
+                f"beta={self.beta:g} asks for about {self.beta * self.n:.3g} amounts over "
+                f"{self.n} entities; at most {MAX_SIM_AMOUNTS:.0e} are drawn")
 
     @property
     def n(self) -> int:

@@ -201,6 +201,19 @@ class TestCluster:
         assert run["k"] == 3
         assert "silhouette_scores" in run["k_selection"]
 
+    def test_silhouette_skips_a_rank_deficient_candidate(self, toy_csv, tmp_path):
+        # three groups of identical ECDFs: subwsc's sample Gram matrix has rank 3,
+        # so K=4 cannot be embedded, and selection goes on without it
+        csv_path, _ = toy_csv
+        out = tmp_path / "out"
+        assert main(["cluster", str(csv_path), "--method", "subwsc", "--k-selection",
+                     "silhouette", "--k-max", "5", "--knn-k0", "9", "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["k"] in (2, 3)
+        assert "4" not in run["k_selection"]["silhouette_scores"]
+        assert any(w["category"] == "CandidateSkippedWarning" and "K=4" in w["message"]
+                   for w in run["warnings"])
+
     def test_eigengap_selection(self, toy_csv, tmp_path):
         # the eigengap needs the sparsified graph to expose block structure;
         # on the dense exponential kernel the trailing eigenvalues decay too

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 
 from conftest import AMOUNTS, grid_wasserstein, random_amounts
 
+from wscluster import ecdf
+
 from wscluster import (
     Dataset,
     TransactionBatch,
@@ -226,6 +228,46 @@ class TestCsvIngestion:
         path.write_text("entity_id,amount\na,1\nb," + "1" * 200_000 + "\n")
         with pytest.raises(CsvFormatError, match="line 3"):
             read_transactions_csv(path)
+
+    def test_interleaved_entities_across_many_chunks(self, tmp_path, monkeypatch):
+        # rows of five entities interleave as in a time-ordered log; chunks of
+        # 16 characters split every entity's rows over many chunks
+        monkeypatch.setattr(ecdf, "READ_CHUNK_CHARS", 16)
+        order = ["m3", "m1", "m4", "m0", "m2"]
+        rows = [(order[(i * 3 + i // 7) % 5], f"{i * 0.7:.3f}") for i in range(300)]
+        path = tmp_path / "t.csv"
+        path.write_text("entity_id,amount\n" + "".join(f"{e},{a}\n" for e, a in rows))
+        expected = {}
+        for e, a in rows:
+            expected.setdefault(e, []).append(float(a))
+        fast = ecdf._read_quote_free(path)
+        assert fast is not None
+        assert [b.entity_id for b in fast] == list(expected)
+        assert [b.amounts.tolist() for b in fast] == list(expected.values())
+        reference = ecdf._read_with_csv(path)
+        assert [(b.entity_id, b.amounts.tobytes()) for b in fast] == \
+            [(b.entity_id, b.amounts.tobytes()) for b in reference]
+
+    def test_quoted_and_crlf_files_read_as_the_plain_file(self, tmp_path):
+        rows = [("m1", "10"), ("m2", "5.5"), ("m1", "1e-3"), ("m3", "0")]
+        plain, quoted, crlf = (tmp_path / name for name in ("plain.csv", "quoted.csv", "crlf.csv"))
+        plain.write_text("entity_id,amount\n" + "".join(f"{e},{a}\n" for e, a in rows))
+        quoted.write_text('"entity_id","amount"\n' + "".join(f'"{e}","{a}"\n' for e, a in rows))
+        crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+        # the quoted file is read by the csv module only; CRLF stays on the fast path
+        assert ecdf._read_quote_free(quoted) is None
+        assert ecdf._read_quote_free(crlf) is not None
+        expected = [(b.entity_id, b.amounts.tobytes()) for b in read_transactions_csv(plain)]
+        for path in (quoted, crlf):
+            assert [(b.entity_id, b.amounts.tobytes())
+                    for b in read_transactions_csv(path)] == expected
+
+    def test_lone_carriage_return_ends_a_row(self, tmp_path):
+        # as in the csv module: "\r" ends an empty row, so the entity is "a", not "\ra"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"entity_id,amount\n\ra,1\n")
+        assert [(b.entity_id, b.amounts.tolist()) for b in read_transactions_csv(path)] == \
+            [("a", [1.0])]
 
     def test_dataset_from_batches_keeps_raw_scale(self):
         ds = Dataset.from_batches([TransactionBatch("a", [2.0, 4.0])])

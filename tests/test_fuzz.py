@@ -3,15 +3,19 @@
 ``read_transactions_csv`` either returns batches or raises an
 ``InputError``; ``eval`` on a labels file exits 0 or 2 and never raises.
 The bytes mix raw binary with CSV-shaped tokens (separators, quotes,
-numbers, non-finite and negative amounts, bytes that are not UTF-8), so
-both the parsing and the validation paths are reached.
+numbers, non-finite and negative amounts, bytes that are not UTF-8,
+characters that only some readers take for a line end), so both the
+parsing and the validation paths are reached. On the same bytes the
+quote-free fast reader declines, or agrees bit for bit with the csv
+module's reader, or both raise the same ``InputError``.
 
 ``cluster``, ``plotdata``, ``embed`` and ``distances`` get the flags of
 the real parser with arbitrary values against a tiny valid CSV, and exit
 with one of the documented codes, never with a traceback. So does
 ``bench``, on a few tiny clusters and at most two replications: its
 ``--sizes``, ``--m`` and ``--beta`` set how much work a run does, so they
-take only small values.
+take only small values, or a ``--beta`` too large to draw, which must end
+in a usage error before anything is drawn.
 """
 
 import argparse
@@ -23,18 +27,28 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wscluster import read_transactions_csv
+from wscluster import ecdf, read_transactions_csv, simulate
 from wscluster.cli import build_parser, main
 from wscluster.errors import InputError
 from wscluster.simulate import BENCH_METHODS
 
 TOKENS = [b"a", b"b", b",", b"\n", b"\r\n", b'"', b"1", b"2.5", b"-3", b"nan", b"inf",
-          b"1e999", b" ", b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x82"]
+          b"1e999", b" ", b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x82", b"\r", b"\x0b",
+          "\x85".encode(), "\u2028".encode(), b"1_0", b"\t"]
 
 BODIES = st.one_of(
     st.binary(max_size=200),
     st.lists(st.sampled_from(TOKENS), max_size=60).map(b"".join),
 )
+
+# "entity,amount" lines, mostly well formed, so that the fast reader takes some of them
+SPACES = st.sampled_from([b"", b"", b" ", b"\t", b"\x0b", "\u2028".encode()])
+ROWS = st.lists(st.tuples(
+    st.sampled_from([b"a", b"b", b" a", b"b\t", b"", b"\xc3\xa9", "\x85".encode(), b"\r",
+                     b'"a"']),
+    SPACES, st.sampled_from([b"1", b"2.5", b"-3", b"nan", b"1e999", b"1_0", b"1,2", b"x"]), SPACES,
+    st.sampled_from([b"\n", b"\n", b"\r\n", b"\n\n", b"\r", b""]),
+).map(lambda row: row[0] + b"," + b"".join(row[1:])), max_size=6).map(b"".join)
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -50,6 +64,31 @@ def test_transactions_reader_returns_or_raises_input_error(tmp_path, body):
     except InputError:
         return
     assert batches
+
+
+def _outcome(read, path):
+    """What ``read`` makes of ``path``: ids with the amounts' bytes, the error raised, or None."""
+    try:
+        batches = read(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return batches and [(b.entity_id, b.amounts.tobytes()) for b in batches]
+
+
+@FUZZ
+@given(header=st.sampled_from([b"entity_id,amount\n", b"entity_id,amount\r\n",
+                               b" Entity_ID,AMOUNT\t\n", b"entity_id,amount\r",
+                               b"\rentity_id,amount\n",
+                               b'"entity_id",amount\n', b"entity_id,amount,x\n"]),
+       body=BODIES | ROWS, chunk=st.sampled_from([1, 5, ecdf.READ_CHUNK_CHARS]))
+def test_fast_reader_declines_or_agrees_with_the_csv_reader(tmp_path, monkeypatch, header,
+                                                            body, chunk):
+    monkeypatch.setattr(ecdf, "READ_CHUNK_CHARS", chunk)
+    path = tmp_path / "t.csv"
+    path.write_bytes(header + body)
+    fast = _outcome(ecdf._read_quote_free, path)
+    if fast is not None:
+        assert fast == _outcome(ecdf._read_with_csv, path)
 
 
 @FUZZ
@@ -116,6 +155,7 @@ def _outs(tmp_path):
 
 
 def _run(argv, tmp_path):
+    """Run ``argv``, check it ended with a documented code and no traceback; return the code."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -125,6 +165,7 @@ def _run(argv, tmp_path):
         for path in tmp_path.rglob("*.json"):
             json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(
                 f"{argv}: {name} in {path.name}"))
+    return code
 
 
 @FUZZ
@@ -156,10 +197,13 @@ def test_embed_and_distances_flags_exit_with_a_documented_code(tmp_path, monkeyp
     _run(data.draw(_argv(command, [str(path)], _outs(tmp_path))), tmp_path)
 
 
+# beta values whose draw is too large to make, or not finite: a usage error before any draw
+HUGE_BETAS = ["1e9", "1e25", "inf"]
+
 BENCH_VALUES = {
     "sizes": st.sampled_from(["1", "2", "1,1,1", "3,3", "2,3,4"]),
     "m": st.sampled_from(["1", "2"]),
-    "beta": st.sampled_from(["1e-320", "0.5", "3", "15"]),
+    "beta": st.sampled_from(["1e-320", "0.5", "3", "15"]) | st.sampled_from(HUGE_BETAS),
     "methods": st.lists(st.sampled_from(BENCH_METHODS), min_size=1, unique=True).map(",".join),
     "subsample_fraction": st.sampled_from(["1e-320", "0.05", "0.5", "1"]),
     "subsample_sweep": st.sampled_from(["1:1:1", "0.5:1:0.5", "0.1:0.3:0.1"]),
@@ -170,6 +214,15 @@ BENCH_VALUES = {
 @given(data=st.data())
 def test_bench_flags_exit_with_a_documented_code(tmp_path, monkeypatch, data):
     monkeypatch.chdir(tmp_path)  # where the default --out . writes
+    monkeypatch.setattr(simulate, "generate", _generate_small)
     sizes, m = data.draw(BENCH_VALUES["sizes"]), data.draw(BENCH_VALUES["m"])
-    _run(data.draw(_argv("bench", ["--sizes", sizes, "--m", m], _outs(tmp_path),
-                         BENCH_VALUES)), tmp_path)
+    argv = data.draw(_argv("bench", ["--sizes", sizes, "--m", m], _outs(tmp_path),
+                           BENCH_VALUES))
+    code = _run(argv, tmp_path)
+    if "--beta" in argv and argv[argv.index("--beta") + 1] in HUGE_BETAS:
+        assert code == 1, argv
+
+
+def _generate_small(spec, generate=simulate.generate):
+    assert spec.beta < 1e9, spec
+    return generate(spec)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from wscluster import kmeans, select_k_silhouette, silhouette_mean
-from wscluster.errors import InertiaIncreased, KOutOfRange, KTooLarge, SingleCluster
+from wscluster.errors import (
+    CandidateSkippedWarning,
+    InertiaIncreased,
+    KOutOfRange,
+    KTooLarge,
+    RankDeficientSample,
+    SingleCluster,
+)
 
 # the package re-exports the function kmeans under the submodule's name
 kmeans_module = importlib.import_module("wscluster.kmeans")
@@ -219,3 +226,29 @@ class TestSelectK:
         best, scores = select_k_silhouette(part, [2, 3], dist)
         assert scores[2] == scores[3]
         assert best == 2
+
+    def test_rank_deficient_candidate_is_skipped(self):
+        dist = np.array([
+            [0.0, 0.1, 1.0, 1.0],
+            [0.1, 0.0, 1.0, 1.0],
+            [1.0, 1.0, 0.0, 0.1],
+            [1.0, 1.0, 0.1, 0.0],
+        ])
+
+        def part(k, seed):
+            if k == 3:
+                raise RankDeficientSample("no third cluster in the sample")
+            return type("P", (), {"labels": np.array([0, 0, 1, 1])})
+
+        with pytest.warns(CandidateSkippedWarning, match="K=3"):
+            best, scores = select_k_silhouette(part, [2, 3], dist)
+        assert best == 2
+        assert set(scores) == {2}
+
+    def test_every_candidate_rank_deficient_raises(self):
+        def part(k, seed):
+            raise RankDeficientSample(f"K={k}")
+
+        with pytest.warns(CandidateSkippedWarning, match="K=2"), \
+                pytest.raises(RankDeficientSample, match="K=3"):
+            select_k_silhouette(part, [2, 3], np.zeros((4, 4)))

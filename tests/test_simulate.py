@@ -18,7 +18,7 @@ from wscluster import (
     pairwise_distances,
     run_benchmark,
 )
-from wscluster.simulate import SETTING_SIZES, run_method, subsample_sweep
+from wscluster.simulate import MAX_SIM_AMOUNTS, SETTING_SIZES, run_method, subsample_sweep
 from wscluster.spectral import subsample_plan, subwsc_run, wsc_run
 from wscluster.errors import InvalidSimSpec, KTooLarge, ReplicationsOutOfRange, UnknownMethod
 
@@ -27,11 +27,20 @@ from wscluster.errors import InvalidSimSpec, KTooLarge, ReplicationsOutOfRange, 
     ((5, 5), 10.0, 3, "example must be"),
     ((5, 0), 10.0, 1, "cluster sizes"),
     ((5, 5), 0.0, 2, "beta"),
-], ids=["example", "size", "beta"])
+    ((5, 5), math.inf, 1, "finite"),
+    ((5, 5), math.nan, 1, "finite"),
+    ((5, 5), 1e25, 1, "amounts"),
+    # beta * n just past MAX_SIM_AMOUNTS
+    ((5, 5), MAX_SIM_AMOUNTS / 10 * 1.001, 2, "amounts"),
+], ids=["example", "size", "beta", "beta-inf", "beta-nan", "beta-huge", "beta-past-cap"])
 def test_invalid_sim_spec(sizes, beta, example, message):
     with pytest.raises(InvalidSimSpec, match=message) as info:
         SimSpec(sizes, beta, example)
     assert isinstance(info.value, ValueError)
+
+
+def test_beta_at_the_amount_cap_is_accepted():
+    assert SimSpec((5, 5), MAX_SIM_AMOUNTS / 10, 2).beta * 10 == MAX_SIM_AMOUNTS
 
 
 class TestGenerate:
