@@ -35,7 +35,7 @@ from .ecdf import (
 from .errors import CsvFormatError, InputError, InvalidSimSpec, WsclusterError
 from .kmeans import select_k_silhouette
 from .metrics import Partition, metric_report, render_report_table
-from .similarity import build_similarity, pairwise_distances
+from .similarity import build_similarity, distance_workers, pairwise_distances
 from .simulate import (
     BENCH_METHODS,
     SETTING_SIZES,
@@ -76,7 +76,11 @@ class RunConfig:
     seed: int = 0
 
     def resolved_threads(self) -> int:
-        """Always 1, as the distance stage is sequential; wscbench records this number."""
+        """Always 1: a stub kept for wscbench's environment line until the benchmark drops it.
+
+        The distance stage sizes its own threads; run.json records them as
+        ``distance_workers``.
+        """
         return 1
 
 
@@ -309,6 +313,7 @@ def cmd_cluster(args) -> int:
             "n_s": run.plan.n_s if run.plan is not None else None,
             "eigenvalues": run.embedding.eigenvalues.tolist() if run.embedding else None,
             "timings": timings,
+            "distance_workers": distance_workers(dataset),
             "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                          for w in caught],
         }

@@ -230,10 +230,10 @@ def _w1(support_a, cum0_a, support_b, cum0_b) -> float:
 def _csv_reader(path, columns):
     """A csv reader over ``path``, past its header of ``columns``.
 
-    A different header, bytes that are not UTF-8 and oversized fields
-    raise :class:`CsvFormatError`.
+    A leading UTF-8 byte-order mark is skipped. A different header, bytes
+    that are not UTF-8 and oversized fields raise :class:`CsvFormatError`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -252,10 +252,11 @@ def read_transactions_csv(path) -> list[TransactionBatch]:
     """Read a ``entity_id,amount`` CSV into per-entity batches.
 
     One row per observation; entities keep their order of first
-    appearance. Quote-free input takes a fast path that parses amounts
-    with numpy a chunk at a time. Any other input, and any input that path
-    has a doubt about, is read again from the start by the ``csv`` module,
-    which returns bitwise-identical batches where both succeed. Any row
+    appearance, and a UTF-8 byte-order mark before the header is skipped.
+    Quote-free input takes a fast path that parses amounts with numpy a
+    chunk at a time. Any other input, and any input that path has a doubt
+    about, is read again from the start by the ``csv`` module, which
+    returns bitwise-identical batches where both succeed. Any row
     whose amount does not parse as a decimal real aborts ingestion with
     the offending row number, and so do bytes that are not UTF-8 and
     oversized fields.
@@ -310,7 +311,7 @@ def _read_quote_free(path) -> list[TransactionBatch] | None:
     ranks: dict[str, int] = {}  # entity id -> its rank in order of first appearance
     amounts, row_ranks = [], []  # per chunk: the parsed amounts and each row's entity rank
     try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
             header = fh.readline()
             if (len(header) > limit or not _plain(header)
                     or header.strip().lower() != "entity_id,amount"):

@@ -8,6 +8,8 @@ weak edges while keeping the matrix symmetric.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +28,21 @@ __all__ = [
 # dense storage guard; beyond this the quadratic memory is a deliberate choice
 MAX_DENSE_ENTITIES = 20_000
 
-# merged values sorted per block of rows in pairwise_distances; on the n=400
-# benchmark inputs (2 cores) 8k to 32k ran alike, 2k and 4k up to 1.7x slower
-BLOCK_ELEMENTS = 8192
+# merged values sorted per block of rows in pairwise_distances. numpy's sort,
+# take and cumsum release the GIL on blocks this large, so worker threads
+# overlap. Continuous n=400 benchmark input, 2 cores, kernel alone: median
+# 0.36 s on two threads against 0.49 s on one; at 8192 a second thread
+# gained nothing (best of 7, 0.54 s against 0.53 s). At 65536 the per-block
+# argsort result passes glibc's mmap threshold, and a first call on a cold
+# heap took 28,548 minor faults on one CPU against 4,556 at 32768
+BLOCK_ELEMENTS = 32768
+
+# fewest merged values per block, on average, for which pairwise_distances
+# runs more than one thread: below it the Python work of each block, which
+# holds the GIL, outweighs numpy's GIL-free work. Two threads over one, 2
+# cores, kernel alone: 1.52x at a mean block of 2,675 values and 1.02x at
+# 5,345 (discrete amounts, n=200 and 400), 0.94x at 7,902, 0.74x at 11,557
+THREADS_MIN_BLOCK = 8192
 
 
 @dataclass
@@ -68,9 +82,14 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     Entities are taken widest support first, and each is paired with
     blocks of the later ones; a block is one stable sort of its support
     merged with every other's, at most BLOCK_ELEMENTS values unless one
-    pair alone is wider. Each pair is computed once and mirrored. Scratch
-    memory is O(BLOCK_ELEMENTS + total support size) beyond the n x n
-    result, allocated once and reused by every block.
+    pair alone is wider. Each pair is computed once and mirrored.
+
+    The rows run on :func:`distance_workers` threads, row i on worker
+    i mod workers. A block does not depend on the worker count, so the
+    result is bitwise the same for any count. Each worker allocates its
+    own scratch once, sized by its largest block, and reuses it for every
+    block, so scratch memory is O(workers x BLOCK_ELEMENTS + total support
+    size) beyond the n x n result.
     """
     n = dataset.n
     if n > MAX_DENSE_ENTITIES:
@@ -87,40 +106,112 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     cum0 = np.concatenate([_padded_cum(e) for e in ecdfs])
     support_start = np.cumsum(sizes) - sizes
     cum_start = support_start + np.arange(n)
-    block_rows = np.maximum(1, BLOCK_ELEMENTS // (2 * sizes[:-1]))
+    block_rows = _block_rows(sizes)
     # a row's first block is its largest, as the entities after it are no wider
     first_block = np.minimum(block_rows, np.arange(n - 1, 0, -1)) * (sizes[:-1] + sizes[1:])
-    scratch = _BlockScratch(int(first_block.max()))
     out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n - 1):
-        m = int(sizes[i])
-        support_i = support[support_start[i]:support_start[i] + m]
-        cum0_i = cum0[cum_start[i]:cum_start[i] + m + 1]
-        rows = int(block_rows[i])
-        for lo in range(i + 1, n, rows):
-            hi = min(lo + rows, n)
-            out[by_size[i], by_size[lo:hi]] = _w1_block(
-                support_i, cum0_i, support, cum0, sizes[lo:hi], support_start[lo:hi],
-                cum_start[lo:hi], scratch)
+    workers = distance_workers(dataset)
+    ramp = np.arange(int(first_block.max()))  # read only, so the workers share it
+
+    def rows(w):
+        # worker w writes only rows i = w, w + workers, ... of out
+        scratch = _BlockScratch(int(first_block[w::workers].max()), ramp)
+        for i in range(w, n - 1, workers):
+            m = int(sizes[i])
+            support_i = support[support_start[i]:support_start[i] + m]
+            cum0_i = cum0[cum_start[i]:cum_start[i] + m + 1]
+            step = int(block_rows[i])
+            for lo in range(i + 1, n, step):
+                hi = min(lo + step, n)
+                out[by_size[i], by_size[lo:hi]] = _w1_block(
+                    support_i, cum0_i, support, cum0, sizes[lo:hi], support_start[lo:hi],
+                    cum_start[lo:hi], scratch)
+            yield
+
+    _run_workers(rows, workers)
     out += out.T
     return DistanceMatrix(list(dataset.entity_ids), out)
 
 
+def distance_workers(dataset: Dataset) -> int:
+    """Threads :func:`pairwise_distances` runs on for this dataset.
+
+    One per CPU this process may run on, but no more than the n - 1 rows
+    there are to share, and only one when the blocks average fewer than
+    THREADS_MIN_BLOCK merged values; 0 for fewer than two entities.
+    """
+    n = dataset.n
+    if n < 2:
+        return 0
+    sizes = np.sort([e.support.size for e in dataset.ecdfs])[::-1]
+    blocks = -(-np.arange(n - 1, 0, -1) // _block_rows(sizes))  # per row, ceil(partners / rows)
+    # the blocks of all rows merge each pair's supports once: (n - 1) x total support
+    if (n - 1) * int(sizes.sum()) < THREADS_MIN_BLOCK * int(blocks.sum()):
+        return 1
+    return min(_allowed_cpus(), n - 1)
+
+
+def _block_rows(sizes):
+    """Entities per block for each row but the last; ``sizes`` widest first."""
+    return np.maximum(1, BLOCK_ELEMENTS // (2 * sizes[:-1]))
+
+
+def _allowed_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_workers(work, workers):
+    """Run ``work(w)`` for every w in range(workers), and w = 0 on this thread.
+
+    ``work(w)`` is an iterator, and each worker stops at its next step once
+    another has raised. Every thread has joined when this returns or raises;
+    the first exception raised in any worker is raised here.
+    """
+    failures = []
+
+    def run(w):
+        try:
+            for _ in work(w):
+                if failures:
+                    return
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            failures.append(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(w,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    except BaseException as exc:  # a thread that could not start
+        failures.append(exc)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+
+
 class _BlockScratch:
-    """Flat buffers of ``size`` elements that every block of one call reuses.
+    """Flat buffers of ``size`` elements that every block of one worker reuses.
 
     A block's arrays take turns in them, each moving in once the previous
     holder is dead: ``a`` holds the merged values, then the widths Δx;
     ``b`` the gathered pads, the sorted values, then F_j's lookups; ``c``
     the gaps; ``index`` the pad indices, then count_i; ``from_i`` marks i's
-    points. count_j reuses the array of the sort order.
+    points. count_j reuses the array of the sort order. ``ramp`` is
+    0, 1, 2, ... and at least ``size`` long.
     """
 
-    def __init__(self, size):
+    def __init__(self, size, ramp):
         self.a, self.b, self.c = np.empty(size), np.empty(size), np.empty(size)
         self.index = np.empty(size, dtype=np.intp)
         self.from_i = np.empty(size, dtype=bool)
-        self.ramp = np.arange(size)
+        self.ramp = ramp
 
 
 def _shaped(buffer, rows, cols):

@@ -100,6 +100,7 @@ class TestCluster:
         assert run["sigma"] > 0
         assert len(run["eigenvalues"]) == 3
         assert "timings" in run and "config" in run
+        assert run["distance_workers"] >= 1
 
     def test_subwsc_default_n_s_echoed(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv

@@ -262,6 +262,18 @@ class TestCsvIngestion:
             assert [(b.entity_id, b.amounts.tobytes())
                     for b in read_transactions_csv(path)] == expected
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as spreadsheet programs write UTF-8 CSVs; a quoted copy goes the csv path
+        rows = b"m1,10\nm2,5.5\nm1,1e-3\n"
+        plain, bom, quoted = (tmp_path / name for name in ("plain.csv", "bom.csv", "quoted.csv"))
+        plain.write_bytes(b"entity_id,amount\n" + rows)
+        bom.write_bytes(b"\xef\xbb\xbfentity_id,amount\n" + rows)
+        quoted.write_bytes(b'\xef\xbb\xbf"entity_id",amount\n' + rows)
+        expected = [(b.entity_id, b.amounts.tobytes()) for b in read_transactions_csv(plain)]
+        for batches in (ecdf._read_quote_free(bom), ecdf._read_with_csv(bom),
+                        read_transactions_csv(quoted)):
+            assert [(b.entity_id, b.amounts.tobytes()) for b in batches] == expected
+
     def test_lone_carriage_return_ends_a_row(self, tmp_path):
         # as in the csv module: "\r" ends an empty row, so the entity is "a", not "\ra"
         path = tmp_path / "t.csv"

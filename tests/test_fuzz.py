@@ -79,6 +79,7 @@ def _outcome(read, path):
 @given(header=st.sampled_from([b"entity_id,amount\n", b"entity_id,amount\r\n",
                                b" Entity_ID,AMOUNT\t\n", b"entity_id,amount\r",
                                b"\rentity_id,amount\n",
+                               b"\xef\xbb\xbfentity_id,amount\n",
                                b'"entity_id",amount\n', b"entity_id,amount,x\n"]),
        body=BODIES | ROWS, chunk=st.sampled_from([1, 5, ecdf.READ_CHUNK_CHARS]))
 def test_fast_reader_declines_or_agrees_with_the_csv_reader(tmp_path, monkeypatch, header,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -50,6 +51,11 @@ def _amount_lists(draw):
     return lists + [lists[c] for c in copies]
 
 
+def _workers(count):
+    """Run pairwise_distances on ``count`` threads, whatever the host and the input."""
+    return mock.patch.multiple(similarity, _allowed_cpus=lambda: count, THREADS_MIN_BLOCK=0)
+
+
 def _dmatrix(entries):
     entries = np.asarray(entries, dtype=np.float64)
     return DistanceMatrix([f"e{i}" for i in range(entries.shape[0])], entries)
@@ -82,7 +88,8 @@ class TestPairwiseDistances:
         assert np.array_equal(d.entries, d.entries.T)
         assert np.all(np.diag(d.entries) == 0.0)
 
-    # BLOCK_ELEMENTS=1 puts every pair in a block of its own
+    # BLOCK_ELEMENTS=1 puts every pair in a block of its own; 3 workers
+    # run the threaded path on any host
     @pytest.mark.parametrize("block", [similarity.BLOCK_ELEMENTS, 1])
     @settings(max_examples=150, deadline=None)
     @given(amount_lists=_amount_lists())
@@ -91,10 +98,11 @@ class TestPairwiseDistances:
     @example(amount_lists=[[0.0, 1.0], [0.0, 1.0]])
     def test_every_entry_matches_the_oracle(self, block, amount_lists):
         ds = standardize([TransactionBatch(f"e{i}", a) for i, a in enumerate(amount_lists)])
-        with mock.patch.object(similarity, "BLOCK_ELEMENTS", block):
-            d = pairwise_distances(ds).entries
         oracle = np.array([[wasserstein(a, b) for b in ds.ecdfs] for a in ds.ecdfs])
-        np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
+        for workers in (1, 3):
+            with mock.patch.object(similarity, "BLOCK_ELEMENTS", block), _workers(workers):
+                d = pairwise_distances(ds).entries
+            np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
 
     def test_one_wide_entity_among_narrow_ones(self):
         gen = np.random.default_rng(3)
@@ -120,9 +128,65 @@ class TestPairwiseDistances:
         gen = np.random.default_rng(7)
         ds = standardize([TransactionBatch(f"e{i}", gen.random(size))
                           for i, size in enumerate([3000, 3000, 2000, 2000, 2000])])
-        d = pairwise_distances(ds).entries
+        with mock.patch.object(similarity, "BLOCK_ELEMENTS", 8192):
+            d = pairwise_distances(ds).entries
         oracle = np.array([[wasserstein(a, b) for b in ds.ecdfs] for a in ds.ecdfs])
         np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
+
+    def test_any_worker_count_gives_the_same_bits(self):
+        # more workers than cores, switching threads as often as the
+        # interpreter allows: a lost or misplaced row would change the bits
+        gen = np.random.default_rng(8)
+        ds = standardize([TransactionBatch(f"e{i}", gen.random(size))
+                          for i, size in enumerate(gen.integers(1, 300, 60))])
+        interval = sys.getswitchinterval()
+        results = []
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 2, 3, 8):
+                with _workers(workers):
+                    results.append(pairwise_distances(ds).entries)
+        finally:
+            sys.setswitchinterval(interval)
+        for d in results[1:]:
+            assert np.array_equal(d, results[0])
+
+    @pytest.mark.parametrize("n, support, cpus, expected", [
+        (60, 20, 4, 1),  # blocks of 1,200 values on average: one thread
+        (60, 200, 4, 4),  # 12,000 values: one thread per CPU
+        (60, 200, 1, 1),
+        (3, 5000, 8, 2),  # no more threads than rows
+    ])
+    def test_threads_follow_the_cpus_and_the_block_size(self, n, support, cpus, expected):
+        def record(*args):
+            threads.add(threading.current_thread())
+            return real(*args)
+
+        real, threads = similarity._w1_block, set()
+        gen = np.random.default_rng(10)
+        ds = standardize([TransactionBatch(f"e{i}", gen.random(support)) for i in range(n)])
+        with mock.patch.object(similarity, "_allowed_cpus", return_value=cpus), \
+                mock.patch.object(similarity, "_w1_block", side_effect=record):
+            assert similarity.distance_workers(ds) == expected
+            pairwise_distances(ds)
+        assert len(threads) == expected
+
+    def test_a_failing_worker_reaches_the_caller(self):
+        # worker 0 runs on the calling thread; every other worker fails
+        def fail_off_the_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return real(*args)
+
+        real = similarity._w1_block
+        gen = np.random.default_rng(9)
+        ds = standardize([TransactionBatch(f"e{i}", gen.random(20)) for i in range(12)])
+        threads = threading.active_count()
+        with _workers(3), \
+                mock.patch.object(similarity, "_w1_block", side_effect=fail_off_the_main_thread):
+            with pytest.raises(RuntimeError, match="worker failed"):
+                pairwise_distances(ds)
+        assert threading.active_count() == threads
 
     def test_first_call_on_a_cold_heap(self):
         # a fresh interpreter that has loaded nothing large: a kernel that
