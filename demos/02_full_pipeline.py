@@ -47,7 +47,8 @@ print(f"\nsparsified-graph eigenvalues: {np.round(eigenvalues, 3)}")
 print("eigengap suggests K =", eigengap_suggest_k(eigenvalues))
 
 # Route 2: mean silhouette of the resulting partitions, on the Wasserstein
-# distances the method clusters by.
+# distances the method clusters by. Every candidate K builds the same graph,
+# so only the first wsc call solves it; the others reuse that solve.
 best_k, scores = select_k_silhouette(
     lambda k, seed: wsc(dataset, k, seed=seed, distances=distances),
     range(2, 6), distances)

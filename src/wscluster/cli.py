@@ -257,8 +257,12 @@ def _select(config, dataset, distances, cluster):
     Eigengap selection reads the leading eigenvalues of the ``wsc`` graph.
     With ``--method wsc`` one solve of that graph serves every candidate K,
     since the embedding for K is the first K columns of the embedding for
-    the largest K. The other methods run once per candidate. Either way the
-    chosen K's run is the final one.
+    the largest K. The other methods run once per candidate; ``subwsc``'s
+    Gram matrix changes with K, so each candidate solves its own. Since
+    :func:`spectral.sym_eig_topk` keeps its last solve, repeating a solve
+    of the same matrix for a K in the same block of ``EIG_BLOCK`` pairs
+    costs a digest, not a solve. Either way the chosen K's run is the
+    final one.
     """
     if config.k_selection == "fixed":
         if config.k is None:

@@ -90,7 +90,8 @@ class TestPairwiseDistances:
 
     # BLOCK_ELEMENTS=1 puts every pair in a block of its own; 3 workers
     # run the threaded path on any host
-    @pytest.mark.parametrize("block", [similarity.BLOCK_ELEMENTS, 1])
+    @pytest.mark.parametrize("block", [similarity.BLOCK_ELEMENTS, 1],
+                             ids=["default", "one-pair-blocks"])
     @settings(max_examples=150, deadline=None)
     @given(amount_lists=_amount_lists())
     @example(amount_lists=[[0.5]])

@@ -149,6 +149,12 @@ class TestSymEigTopk:
         with pytest.raises(KOutOfRange):
             sym_eig_topk(np.eye(3), 4)
 
+    @pytest.mark.parametrize("k", [2.0, "3"])
+    def test_non_integral_k(self, k):
+        with pytest.raises(KOutOfRange, match="not an integer") as info:
+            sym_eig_topk(np.eye(3), k)
+        assert isinstance(info.value, ValueError)
+
 
 def _laplacian_of_points(x):
     """Normalized Laplacian of the kernel exp(-|x_i - x_j| / max distance) on 1-D points."""
@@ -187,6 +193,8 @@ class TestPartialEigensolve:
     def count_lapack_calls(self, monkeypatch):
         import scipy.linalg
         self.calls = []
+        # each test starts cold, so its counts do not depend on the one before
+        monkeypatch.setattr(spectral, "_last_solve", None)
         for module, name in ((scipy.linalg, "evr"), (np.linalg, "eigh")):
             solve = getattr(module, "eigh")
 
@@ -242,8 +250,11 @@ class TestPartialEigensolve:
     def test_non_finite_matrix_is_no_convergence(self, partial_size_laplacian, bad):
         m = partial_size_laplacian[0].copy()
         m[0, 0] = bad
-        with pytest.raises(NoConvergence):
-            sym_eig_topk(m, self.K)
+        # a failed solve is never kept, so every call solves and fails again
+        for _ in range(2):
+            with pytest.raises(NoConvergence):
+                sym_eig_topk(m, self.K)
+        assert self.calls == ["evr", "evr"]
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -253,6 +264,53 @@ class TestPartialEigensolve:
         with pytest.raises(NoConvergence):
             sym_eig_topk(m, 2)
         assert self.calls == ["eigh"]
+
+    def test_every_k_in_a_block_is_a_prefix_of_one_solve(self, partial_size_laplacian):
+        m = partial_size_laplacian[0]
+        block = spectral.EIG_BLOCK
+        values, vectors = sym_eig_topk(m, block)
+        for k in range(1, block + 1):
+            spectral._last_solve = None
+            alone = sym_eig_topk(m, k)
+            assert np.array_equal(alone[0], values[:k])
+            assert np.array_equal(alone[1], vectors[:, :k])
+        assert self.calls == ["evr"] * (block + 1)
+
+    def test_a_warm_call_equals_a_cold_call(self, partial_size_laplacian):
+        m = partial_size_laplacian[0]
+        cold = sym_eig_topk(m, 5)
+        warm = sym_eig_topk(m.copy(), 5)
+        assert self.calls == ["evr"]
+        assert np.array_equal(cold[0], warm[0]) and np.array_equal(cold[1], warm[1])
+
+    def test_selection_range_then_eigengap_solves_once(self, partial_size_laplacian):
+        m = partial_size_laplacian[0]
+        for k in range(2, 9):
+            sym_eig_topk(m, k)
+        sym_eig_topk(m, 9)
+        assert self.calls == ["evr"]
+
+    def test_a_changed_matrix_misses(self, partial_size_laplacian):
+        m = partial_size_laplacian[0].copy()
+        before = sym_eig_topk(m, self.K)
+        m[0, 1] += 1e-3
+        m[1, 0] = m[0, 1]
+        values, vectors = sym_eig_topk(m, self.K)
+        assert self.calls == ["evr", "evr"]
+        assert not np.array_equal(values, before[0])
+        full = np.linalg.eigvalsh(m)[::-1][:self.K]
+        assert np.abs(values - full).max() <= 1e-12
+        _assert_sym_eig_contract(m, values, vectors)
+
+    def test_mutating_a_result_leaves_later_calls_alone(self, partial_size_laplacian):
+        m = partial_size_laplacian[0]
+        values, vectors = sym_eig_topk(m, self.K)
+        expected = values.copy(), vectors.copy()
+        values[:] = 0.0
+        vectors[:] = 0.0
+        again = sym_eig_topk(m, self.K)
+        assert self.calls == ["evr"]
+        assert np.array_equal(again[0], expected[0]) and np.array_equal(again[1], expected[1])
 
     def test_partial_path_starts_at_the_cut_over(self):
         n = spectral.PARTIAL_EIG_MIN_N
@@ -276,6 +334,12 @@ class TestEigengap:
     def test_too_few(self):
         with pytest.raises(TooFewEigenvalues):
             eigengap_suggest_k([1.0])
+
+    @pytest.mark.parametrize("k_max", [1, 0, -3])
+    def test_k_max_below_two(self, k_max):
+        with pytest.raises(KOutOfRange, match=f"k_max={k_max}") as info:
+            eigengap_suggest_k([1.0, 0.6, 0.2], k_max=k_max)
+        assert isinstance(info.value, ValueError)
 
 
 class TestRequiredSubsampleSize:
