@@ -47,4 +47,4 @@ print("triangle:", wasserstein(x, y) <= wasserstein(x, z) + wasserstein(z, y))
 dataset = standardize([steady, bursty])
 print(f"\nafter standardization: m0={dataset.m0}, max support="
       f"{max(e.support.max() for e in dataset.ecdfs)}")
-print(f"standardized distance: {wasserstein(*dataset.ecdfs):.4f}")
+print(f"distance on the [0, 1] scale: {wasserstein(*dataset.ecdfs):.4f}")

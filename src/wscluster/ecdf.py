@@ -102,32 +102,18 @@ class Ecdf:
 
 @dataclass
 class Dataset:
-    """A collection of per-entity ECDFs sharing one amount scale.
+    """Per-entity ECDFs on the scale :func:`standardize` gives them.
 
-    ``m0`` is the bound used to map amounts into [0, 1]; when
-    ``standardized`` is False the ECDFs are on the raw scale and ``m0``
-    simply records the observed maximum.
+    Amounts are divided by ``m0``, the bound that maps them into [0, 1].
     """
 
     entity_ids: list[str]
     ecdfs: list[Ecdf]
     m0: float
-    standardized: bool
 
     @property
     def n(self) -> int:
         return len(self.ecdfs)
-
-    @classmethod
-    def from_batches(cls, batches) -> "Dataset":
-        """Build a dataset on the raw amount scale (no rescaling)."""
-        if not batches:
-            raise EmptyBatch("no batches supplied")
-        ids = [b.entity_id for b in batches]
-        ecdfs = [build_ecdf(b) for b in batches]
-        m0 = max(float(b.amounts.max()) for b in batches)
-        _warn_small_samples(batches)
-        return cls(ids, ecdfs, m0=m0 if m0 > 0 else 1.0, standardized=False)
 
 
 def build_ecdf(batch: TransactionBatch) -> Ecdf:
@@ -182,7 +168,7 @@ def standardize(batches, m0: float | None = None) -> Dataset:
     _warn_small_samples(batches)
     ids = [b.entity_id for b in batches]
     ecdfs = [build_ecdf(TransactionBatch(b.entity_id, b.amounts / m0)) for b in batches]
-    return Dataset(ids, ecdfs, m0=m0, standardized=True)
+    return Dataset(ids, ecdfs, m0=m0)
 
 
 def _warn_small_samples(batches):

@@ -150,9 +150,5 @@ class KMeansDegenerateWarning(UserWarning):
     """K-means returned fewer occupied clusters than requested."""
 
 
-class NotStandardizedWarning(UserWarning):
-    """A pipeline ran on a dataset whose amounts were never rescaled to [0, 1]."""
-
-
 class CandidateSkippedWarning(UserWarning):
     """A candidate cluster count could not be embedded, so K selection gave it no score."""

@@ -306,9 +306,10 @@ def nearest_neighbor_sets(d: DistanceMatrix, k0: int) -> np.ndarray:
     if not 1 <= k0 <= n - 1:
         raise K0OutOfRange(f"k0={k0} outside [1, {n - 1}]")
     # column j holds the distances to j; a stable sort keeps ties in index order
-    order = np.argsort(d.entries.T.copy(), axis=1, kind="stable")
-    not_self = order != np.arange(n)[:, None]
-    return order[not_self].reshape(n, n - 1)[:, :k0]
+    # and puts the NaN that stands for self last
+    dist_to = d.entries.T.astype(np.float64, order="C")
+    np.fill_diagonal(dist_to, np.nan)
+    return np.argsort(dist_to, axis=1, kind="stable")[:, :k0]
 
 
 def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int) -> SimilarityMatrix:

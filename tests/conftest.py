@@ -125,7 +125,7 @@ def duplicate_group_batches(group_amounts, copies=10):
 
 @pytest.fixture
 def three_group_dataset():
-    """3 groups of 10 identical ECDFs; standardized group gaps >= 0.3.
+    """3 groups of 10 identical ECDFs; group gaps >= 0.3 after standardize.
 
     Group centers sit at distinct spacings so the Laplacian spectrum has no
     accidental symmetry.

@@ -123,7 +123,7 @@ def acceptance_groups():
     base = [1.0 + gen.random(100), 4.6 + gen.random(100), 7.9 + 0.1 * gen.random(100)]
     batches, labels = duplicate_group_batches(base, copies=10)
     dataset = standardize(batches)
-    # confirm the construction: standardized group distances at least 0.3
+    # confirm the construction: group distances after standardize at least 0.3
     reps = [0, 10, 20]
     for i in reps:
         for j in reps:

@@ -9,7 +9,6 @@ from conftest import AMOUNTS, grid_wasserstein, random_amounts
 from wscluster import ecdf
 
 from wscluster import (
-    Dataset,
     TransactionBatch,
     build_ecdf,
     cap_transactions,
@@ -98,7 +97,6 @@ class TestStandardize:
     def test_divides_by_global_max(self):
         ds = standardize([TransactionBatch("a", [250.0]), TransactionBatch("b", [125.0])])
         assert ds.m0 == 250.0
-        assert ds.standardized
         assert ds.ecdfs[1].support[0] == 0.5
         assert ds.ecdfs[0].support[0] == 1.0
 
@@ -280,8 +278,3 @@ class TestCsvIngestion:
         path.write_bytes(b"entity_id,amount\n\ra,1\n")
         assert [(b.entity_id, b.amounts.tolist()) for b in read_transactions_csv(path)] == \
             [("a", [1.0])]
-
-    def test_dataset_from_batches_keeps_raw_scale(self):
-        ds = Dataset.from_batches([TransactionBatch("a", [2.0, 4.0])])
-        assert not ds.standardized
-        assert ds.ecdfs[0].support.tolist() == [2.0, 4.0]

@@ -21,6 +21,7 @@ from wscluster import (
     DistanceMatrix,
     SimilarityMatrix,
     TransactionBatch,
+    build_ecdf,
     build_similarity,
     knn_sparsify,
     pairwise_distances,
@@ -39,8 +40,9 @@ from wscluster.errors import (
 
 
 def _dataset(amount_lists):
-    return Dataset.from_batches(
-        [TransactionBatch(f"e{i}", a) for i, a in enumerate(amount_lists)])
+    """Raw-scale ECDFs, so the oracle sees the amounts as written."""
+    batches = [TransactionBatch(f"e{i}", a) for i, a in enumerate(amount_lists)]
+    return Dataset([b.entity_id for b in batches], [build_ecdf(b) for b in batches], m0=1.0)
 
 
 @st.composite
@@ -68,7 +70,7 @@ class TestPairwiseDistances:
         assert d.entries[0, 0] == 0.0
 
     def test_empty(self):
-        d = pairwise_distances(Dataset([], [], m0=1.0, standardized=True))
+        d = pairwise_distances(Dataset([], [], m0=1.0))
         assert d.entries.shape == (0, 0)
 
     def test_three_entity_example(self):

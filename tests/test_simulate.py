@@ -122,7 +122,6 @@ class TestGenerate:
 
     def test_generate_dataset_standardizes(self):
         dataset, batches, truth = generate_dataset(SimSpec((5, 5), beta=30, seed=8))
-        assert dataset.standardized
         assert max(e.support.max() for e in dataset.ecdfs) == 1.0
 
 

@@ -302,6 +302,16 @@ class TestPartialEigensolve:
         assert np.abs(values - full).max() <= 1e-12
         _assert_sym_eig_contract(m, values, vectors)
 
+    def test_an_asymmetric_matrix_after_a_kept_solve_raises(self, partial_size_laplacian):
+        # symmetry is checked only on a miss, and a matrix of other bytes always misses
+        m = partial_size_laplacian[0]
+        sym_eig_topk(m, self.K)
+        skewed = m.copy()
+        skewed[0, 1] += 1e-6
+        with pytest.raises(NotSymmetric, match="1.000e-06"):
+            sym_eig_topk(skewed, self.K)
+        assert self.calls == ["evr"]
+
     def test_mutating_a_result_leaves_later_calls_alone(self, partial_size_laplacian):
         m = partial_size_laplacian[0]
         values, vectors = sym_eig_topk(m, self.K)
@@ -451,15 +461,6 @@ class TestWsc:
             assert shared.sigma == alone.sigma
         with pytest.raises(KOutOfRange):
             top.cluster(7)
-
-    def test_warns_on_raw_scale_dataset(self):
-        from wscluster import Dataset
-        from wscluster.errors import NotStandardizedWarning
-        gen = np.random.default_rng(8)
-        batches = [TransactionBatch(f"e{i}", 5 + gen.random(10)) for i in range(8)]
-        raw = Dataset.from_batches(batches)
-        with pytest.warns(NotStandardizedWarning):
-            wsc(raw, 2, seed=0)
 
     def test_requesting_extra_clusters_keeps_k_occupied(self, duplicate_dataset):
         # empty-cluster repair guarantees k occupied clusters even when the
