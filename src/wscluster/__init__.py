@@ -46,7 +46,6 @@ from .spectral import (
 )
 from .kmeans import KmeansResult, kmeans, select_k_silhouette, silhouette_mean
 from .metrics import (
-    MatchingMatrix,
     Partition,
     cluster_accuracy,
     matching_matrix,
@@ -77,7 +76,7 @@ __all__ = [
     "required_subsample_size", "subsample_plan", "subwsc", "subwsc_run",
     "sym_eig_topk", "wsc", "wsc_run", "wsc_spectrum",
     "KmeansResult", "kmeans", "select_k_silhouette", "silhouette_mean",
-    "MatchingMatrix", "Partition", "cluster_accuracy", "matching_matrix",
+    "Partition", "cluster_accuracy", "matching_matrix",
     "metric_report", "nmi", "rand_index",
     "SETTING_SIZES", "GroundTruth", "SimSpec", "feature_kmeans_baseline",
     "generate", "generate_dataset", "hc_complete_baseline", "run_benchmark",

@@ -26,7 +26,7 @@ from . import __version__
 from .ecdf import (
     DEFAULT_TRANSACTION_CAP,
     TransactionBatch,
-    _csv_reader,
+    _csv_rows,
     build_ecdf,
     cap_transactions,
     read_transactions_csv,
@@ -35,7 +35,7 @@ from .ecdf import (
 from .errors import CsvFormatError, InputError, InvalidSimSpec, WsclusterError
 from .kmeans import select_k_silhouette
 from .metrics import Partition, metric_report, render_report_table
-from .similarity import build_similarity, distance_workers, pairwise_distances
+from .similarity import build_similarity, pairwise_distances
 from .simulate import (
     BENCH_METHODS,
     SETTING_SIZES,
@@ -178,20 +178,13 @@ def build_parser():
 def _read_labels_csv(path, file_names=False):
     """Map entity id to label; with ``file_names`` every label must be usable in a file name."""
     out = {}
-    with _csv_reader(path, ("entity_id", "label")) as reader:
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise CsvFormatError(f"{path}: row {rownum}: expected 2 columns")
-            if row[0] in out:
-                raise CsvFormatError(f"{path}: row {rownum}: repeated entity id {row[0]!r}")
-            if file_names and any(c in row[1] for c in "/\\\0"):
-                raise CsvFormatError(f"{path}: row {rownum}: label {row[1]!r} contains "
-                                     "a path separator or NUL")
-            out[row[0]] = row[1]
-    if not out:
-        raise CsvFormatError(f"{path}: no data rows")
+    for rownum, entity, label in _csv_rows(path, ("entity_id", "label")):
+        if entity in out:
+            raise CsvFormatError(f"{path}: row {rownum}: repeated entity id {entity!r}")
+        if file_names and any(c in label for c in "/\\\0"):
+            raise CsvFormatError(f"{path}: row {rownum}: label {label!r} contains "
+                                 "a path separator or NUL")
+        out[entity] = label
     return out
 
 
@@ -317,7 +310,7 @@ def cmd_cluster(args) -> int:
             "n_s": run.plan.n_s if run.plan is not None else None,
             "eigenvalues": run.embedding.eigenvalues.tolist() if run.embedding else None,
             "timings": timings,
-            "distance_workers": distance_workers(dataset),
+            "distance_workers": distances.workers,
             "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                          for w in caught],
         }

@@ -18,7 +18,6 @@ stays the reference for what the fast path returns.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import warnings
@@ -32,9 +31,7 @@ from .errors import (
     EmptyBatch,
     NegativeAmount,
     NonFiniteAmount,
-    NonPositiveM0,
     SmallSampleWarning,
-    SuppliedM0TooSmall,
 )
 from .rng import substream
 
@@ -144,27 +141,16 @@ def cap_transactions(batch: TransactionBatch, cap: int = DEFAULT_TRANSACTION_CAP
     return TransactionBatch(batch.entity_id, batch.amounts[keep])
 
 
-def standardize(batches, m0: float | None = None) -> Dataset:
+def standardize(batches) -> Dataset:
     """Rescale all amounts to [0, 1] and build per-entity ECDFs.
 
-    The divisor is the global maximum amount, or a user-supplied ``m0``
-    that must not be below it (useful for comparability across datasets).
-    A dataset in which every amount is zero keeps its zeros and records
-    ``m0 = 1``.
+    The divisor ``m0`` is the global maximum amount. A dataset in which
+    every amount is zero keeps its zeros and records ``m0 = 1``.
     """
     batches = list(batches)
     if not batches:
         raise EmptyBatch("no batches supplied")
-    global_max = max(float(b.amounts.max()) for b in batches)
-    if m0 is None:
-        m0 = global_max if global_max > 0 else 1.0
-    else:
-        m0 = float(m0)
-        if m0 <= 0:
-            raise NonPositiveM0("m0 must be positive")
-        if m0 < global_max:
-            raise SuppliedM0TooSmall(
-                f"supplied m0={m0} is below the data maximum {global_max}")
+    m0 = max(float(b.amounts.max()) for b in batches) or 1.0
     _warn_small_samples(batches)
     ids = [b.entity_id for b in batches]
     ecdfs = [build_ecdf(TransactionBatch(b.entity_id, b.amounts / m0)) for b in batches]
@@ -212,26 +198,36 @@ def _w1(support_a, cum0_a, support_b, cum0_b) -> float:
     return float(np.sum(np.abs(fa - fb) * np.diff(grid)))
 
 
-@contextlib.contextmanager
-def _csv_reader(path, columns):
-    """A csv reader over ``path``, past its header of ``columns``.
+def _csv_rows(path, columns):
+    """Yield ``(row number, first field, second field)`` for each non-blank row of ``path``.
 
-    A leading UTF-8 byte-order mark is skipped. A different header, bytes
-    that are not UTF-8 and oversized fields raise :class:`CsvFormatError`.
+    The rows follow a header of ``columns``, and a leading UTF-8
+    byte-order mark is skipped. A different header, a row of one field, a
+    file without data rows, bytes that are not UTF-8 and oversized fields
+    raise :class:`CsvFormatError`.
     """
+    rows = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None or [c.strip().lower() for c in header[:2]] != list(columns):
                 raise CsvFormatError(f"{path}: expected header '{','.join(columns)}'")
-            yield reader
+            for rownum, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 2:
+                    raise CsvFormatError(f"{path}: row {rownum}: expected 2 columns")
+                rows += 1
+                yield rownum, row[0], row[1]
         except UnicodeDecodeError as exc:
             # the file is decoded a block ahead of the reader, so the bad byte lies past line_num
             raise CsvFormatError(
                 f"{path}: not UTF-8 text after line {reader.line_num}: {exc.reason}") from None
         except csv.Error as exc:
             raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
 
 
 def read_transactions_csv(path) -> list[TransactionBatch]:
@@ -258,20 +254,13 @@ def _read_with_csv(path) -> list[TransactionBatch]:
     a row or line number.
     """
     amounts: dict[str, list[float]] = {}
-    with _csv_reader(path, ("entity_id", "amount")) as reader:
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise CsvFormatError(f"{path}: row {rownum}: expected 2 columns")
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {rownum}: unparseable amount {row[1]!r}") from None
-            amounts.setdefault(row[0], []).append(value)
-    if not amounts:
-        raise CsvFormatError(f"{path}: no data rows")
+    for rownum, entity, amount in _csv_rows(path, ("entity_id", "amount")):
+        try:
+            value = float(amount)
+        except ValueError:
+            raise CsvFormatError(
+                f"{path}: row {rownum}: unparseable amount {amount!r}") from None
+        amounts.setdefault(entity, []).append(value)
     return [TransactionBatch(e, np.asarray(v)) for e, v in amounts.items()]
 
 

@@ -8,7 +8,12 @@ class WsclusterError(Exception):
 # --- input validation -------------------------------------------------------
 
 class InputError(WsclusterError):
-    """The input data itself is unusable; the CLI exits with code 2."""
+    """The input data itself is unusable; the CLI exits with code 2.
+
+    Raised for an empty batch, an amount that is NaN, infinite or negative,
+    a CSV that does not parse, and more entities than the dense distance
+    matrix holds.
+    """
 
 
 class EmptyBatch(InputError):
@@ -23,10 +28,6 @@ class NegativeAmount(InputError):
     """An amount is below zero."""
 
 
-class SuppliedM0TooSmall(InputError):
-    """A user-supplied standardization constant is below the data maximum."""
-
-
 class CsvFormatError(InputError):
     """A transaction or label CSV could not be parsed; message carries the row."""
 
@@ -37,10 +38,6 @@ class TooManyEntities(InputError, ValueError):
 
 class CapOutOfRange(WsclusterError, ValueError):
     """A transaction cap below 1."""
-
-
-class NonPositiveM0(WsclusterError, ValueError):
-    """A user-supplied standardization constant that is zero or negative."""
 
 
 # --- similarity graph -------------------------------------------------------

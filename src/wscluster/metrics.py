@@ -17,7 +17,6 @@ from .errors import LengthMismatch
 
 __all__ = [
     "Partition",
-    "MatchingMatrix",
     "rand_index",
     "cluster_accuracy",
     "nmi",
@@ -53,17 +52,6 @@ class Partition:
         uniq, dense = np.unique(np.asarray(labels), return_inverse=True)
         return cls(dense.astype(np.int64), k=int(uniq.size),
                    entity_ids=entity_ids)
-
-
-@dataclass
-class MatchingMatrix:
-    """Counts of entities per (true class, predicted cluster) pair."""
-
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def _aligned_labels(truth, pred):
@@ -138,10 +126,9 @@ def nmi(truth, pred) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def matching_matrix(truth, pred) -> MatchingMatrix:
-    """Contingency counts, rows = true classes, columns = predicted clusters."""
-    t, p = _aligned_labels(truth, pred)
-    return MatchingMatrix(_contingency(t, p))
+def matching_matrix(truth, pred) -> np.ndarray:
+    """Contingency counts as an int64 array, rows = true classes, columns = predicted clusters."""
+    return _contingency(*_aligned_labels(truth, pred))
 
 
 def metric_report(truth, pred) -> dict:
@@ -151,7 +138,7 @@ def metric_report(truth, pred) -> dict:
         "ca": cluster_accuracy(truth, pred),
         "nmi": nmi(truth, pred),
         "nmi_normalization": NMI_NORMALIZATION,
-        "matching_matrix": matching_matrix(truth, pred).counts.tolist(),
+        "matching_matrix": matching_matrix(truth, pred).tolist(),
     }
 
 

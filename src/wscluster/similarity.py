@@ -47,10 +47,15 @@ THREADS_MIN_BLOCK = 8192
 
 @dataclass
 class DistanceMatrix:
-    """Symmetric n x n matrix of pairwise Wasserstein distances."""
+    """Symmetric n x n matrix of pairwise Wasserstein distances.
+
+    ``workers`` records the threads :func:`pairwise_distances` computed it
+    on, and is 0 where no pair was computed there.
+    """
 
     entity_ids: list[str]
     entries: np.ndarray
+    workers: int = 0
 
     @property
     def n(self) -> int:
@@ -84,7 +89,10 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     merged with every other's, at most BLOCK_ELEMENTS values unless one
     pair alone is wider. Each pair is computed once and mirrored.
 
-    The rows run on :func:`distance_workers` threads, row i on worker
+    The rows run on one thread per CPU this process may run on, but no
+    more than the n - 1 rows there are to share, and on one thread alone
+    when the blocks average fewer than THREADS_MIN_BLOCK merged values;
+    the result records the count as ``workers``. Row i runs on worker
     i mod workers. A block does not depend on the worker count, so the
     result is bitwise the same for any count. Each worker allocates its
     own scratch once, sized by its largest block, and reuses it for every
@@ -106,11 +114,17 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     cum0 = np.concatenate([_padded_cum(e) for e in ecdfs])
     support_start = np.cumsum(sizes) - sizes
     cum_start = support_start + np.arange(n)
-    block_rows = _block_rows(sizes)
+    block_rows = np.maximum(1, BLOCK_ELEMENTS // (2 * sizes[:-1]))  # for each row but the last
+    partners = np.arange(n - 1, 0, -1)
     # a row's first block is its largest, as the entities after it are no wider
-    first_block = np.minimum(block_rows, np.arange(n - 1, 0, -1)) * (sizes[:-1] + sizes[1:])
+    first_block = np.minimum(block_rows, partners) * (sizes[:-1] + sizes[1:])
+    # the blocks of all rows merge each pair's supports once: (n - 1) x total support
+    blocks = -(-partners // block_rows)  # per row, ceil(partners / rows)
+    if (n - 1) * int(sizes.sum()) < THREADS_MIN_BLOCK * int(blocks.sum()):
+        workers = 1
+    else:
+        workers = min(_allowed_cpus(), n - 1)
     out = np.zeros((n, n), dtype=np.float64)
-    workers = distance_workers(dataset)
     ramp = np.arange(int(first_block.max()))  # read only, so the workers share it
 
     def rows(w):
@@ -130,30 +144,7 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
 
     _run_workers(rows, workers)
     out += out.T
-    return DistanceMatrix(list(dataset.entity_ids), out)
-
-
-def distance_workers(dataset: Dataset) -> int:
-    """Threads :func:`pairwise_distances` runs on for this dataset.
-
-    One per CPU this process may run on, but no more than the n - 1 rows
-    there are to share, and only one when the blocks average fewer than
-    THREADS_MIN_BLOCK merged values; 0 for fewer than two entities.
-    """
-    n = dataset.n
-    if n < 2:
-        return 0
-    sizes = np.sort([e.support.size for e in dataset.ecdfs])[::-1]
-    blocks = -(-np.arange(n - 1, 0, -1) // _block_rows(sizes))  # per row, ceil(partners / rows)
-    # the blocks of all rows merge each pair's supports once: (n - 1) x total support
-    if (n - 1) * int(sizes.sum()) < THREADS_MIN_BLOCK * int(blocks.sum()):
-        return 1
-    return min(_allowed_cpus(), n - 1)
-
-
-def _block_rows(sizes):
-    """Entities per block for each row but the last; ``sizes`` widest first."""
-    return np.maximum(1, BLOCK_ELEMENTS // (2 * sizes[:-1]))
+    return DistanceMatrix(list(dataset.entity_ids), out, workers)
 
 
 def _allowed_cpus() -> int:
@@ -309,7 +300,8 @@ def nearest_neighbor_sets(d: DistanceMatrix, k0: int) -> np.ndarray:
     # and puts the NaN that stands for self last
     dist_to = d.entries.T.astype(np.float64, order="C")
     np.fill_diagonal(dist_to, np.nan)
-    return np.argsort(dist_to, axis=1, kind="stable")[:, :k0]
+    # a copy, as a view of the slice would keep the whole n x n argsort alive
+    return np.argsort(dist_to, axis=1, kind="stable")[:, :k0].copy()
 
 
 def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int) -> SimilarityMatrix:

@@ -3,10 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+
+from test_similarity import _workers
 
 from wscluster import (
     build_similarity,
@@ -101,6 +105,21 @@ class TestCluster:
         assert len(run["eigenvalues"]) == 3
         assert "timings" in run and "config" in run
         assert run["distance_workers"] >= 1
+
+    def test_run_json_records_the_threads_that_ran(self, tmp_path):
+        def record(*args):
+            threads.add(threading.current_thread())
+            return real(*args)
+
+        real, threads = similarity._w1_block, set()
+        gen = np.random.default_rng(11)
+        csv_path = tmp_path / "tx.csv"
+        write_transactions(csv_path, [(f"e{i}", gen.random(30).tolist()) for i in range(40)])
+        out = tmp_path / "out"
+        with _workers(3), mock.patch.object(similarity, "_w1_block", side_effect=record):
+            assert main(["cluster", str(csv_path), "--k", "3", "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["distance_workers"] == len(threads) == 3
 
     def test_subwsc_default_n_s_echoed(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv

@@ -22,9 +22,7 @@ from wscluster.errors import (
     EmptyBatch,
     NegativeAmount,
     NonFiniteAmount,
-    NonPositiveM0,
     SmallSampleWarning,
-    SuppliedM0TooSmall,
 )
 
 
@@ -104,20 +102,6 @@ class TestStandardize:
         ds = standardize([TransactionBatch("a", [0.0, 0.0])])
         assert ds.m0 == 1.0
         assert ds.ecdfs[0].support.tolist() == [0.0]
-
-    def test_supplied_m0_too_small(self):
-        with pytest.raises(SuppliedM0TooSmall):
-            standardize([TransactionBatch("a", [120.0])], m0=100.0)
-
-    @pytest.mark.parametrize("m0", [0.0, -1.0])
-    def test_supplied_m0_not_positive(self, m0):
-        with pytest.raises(NonPositiveM0, match="positive") as info:
-            standardize([TransactionBatch("a", [0.0])], m0=m0)
-        assert isinstance(info.value, ValueError)
-
-    def test_supplied_m0_allows_headroom(self):
-        ds = standardize([TransactionBatch("a", [50.0])], m0=100.0)
-        assert ds.ecdfs[0].support[0] == 0.5
 
     def test_small_sample_warning(self):
         batches = [TransactionBatch(f"e{i}", [1.0]) for i in range(10)]

@@ -170,8 +170,7 @@ class TestPairwiseDistances:
         ds = standardize([TransactionBatch(f"e{i}", gen.random(support)) for i in range(n)])
         with mock.patch.object(similarity, "_allowed_cpus", return_value=cpus), \
                 mock.patch.object(similarity, "_w1_block", side_effect=record):
-            assert similarity.distance_workers(ds) == expected
-            pairwise_distances(ds)
+            assert pairwise_distances(ds).workers == expected
         assert len(threads) == expected
 
     def test_a_failing_worker_reaches_the_caller(self):
@@ -336,6 +335,21 @@ class TestKnnSparsify:
         off_diag = s2.entries.copy()
         np.fill_diagonal(off_diag, 0.0)
         assert np.count_nonzero(off_diag) <= 2 * k0 * n
+
+    def test_neighbor_sets_hold_no_more_than_their_indices(self):
+        # a view of the argsort's first k0 columns would keep all n x n indices alive
+        gen = np.random.default_rng(7)
+        raw = gen.random((600, 600))
+        d = _dmatrix(np.triu(raw, 1) + np.triu(raw, 1).T)
+        tracemalloc.start()
+        try:
+            neighbors = similarity.nearest_neighbor_sets(d, 10)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert neighbors.shape == (600, 10)
+        assert neighbors.base is None
+        assert held < 1 << 20
 
     def test_k0_out_of_range(self):
         d = _dmatrix([[0, 1], [1, 0]])
