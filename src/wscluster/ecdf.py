@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapOutOfRange,
+    ArgumentOutOfRange,
     CsvFormatError,
     EmptyBatch,
     NegativeAmount,
@@ -133,7 +133,7 @@ def cap_transactions(batch: TransactionBatch, cap: int = DEFAULT_TRANSACTION_CAP
     substream so the result depends only on (seed, entity_id).
     """
     if cap < 1:
-        raise CapOutOfRange("cap must be at least 1")
+        raise ArgumentOutOfRange("cap must be at least 1")
     if batch.size <= cap:
         return batch
     gen = substream(seed, "cap", batch.entity_id)

@@ -5,6 +5,17 @@ class WsclusterError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ArgumentOutOfRange(WsclusterError, ValueError):
+    """An argument outside the range its function accepts; the message names it and the range.
+
+    Raised for a cluster count, neighbor threshold, eigenpair count, K
+    range, subsample size or plan, transaction cap, replication count or
+    kernel scale out of range, for a coverage rule whose minimum cluster
+    size is not below the population, and for eigengap selection over
+    fewer than two eigenvalues.
+    """
+
+
 # --- input validation -------------------------------------------------------
 
 class InputError(WsclusterError):
@@ -36,30 +47,14 @@ class TooManyEntities(InputError, ValueError):
     """More entities than the dense n x n distance matrix is allowed to hold."""
 
 
-class CapOutOfRange(WsclusterError, ValueError):
-    """A transaction cap below 1."""
-
-
 # --- similarity graph -------------------------------------------------------
 
 class NoVariation(WsclusterError):
     """All pairwise distances are zero, so no default scale exists."""
 
 
-class NonPositiveSigma(WsclusterError, ValueError):
-    """The kernel scale sigma is zero or negative."""
-
-
 class IsolatedEntity(WsclusterError):
     """Sigma is so small that an entity has no positive similarity to any other."""
-
-
-class K0OutOfRange(WsclusterError):
-    """Neighbor threshold k0 outside [1, n-1]."""
-
-
-class KOutOfRange(WsclusterError, ValueError):
-    """A requested cluster, neighbor or eigenpair count, or a K range, is out of range."""
 
 
 # --- spectral engine --------------------------------------------------------
@@ -76,18 +71,6 @@ class RankDeficientSample(WsclusterError):
     """The subsample Gram matrix has fewer than K usable eigenvalues."""
 
 
-class SizeOutOfRange(WsclusterError):
-    """Subsample size outside [1, n]."""
-
-
-class DegenerateProportion(WsclusterError):
-    """Minimum cluster size must be strictly below the population size."""
-
-
-class TooFewEigenvalues(WsclusterError):
-    """Eigengap selection needs at least two eigenvalues."""
-
-
 class NotSquare(WsclusterError, ValueError):
     """The eigensolver was given a matrix that is not square."""
 
@@ -96,15 +79,7 @@ class NotSymmetric(WsclusterError, ValueError):
     """The eigensolver was given a matrix that is not symmetric."""
 
 
-class CoverageArgumentOutOfRange(WsclusterError, ValueError):
-    """The coverage rule got n below 2, or k or n_min below 1."""
-
-
 # --- clustering -------------------------------------------------------------
-
-class KTooLarge(WsclusterError):
-    """More clusters requested than points available."""
-
 
 class SingleCluster(WsclusterError):
     """Silhouette needs at least two occupied clusters."""
@@ -133,18 +108,10 @@ class UnknownMethod(WsclusterError, ValueError):
     """A clustering method name that the method table does not hold."""
 
 
-class ReplicationsOutOfRange(WsclusterError, ValueError):
-    """A benchmark asked for fewer than one replication."""
-
-
 # --- warnings ---------------------------------------------------------------
 
 class SmallSampleWarning(UserWarning):
     """Some entity has fewer observations than ln(n); distances are noisy."""
-
-
-class KMeansDegenerateWarning(UserWarning):
-    """K-means returned fewer occupied clusters than requested."""
 
 
 class CandidateSkippedWarning(UserWarning):

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ArgumentOutOfRange,
     CandidateSkippedWarning,
     InertiaIncreased,
-    KOutOfRange,
-    KTooLarge,
     RankDeficientSample,
     SingleCluster,
 )
@@ -78,10 +77,12 @@ def _lloyd(points, k, gen):
         d2 = _sq_distances(points, centers)
         new_labels = np.argmin(d2, axis=1)
         # repair empty clusters: the point farthest from its center becomes
-        # the missing cluster's singleton center
+        # the missing cluster's singleton center. A point alone in its cluster
+        # is never taken, so with k <= n every cluster ends up occupied
         for c in range(k):
             if not np.any(new_labels == c):
                 assigned = d2[np.arange(n), new_labels]
+                assigned[np.bincount(new_labels, minlength=k)[new_labels] == 1] = -np.inf
                 far = int(np.argmax(assigned))
                 centers[c] = points[far]
                 new_labels[far] = c
@@ -113,9 +114,9 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
         points = points[:, None]
     n = points.shape[0]
     if k > n:
-        raise KTooLarge(f"k={k} exceeds the number of points ({n})")
+        raise ArgumentOutOfRange(f"k={k} exceeds the number of points ({n})")
     if k < 1:
-        raise KOutOfRange("k must be at least 1")
+        raise ArgumentOutOfRange("k must be at least 1")
     best = None
     for restart in range(N_INIT):
         gen = substream(seed, "kmeans-restart", restart)
@@ -166,11 +167,11 @@ def select_k_silhouette(cluster_fn, k_range, distances, seed: int = 0):
     """
     k_range = sorted(set(int(k) for k in k_range))
     if not k_range:
-        raise KOutOfRange("empty k_range")
+        raise ArgumentOutOfRange("empty k_range")
     dist = distances.entries if hasattr(distances, "entries") else np.asarray(distances)
     n = dist.shape[0]
     if k_range[0] < 2 or k_range[-1] > n - 1:
-        raise KOutOfRange(f"k_range must lie within [2, {n - 1}]")
+        raise ArgumentOutOfRange(f"k_range must lie within [2, {n - 1}]")
     scores = {}
     for k in k_range:
         try:

@@ -37,7 +37,6 @@ class Partition:
     """
 
     labels: np.ndarray
-    k: int
     entity_ids: list[str] | None = None
 
     def __post_init__(self):
@@ -47,11 +46,14 @@ class Partition:
     def n(self) -> int:
         return int(self.labels.size)
 
+    @property
+    def k(self) -> int:
+        return int(np.unique(self.labels).size)
+
     @classmethod
     def from_labels(cls, labels, entity_ids=None) -> "Partition":
-        uniq, dense = np.unique(np.asarray(labels), return_inverse=True)
-        return cls(dense.astype(np.int64), k=int(uniq.size),
-                   entity_ids=entity_ids)
+        _, dense = np.unique(np.asarray(labels), return_inverse=True)
+        return cls(dense, entity_ids=entity_ids)
 
 
 def _aligned_labels(truth, pred):

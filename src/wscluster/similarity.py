@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import Dataset, _padded_cum
-from .errors import IsolatedEntity, K0OutOfRange, NonPositiveSigma, NoVariation, TooManyEntities
+from .errors import ArgumentOutOfRange, IsolatedEntity, NoVariation, TooManyEntities
 
 __all__ = [
     "DistanceMatrix",
@@ -73,12 +73,15 @@ class SimilarityMatrix:
     entity_ids: list[str]
     entries: np.ndarray
     sigma: float
-    sparsified: bool = False
     k0: int | None = None
 
     @property
     def n(self) -> int:
         return len(self.entity_ids)
+
+    @property
+    def sparsified(self) -> bool:
+        return self.k0 is not None
 
 
 def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
@@ -199,6 +202,14 @@ class _BlockScratch:
     """
 
     def __init__(self, size, ramp):
+        # freeing a chunk that malloc mapped raises glibc's mmap threshold to
+        # its size and its trim threshold to twice that; after this one the
+        # heap keeps the memory each block's sort allocates and frees, where
+        # with thresholds near one block it could trim and fault it in again
+        # on every block. Continuous n=400 benchmark input, one CPU: 1.3k
+        # minor faults in a first call, against 4.5k or, after some other
+        # allocation histories, 35k
+        np.empty(2 * size, dtype=np.intp)
         self.a, self.b, self.c = np.empty(size), np.empty(size), np.empty(size)
         self.index = np.empty(size, dtype=np.intp)
         self.from_i = np.empty(size, dtype=bool)
@@ -274,7 +285,7 @@ def build_similarity(d: DistanceMatrix, sigma: float | None = None) -> Similarit
         if sigma <= 0:
             raise NoVariation("all pairwise distances are zero; supply sigma explicitly")
     elif sigma <= 0:
-        raise NonPositiveSigma("sigma must be positive")
+        raise ArgumentOutOfRange("sigma must be positive")
     with np.errstate(over="ignore"):  # W / sigma beyond the float range: exp gives 0
         entries = np.exp(-d.entries / sigma)
     if d.n >= 2:  # a row's largest similarity is its nearest neighbor's, which kNN keeps
@@ -295,7 +306,7 @@ def nearest_neighbor_sets(d: DistanceMatrix, k0: int) -> np.ndarray:
     """
     n = d.n
     if not 1 <= k0 <= n - 1:
-        raise K0OutOfRange(f"k0={k0} outside [1, {n - 1}]")
+        raise ArgumentOutOfRange(f"k0={k0} outside [1, {n - 1}]")
     # column j holds the distances to j; a stable sort keeps ties in index order
     # and puts the NaN that stands for self last
     dist_to = d.entries.T.astype(np.float64, order="C")
@@ -320,5 +331,4 @@ def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int) -> SimilarityM
     keep |= keep.T
     np.fill_diagonal(keep, True)
     entries = np.where(keep, s.entries, 0.0)
-    return SimilarityMatrix(list(s.entity_ids), entries, sigma=s.sigma,
-                            sparsified=True, k0=k0)
+    return SimilarityMatrix(list(s.entity_ids), entries, sigma=s.sigma, k0=k0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecdf import Dataset, TransactionBatch, standardize
-from .errors import InvalidSimSpec, KTooLarge, ReplicationsOutOfRange, UnknownMethod
+from .errors import ArgumentOutOfRange, InvalidSimSpec, UnknownMethod, WsclusterError
 from .kmeans import kmeans
 from .metrics import Partition, cluster_accuracy, nmi, rand_index
 from .rng import substream
@@ -191,7 +191,7 @@ def hc_complete_baseline(d: DistanceMatrix, k: int) -> Partition:
     """
     n = d.n
     if k > n:
-        raise KTooLarge(f"k={k} exceeds n={n}")
+        raise ArgumentOutOfRange(f"k={k} exceeds n={n}")
     if n == 1:
         # linkage needs at least one pair
         return Partition.from_labels([0], entity_ids=list(d.entity_ids))
@@ -211,7 +211,7 @@ class BenchmarkResult:
     ``rows`` hold (example, setting, beta, method, metric, mean, sd, M)
     records; ``raw`` holds per-replication values as (method, metric,
     replication, seed, value), where seed is the replication's data seed;
-    failures are recorded, not raised.
+    pipeline errors are recorded in ``failures``, not raised.
     """
 
     rows: list = field(default_factory=list)
@@ -271,11 +271,12 @@ def _replicate(spec: SimSpec, runs, replications: int, seed: int,
 
     Each replication draws fresh data from a derived seed, runs every
     method on the shared distance matrix, and scores it against the ground
-    truth; every ``raw`` record carries that seed. Per-replication method
-    failures are recorded and skipped rather than aborting the run.
+    truth; every ``raw`` record carries that seed. A method that raises a
+    :class:`WsclusterError` in a replication is recorded and skipped rather
+    than aborting the run; any other exception propagates.
     """
     if replications < 1:
-        raise ReplicationsOutOfRange("replications must be at least 1")
+        raise ArgumentOutOfRange("replications must be at least 1")
     result = BenchmarkResult(setting=setting, spec=spec)
     for rep in range(replications):
         rep_seed = int(substream(seed, "replication", rep).integers(2**63))
@@ -291,7 +292,7 @@ def _replicate(spec: SimSpec, runs, replications: int, seed: int,
             try:
                 part = run_method(method, dataset, batches, distances, spec.k,
                                   seed=rep_seed, **kwargs).partition
-            except Exception as exc:  # recorded, run continues
+            except WsclusterError as exc:  # recorded, run continues; a bug raises
                 result.failures.append({"method": name, "replication": rep,
                                         "error": f"{type(exc).__name__}: {exc}"})
                 continue

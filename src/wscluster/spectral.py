@@ -24,23 +24,17 @@ import hashlib
 import math
 import operator
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ecdf import Dataset
 from .errors import (
-    CoverageArgumentOutOfRange,
-    DegenerateProportion,
-    KMeansDegenerateWarning,
-    KOutOfRange,
+    ArgumentOutOfRange,
     NoConvergence,
     NotSquare,
     NotSymmetric,
     RankDeficientSample,
-    SizeOutOfRange,
-    TooFewEigenvalues,
     ZeroDegree,
 )
 from .kmeans import kmeans
@@ -192,8 +186,8 @@ def sym_eig_topk(m: np.ndarray, k: int):
     magnitude is at most ||m||_2 and equals it for a normalized Laplacian
     (lambda_1 = 1) or a Gram matrix. A solve that fails this check, that
     LAPACK rejects, or that yields a non-finite value raises
-    :class:`NoConvergence`. A k that is not an integer raises
-    :class:`KOutOfRange`.
+    :class:`NoConvergence`. A k that is not an integer in [1, n] raises
+    :class:`ArgumentOutOfRange`.
     """
     global _last_solve
     m = np.ascontiguousarray(m, dtype=np.float64)
@@ -203,9 +197,9 @@ def sym_eig_topk(m: np.ndarray, k: int):
     try:
         k = operator.index(k)
     except TypeError:
-        raise KOutOfRange(f"k={k!r} is not an integer") from None
+        raise ArgumentOutOfRange(f"k={k!r} is not an integer") from None
     if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside [1, {n}]")
+        raise ArgumentOutOfRange(f"k={k} outside [1, {n}]")
     pairs = min(n, EIG_BLOCK * -(-k // EIG_BLOCK))
     key = (hashlib.blake2b(m).digest(), n, pairs)
     last = _last_solve
@@ -251,14 +245,14 @@ def eigengap_suggest_k(eigenvalues, k_max: int | None = None) -> int:
     """Cluster count from the largest consecutive eigenvalue gap.
 
     Considers candidates K' with 1 <= K' < min(k_max, len(eigenvalues));
-    ties go to the smallest K'. A ``k_max`` below 2 leaves no candidate and
-    raises :class:`KOutOfRange`.
+    ties go to the smallest K'. Fewer than two eigenvalues, or a ``k_max``
+    below 2, leave no candidate and raise :class:`ArgumentOutOfRange`.
     """
     values = np.asarray(eigenvalues, dtype=np.float64)
     if values.size < 2:
-        raise TooFewEigenvalues("need at least two eigenvalues")
+        raise ArgumentOutOfRange("need at least two eigenvalues")
     if k_max is not None and k_max < 2:
-        raise KOutOfRange(f"k_max={k_max} leaves no candidate K; it must be at least 2")
+        raise ArgumentOutOfRange(f"k_max={k_max} leaves no candidate K; it must be at least 2")
     upper = min(k_max if k_max is not None else values.size, values.size)
     gaps = values[:upper - 1] - values[1:upper]
     # gaps that differ only by rounding noise count as tied; smallest K' wins
@@ -275,13 +269,13 @@ def required_subsample_size(n: int, n_min: int, k: int) -> int:
     least 1 - 1/n. The result is clamped to [k, n].
     """
     if n < 2:
-        raise CoverageArgumentOutOfRange("n must be at least 2")
+        raise ArgumentOutOfRange("n must be at least 2")
     if k < 1:
-        raise CoverageArgumentOutOfRange("k must be at least 1")
+        raise ArgumentOutOfRange("k must be at least 1")
     if n_min < 1:
-        raise CoverageArgumentOutOfRange("n_min must be at least 1")
+        raise ArgumentOutOfRange("n_min must be at least 1")
     if n_min >= n:
-        raise DegenerateProportion(f"n_min={n_min} must be below n={n}")
+        raise ArgumentOutOfRange(f"n_min={n_min} must be below n={n}")
     alpha = -1.0 / math.log(1.0 - n_min / n)
     raw = math.ceil(alpha * (math.log(n) + math.log(k)))
     return int(min(max(raw, k), n))
@@ -303,7 +297,7 @@ def default_subsample_size(n: int, k: int) -> int:
 def subsample_plan(n: int, n_s: int, seed: int = 0) -> SubsamplePlan:
     """Uniform simple random sample of ``n_s`` of ``n`` entities."""
     if not 1 <= n_s <= n:
-        raise SizeOutOfRange(f"n_s={n_s} outside [1, {n}]")
+        raise ArgumentOutOfRange(f"n_s={n_s} outside [1, {n}]")
     selected = substream(seed, "subsample-plan").permutation(n)[:n_s]
     return SubsamplePlan(n=n, selected=selected.astype(np.intp))
 
@@ -343,16 +337,12 @@ class Spectrum:
         ``PARTIAL_EIG_MIN_N``; below it they are for any k.
         """
         if not 1 <= k <= self.embedding.k:
-            raise KOutOfRange(f"k={k} outside [1, {self.embedding.k}]")
+            raise ArgumentOutOfRange(f"k={k} outside [1, {self.embedding.k}]")
         timings = dict(self.timings)
         t0 = time.perf_counter()
         embedding = SpectralEmbedding(rows=np.ascontiguousarray(self.embedding.rows[:, :k]),
                                       eigenvalues=self.embedding.eigenvalues[:k])
         result = kmeans(embedding.rows, k, seed=seed)
-        occupied = np.unique(result.labels).size
-        if occupied < k:
-            warnings.warn(f"K-means produced {occupied} occupied clusters out of {k} requested",
-                          KMeansDegenerateWarning, stacklevel=4)
         partition = Partition.from_labels(result.labels, entity_ids=self.dataset.entity_ids)
         timings["kmeans"] = time.perf_counter() - t0
         return ClusteringRun(partition, embedding, sigma=self.sigma, timings=timings,
@@ -393,7 +383,7 @@ def wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
     selecting K over a range costs one graph and one eigensolve.
     """
     if not 1 <= k <= dataset.n:
-        raise KOutOfRange(f"k={k} outside [1, {dataset.n}]")
+        raise ArgumentOutOfRange(f"k={k} outside [1, {dataset.n}]")
     return _spectrum(dataset, lambda entries: sym_eig_topk(entries, k),
                      sigma=sigma, knn_k0=knn_k0, distances=distances)
 
@@ -442,9 +432,9 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
             n_s = max(k, default_subsample_size(n, k))
         plan = subsample_plan(n, n_s, seed=seed)
     if plan.n != n:
-        raise SizeOutOfRange(f"plan is over {plan.n} entities, dataset has {n}")
+        raise ArgumentOutOfRange(f"plan is over {plan.n} entities, dataset has {n}")
     if k > plan.n_s:
-        raise KOutOfRange(f"k={k} exceeds the subsample size {plan.n_s}")
+        raise ArgumentOutOfRange(f"k={k} exceeds the subsample size {plan.n_s}")
     return _spectrum(dataset, lambda entries: _gram_embedding(entries[:, plan.selected], k),
                      sigma=sigma, knn_k0=knn_k0, distances=distances,
                      plan=plan).cluster(k, seed)

@@ -78,6 +78,11 @@ def six_csv(tmp_path):
     return path
 
 
+def _csv_dicts(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def read_labels(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -465,7 +470,7 @@ class TestBench:
                      "--methods", "wsc,feature_kmeans", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "wsc" in text
-        rows = list(csv.DictReader(open(out / "bench.csv")))
+        rows = _csv_dicts(out / "bench.csv")
         assert any(r["method"] == "wsc" and r["metric"] == "ri" for r in rows)
 
     def test_sweep_points(self, tmp_path):
@@ -473,7 +478,7 @@ class TestBench:
         assert main(["bench", "--sizes", "5,5,5", "--beta", "15", "--m", "1",
                      "--subsample-sweep", "0.1:0.5:0.1", "--seed", "3",
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "sweep.csv")))
+        rows = _csv_dicts(out / "sweep.csv")
         fractions = {r["method"] for r in rows if r["method"].startswith("subwsc@")}
         assert fractions == {"subwsc@0.1", "subwsc@0.2", "subwsc@0.3",
                              "subwsc@0.4", "subwsc@0.5"}
@@ -491,7 +496,7 @@ class TestBench:
         assert main(["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "2",
                      "--methods", "feature_kmeans", "--dump-raw",
                      "--out", str(out)]) == 0
-        raw = list(csv.DictReader(open(out / "bench_raw.csv")))
+        raw = _csv_dicts(out / "bench_raw.csv")
         assert {r["replication"] for r in raw} == {"0", "1"}
 
 
@@ -504,12 +509,12 @@ class TestPlotdata:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["clusters"]) == 3
         for info in manifest["clusters"].values():
-            rows = list(csv.DictReader(open(out / info["file"])))
+            rows = _csv_dicts(out / info["file"])
             xs = [float(r["x"]) for r in rows]
             fs = [float(r["F"]) for r in rows]
             assert xs == sorted(xs)
             assert fs[-1] == 1.0
-        hist = list(csv.DictReader(open(out / "histogram.csv")))
+        hist = _csv_dicts(out / "histogram.csv")
         assert {r["cluster"] for r in hist} == {"0", "1", "2"}
 
     def test_counts_only_input_entities(self, toy_csv, tmp_path):
@@ -596,10 +601,10 @@ class TestDistancesAndEmbed:
         out = tmp_path / "emb"
         assert main(["embed", str(csv_path), "--k", "3", "--seed", "4",
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "embedding.csv")))
+        rows = _csv_dicts(out / "embedding.csv")
         assert len(rows) == 30
         assert set(rows[0]) == {"entity_id", "v1", "v2", "v3"}
-        eig = list(csv.DictReader(open(out / "eigenvalues.csv")))
+        eig = _csv_dicts(out / "eigenvalues.csv")
         assert len(eig) == 3
         values = [float(r["eigenvalue"]) for r in eig]
         assert values == sorted(values, reverse=True)

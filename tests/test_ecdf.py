@@ -17,7 +17,7 @@ from wscluster import (
     wasserstein,
 )
 from wscluster.errors import (
-    CapOutOfRange,
+    ArgumentOutOfRange,
     CsvFormatError,
     EmptyBatch,
     NegativeAmount,
@@ -86,7 +86,7 @@ class TestCapTransactions:
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one(self, cap):
-        with pytest.raises(CapOutOfRange, match="at least 1") as info:
+        with pytest.raises(ArgumentOutOfRange, match="at least 1") as info:
             cap_transactions(TransactionBatch("a", [1.0, 2.0]), cap=cap)
         assert isinstance(info.value, ValueError)
 

@@ -6,10 +6,9 @@ import pytest
 
 from wscluster import kmeans, select_k_silhouette, silhouette_mean
 from wscluster.errors import (
+    ArgumentOutOfRange,
     CandidateSkippedWarning,
     InertiaIncreased,
-    KOutOfRange,
-    KTooLarge,
     RankDeficientSample,
     SingleCluster,
 )
@@ -116,12 +115,16 @@ class TestKmeans:
         assert np.array_equal(r1.labels, r2.labels)
         assert r1.inertia == r2.inertia
 
+    def test_identical_points_fill_every_cluster(self):
+        # the empty-cluster repair must not take a point that is alone in its cluster
+        assert set(kmeans(np.zeros((12, 2)), 3).labels.tolist()) == {0, 1, 2}
+
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ArgumentOutOfRange):
             kmeans(np.zeros((3, 1)), 4)
 
     def test_k_below_one_is_typed(self):
-        with pytest.raises(KOutOfRange) as info:
+        with pytest.raises(ArgumentOutOfRange) as info:
             kmeans(np.zeros((3, 1)), 0)
         assert isinstance(info.value, ValueError)
 
@@ -210,7 +213,7 @@ class TestSelectK:
 
     @pytest.mark.parametrize("k_range", [[], [1, 2], [3]], ids=["empty", "below", "above"])
     def test_k_range_errors_are_typed(self, k_range):
-        with pytest.raises(KOutOfRange) as info:
+        with pytest.raises(ArgumentOutOfRange) as info:
             select_k_silhouette(lambda k, seed: None, k_range, np.zeros((3, 3)))
         assert isinstance(info.value, ValueError)
 

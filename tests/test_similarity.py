@@ -30,10 +30,9 @@ from wscluster import (
 )
 from wscluster import similarity
 from wscluster.errors import (
+    ArgumentOutOfRange,
     InputError,
     IsolatedEntity,
-    K0OutOfRange,
-    NonPositiveSigma,
     NoVariation,
     TooManyEntities,
 )
@@ -245,7 +244,7 @@ class TestBuildSimilarity:
             build_similarity(_dmatrix(np.zeros((3, 3))))
 
     def test_non_positive_sigma_is_typed(self):
-        with pytest.raises(NonPositiveSigma) as info:
+        with pytest.raises(ArgumentOutOfRange) as info:
             build_similarity(_dmatrix([[0, 1.0], [1.0, 0]]), sigma=0.0)
         assert isinstance(info.value, ValueError)
 
@@ -354,8 +353,8 @@ class TestKnnSparsify:
     def test_k0_out_of_range(self):
         d = _dmatrix([[0, 1], [1, 0]])
         s = build_similarity(d)
-        with pytest.raises(K0OutOfRange):
+        with pytest.raises(ArgumentOutOfRange):
             knn_sparsify(s, d, 0)
-        with pytest.raises(K0OutOfRange):
+        with pytest.raises(ArgumentOutOfRange):
             knn_sparsify(s, d, 2)
 

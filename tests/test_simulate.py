@@ -18,9 +18,10 @@ from wscluster import (
     pairwise_distances,
     run_benchmark,
 )
+from wscluster import simulate
 from wscluster.simulate import MAX_SIM_AMOUNTS, SETTING_SIZES, run_method, subsample_sweep
 from wscluster.spectral import subsample_plan, subwsc_run, wsc_run
-from wscluster.errors import InvalidSimSpec, KTooLarge, ReplicationsOutOfRange, UnknownMethod
+from wscluster.errors import ArgumentOutOfRange, InvalidSimSpec, UnknownMethod
 
 
 @pytest.mark.parametrize("sizes, beta, example, message", [
@@ -242,7 +243,7 @@ class TestHcComplete:
                 assert hc_complete_baseline(d, k).k == k
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ArgumentOutOfRange):
             hc_complete_baseline(_dmatrix(np.zeros((3, 3))), 4)
 
 
@@ -300,7 +301,7 @@ class TestBenchmark:
 
     def test_zero_replications(self):
         spec = SimSpec((4, 4, 4), beta=15, example=1, seed=2)
-        with pytest.raises(ReplicationsOutOfRange) as info:
+        with pytest.raises(ArgumentOutOfRange) as info:
             run_benchmark(spec, ["wsc"], replications=0, seed=0)
         assert isinstance(info.value, ValueError)
 
@@ -310,6 +311,15 @@ class TestBenchmark:
         assert len(result.failures) == 2
         assert all("no_such_method" in f["method"] for f in result.failures)
         assert not result.rows
+
+    def test_bug_in_a_method_is_raised(self, monkeypatch):
+        def broken(batches, k, seed=0):
+            raise TypeError("a bug, not a pipeline error")
+
+        monkeypatch.setattr(simulate, "feature_kmeans_baseline", broken)
+        spec = SimSpec((4, 4, 4), beta=15, example=1, seed=2)
+        with pytest.raises(TypeError, match="a bug"):
+            run_benchmark(spec, ["feature_kmeans"], replications=1, seed=0)
 
     def test_wsc_reports_better_variant(self):
         spec = SimSpec((6, 6, 6), beta=40, example=1, seed=3)
