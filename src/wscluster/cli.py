@@ -341,15 +341,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep(text):
+def _parse_sweep(text, n):
+    """Fractions START, START + STEP, ... up to STOP, for n entities."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise UsageError(f"bad sweep spec {text!r}, expected START:STOP:STEP") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"bad sweep spec {text!r}, every part must be finite")
     if step <= 0 or start <= 0 or stop < start or stop > 1:
         raise UsageError("sweep fractions must satisfy 0 < START <= STOP <= 1, STEP > 0")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 10) for i in range(count)]
+    steps = (stop - start) / step + 1e-9
+    # each point is a sample size of at most n, so more points only repeat one
+    if steps >= n:
+        raise UsageError(f"sweep spec {text!r} has more points than the {n} entities")
+    return [round(start + i * step, 10) for i in range(int(math.floor(steps)) + 1)]
 
 
 def cmd_bench(args) -> int:
@@ -369,7 +375,7 @@ def cmd_bench(args) -> int:
         spec = SimSpec(sizes, args.beta, args.example, seed=args.seed)
     except InvalidSimSpec as exc:
         raise UsageError(str(exc)) from None
-    fractions = _parse_sweep(args.subsample_sweep) if args.subsample_sweep else None
+    fractions = _parse_sweep(args.subsample_sweep, spec.n) if args.subsample_sweep else None
     _output_dir(args.out)
     if fractions:
         result = subsample_sweep(spec, fractions, replications=args.m,

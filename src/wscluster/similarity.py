@@ -32,9 +32,7 @@ MAX_DENSE_ENTITIES = 20_000
 # take and cumsum release the GIL on blocks this large, so worker threads
 # overlap. Continuous n=400 benchmark input, 2 cores, kernel alone: median
 # 0.36 s on two threads against 0.49 s on one; at 8192 a second thread
-# gained nothing (best of 7, 0.54 s against 0.53 s). At 65536 the per-block
-# argsort result passes glibc's mmap threshold, and a first call on a cold
-# heap took 28,548 minor faults on one CPU against 4,556 at 32768
+# gained nothing (best of 7, 0.54 s against 0.53 s)
 BLOCK_ELEMENTS = 32768
 
 # fewest merged values per block, on average, for which pairwise_distances
@@ -97,10 +95,9 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     when the blocks average fewer than THREADS_MIN_BLOCK merged values;
     the result records the count as ``workers``. Row i runs on worker
     i mod workers. A block does not depend on the worker count, so the
-    result is bitwise the same for any count. Each worker allocates its
-    own scratch once, sized by its largest block, and reuses it for every
-    block, so scratch memory is O(workers x BLOCK_ELEMENTS + total support
-    size) beyond the n x n result.
+    result is bitwise the same for any count. Each block allocates its own
+    arrays and frees them when it ends, so memory beyond the n x n result
+    is O(workers x BLOCK_ELEMENTS + total support size).
     """
     n = dataset.n
     if n > MAX_DENSE_ENTITIES:
@@ -128,11 +125,9 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     else:
         workers = min(_allowed_cpus(), n - 1)
     out = np.zeros((n, n), dtype=np.float64)
-    ramp = np.arange(int(first_block.max()))  # read only, so the workers share it
 
     def rows(w):
         # worker w writes only rows i = w, w + workers, ... of out
-        scratch = _BlockScratch(int(first_block[w::workers].max()), ramp)
         for i in range(w, n - 1, workers):
             m = int(sizes[i])
             support_i = support[support_start[i]:support_start[i] + m]
@@ -142,9 +137,16 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
                 hi = min(lo + step, n)
                 out[by_size[i], by_size[lo:hi]] = _w1_block(
                     support_i, cum0_i, support, cum0, sizes[lo:hi], support_start[lo:hi],
-                    cum_start[lo:hi], scratch)
+                    cum_start[lo:hi])
             yield
 
+    # freeing a chunk that malloc mapped raises glibc's mmap threshold to its
+    # size and its trim threshold to twice that, for the whole process, so one
+    # serves every worker. Past this one the heap keeps the arrays each block
+    # allocates and frees, where it would trim and fault them in again on
+    # every block. Continuous n=400 benchmark input, first call: 1.1k minor
+    # faults on one CPU and 1.7k on two; at a quarter of this size, 199k-233k
+    np.empty(8 * int(first_block.max()), dtype=np.intp)
     _run_workers(rows, workers)
     out += out.T
     return DistanceMatrix(list(dataset.entity_ids), out, workers)
@@ -190,38 +192,7 @@ def _run_workers(work, workers):
         raise failures[0]
 
 
-class _BlockScratch:
-    """Flat buffers of ``size`` elements that every block of one worker reuses.
-
-    A block's arrays take turns in them, each moving in once the previous
-    holder is dead: ``a`` holds the merged values, then the widths Δx;
-    ``b`` the gathered pads, the sorted values, then F_j's lookups; ``c``
-    the gaps; ``index`` the pad indices, then count_i; ``from_i`` marks i's
-    points. count_j reuses the array of the sort order. ``ramp`` is
-    0, 1, 2, ... and at least ``size`` long.
-    """
-
-    def __init__(self, size, ramp):
-        # freeing a chunk that malloc mapped raises glibc's mmap threshold to
-        # its size and its trim threshold to twice that; after this one the
-        # heap keeps the memory each block's sort allocates and frees, where
-        # with thresholds near one block it could trim and fault it in again
-        # on every block. Continuous n=400 benchmark input, one CPU: 1.3k
-        # minor faults in a first call, against 4.5k or, after some other
-        # allocation histories, 35k
-        np.empty(2 * size, dtype=np.intp)
-        self.a, self.b, self.c = np.empty(size), np.empty(size), np.empty(size)
-        self.index = np.empty(size, dtype=np.intp)
-        self.from_i = np.empty(size, dtype=bool)
-        self.ramp = ramp
-
-
-def _shaped(buffer, rows, cols):
-    """The leading rows x cols elements of a flat buffer, as a C-ordered view."""
-    return buffer[:rows * cols].reshape(rows, cols)
-
-
-def _w1_block(support_i, cum0_i, support, cum0, sizes, support_start, cum_start, scratch):
+def _w1_block(support_i, cum0_i, support, cum0, sizes, support_start, cum_start):
     """Exact W1 between one ECDF and a block of others.
 
     ``support`` and ``cum0`` are every entity's support and padded
@@ -234,41 +205,28 @@ def _w1_block(support_i, cum0_i, support, cum0, sizes, support_start, cum_start,
     zero width, so neither the pads nor the order of ties change the sum.
     The stable sort merges the two sorted runs, faster than quicksort.
 
-    Every array but the sort order lives in ``scratch``, a
-    :class:`_BlockScratch`. ``take`` runs with ``mode="clip"``, a no-op on
-    these valid indices, as its default mode copies ``out`` first.
+    Every array is the block's own, allocated here; only those are updated
+    in place. ``take`` runs with ``mode="clip"``, a no-op on these valid
+    indices.
     """
     m = support_i.size
-    rows = sizes.size
     width = int(sizes.max())
     length = m + width
-    merged = _shaped(scratch.a, rows, length)
-    merged[:, :m] = support_i
-    pad = _shaped(scratch.index, rows, width)
-    np.minimum(scratch.ramp[:width], sizes[:, None] - 1, out=pad)
+    pad = np.minimum(np.arange(width), sizes[:, None] - 1)
     pad += support_start[:, None]
-    padded = _shaped(scratch.b, rows, width)
-    np.take(support, pad, out=padded, mode="clip")
-    merged[:, m:] = padded
+    merged = np.empty((sizes.size, length))
+    merged[:, :m] = support_i
+    merged[:, m:] = np.take(support, pad, mode="clip")
     order = merged.argsort(axis=1, kind="stable")
-    from_i = _shaped(scratch.from_i, rows, length - 1)
-    np.less(order[:, :-1], m, out=from_i)
-    count_i = _shaped(scratch.index, rows, length - 1)
-    np.cumsum(from_i, axis=1, out=count_i)
+    count_i = np.cumsum(order[:, :-1] < m, axis=1)
     order += np.arange(0, merged.size, length)[:, None]
-    x = _shaped(scratch.b, rows, length)
-    np.take(merged.ravel(), order, out=x, mode="clip")
-    dx = _shaped(scratch.a, rows, length - 1)
-    np.subtract(x[:, 1:], x[:, :-1], out=dx)
-    count_j = _shaped(order.ravel(), rows, length - 1)
-    np.subtract(scratch.ramp[1:length], count_i, out=count_j)
+    x = np.take(merged, order, mode="clip")
+    dx = x[:, 1:] - x[:, :-1]
+    count_j = np.arange(1, length) - count_i
     np.minimum(count_j, sizes[:, None], out=count_j)
     count_j += cum_start[:, None]
-    gap = _shaped(scratch.c, rows, length - 1)
-    np.take(cum0_i, count_i, out=gap, mode="clip")
-    cum_j = _shaped(scratch.b, rows, length - 1)
-    np.take(cum0, count_j, out=cum_j, mode="clip")
-    gap -= cum_j
+    gap = np.take(cum0_i, count_i, mode="clip")
+    gap -= np.take(cum0, count_j, mode="clip")
     np.abs(gap, out=gap)
     return np.einsum("ij,ij->i", gap, dx)
 

@@ -483,9 +483,11 @@ class TestBench:
         assert fractions == {"subwsc@0.1", "subwsc@0.2", "subwsc@0.3",
                              "subwsc@0.4", "subwsc@0.5"}
 
-    def test_bad_sweep_spec(self, tmp_path):
+    @pytest.mark.parametrize("spec", ["nope", "0.1:0.5:nan", "0.1:nan:0.1", "nan:nan:nan",
+                                      "0.1:1:inf", "0.1:1:1e-12", "0.1:1:5e-324"])
+    def test_bad_sweep_spec(self, tmp_path, spec):
         out = tmp_path / "sweepdir"
-        assert main(["bench", "--subsample-sweep", "nope", "--out", str(out)]) == 1
+        assert main(["bench", "--subsample-sweep", spec, "--out", str(out)]) == 1
         assert not out.exists()
 
     def test_m_zero_usage_error(self, tmp_path):

@@ -189,10 +189,14 @@ class TestPairwiseDistances:
                 pairwise_distances(ds)
         assert threading.active_count() == threads
 
-    def test_first_call_on_a_cold_heap(self):
-        # a fresh interpreter that has loaded nothing large: a kernel that
-        # allocated its scratch per block made glibc trim and re-fault the
-        # heap top on every block, about 220,000 minor faults on this input
+    @pytest.mark.parametrize("extra_vars", [0, 24, 48])
+    def test_first_call_on_a_cold_heap(self, extra_vars):
+        # a fresh interpreter that has loaded nothing large: each block
+        # allocates and frees its arrays, and under glibc's default mmap and
+        # trim thresholds the heap top is trimmed and faulted in again on
+        # every block, about 250,000 minor faults on this input. The extra
+        # environment variables vary what the interpreter allocated before
+        # the call, which the bound must not depend on
         probe = """
 import resource
 from wscluster import pairwise_distances, standardize
@@ -204,8 +208,10 @@ pairwise_distances(dataset)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
         src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.update({f"WSCLUSTER_TEST_PAD_{k}": "x" * 16 for k in range(extra_vars)})
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+                              env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 20_000
 
