@@ -32,7 +32,7 @@ from .ecdf import (
     read_transactions_csv,
     standardize,
 )
-from .errors import CsvFormatError, InputError, InvalidSimSpec, WsclusterError
+from .errors import ArgumentOutOfRange, InputError, WsclusterError
 from .kmeans import select_k_silhouette
 from .metrics import Partition, metric_report, render_report_table
 from .similarity import build_similarity, pairwise_distances
@@ -113,7 +113,9 @@ def build_parser():
                    default="wsc")
     p.add_argument("--k", type=_positive(int), default=None)
     p.add_argument("--k-selection", choices=["fixed", "silhouette", "eigengap"],
-                   default="fixed")
+                   default="fixed",
+                   help="eigengap reads the wsc graph; on the dense graph it tends to "
+                        "return K=1, so pair it with --knn-k0")
     p.add_argument("--k-max", type=_positive(int), default=8,
                    help="largest K considered by automatic selection")
     p.add_argument("--sigma", type=_positive(float), default=None)
@@ -180,10 +182,10 @@ def _read_labels_csv(path, file_names=False):
     out = {}
     for rownum, entity, label in _csv_rows(path, ("entity_id", "label")):
         if entity in out:
-            raise CsvFormatError(f"{path}: row {rownum}: repeated entity id {entity!r}")
+            raise InputError(f"{path}: row {rownum}: repeated entity id {entity!r}")
         if file_names and any(c in label for c in "/\\\0"):
-            raise CsvFormatError(f"{path}: row {rownum}: label {label!r} contains "
-                                 "a path separator or NUL")
+            raise InputError(f"{path}: row {rownum}: label {label!r} contains "
+                             "a path separator or NUL")
         out[entity] = label
     return out
 
@@ -272,6 +274,9 @@ def _select(config, dataset, distances, cluster):
         k = eigengap_suggest_k(eigenvalues, k_max=config.k_max + 1)
         run = top.cluster(k, config.seed) if config.method == "wsc" else cluster(k)
         return k, run, {"eigengap_eigenvalues": eigenvalues.tolist()}
+    if config.k_max < 2:
+        raise UsageError(f"--k-max {config.k_max} leaves no candidate K; "
+                         "silhouette selection needs at least 2")
     k_range = range(2, min(config.k_max, n - 1) + 1)
     if not len(k_range):
         raise UsageError("dataset too small for silhouette selection")
@@ -327,7 +332,7 @@ def cmd_eval(args) -> int:
     missing_in_pred = sorted(set(truth) - set(pred))
     missing_in_truth = sorted(set(pred) - set(truth))
     if missing_in_pred or missing_in_truth:
-        raise CsvFormatError(
+        raise InputError(
             "entity ids do not match; missing in predictions: "
             f"{missing_in_pred[:5]}, missing in truth: {missing_in_truth[:5]}")
     ids = sorted(truth)
@@ -373,7 +378,7 @@ def cmd_bench(args) -> int:
     setting = "custom" if args.sizes else args.setting
     try:
         spec = SimSpec(sizes, args.beta, args.example, seed=args.seed)
-    except InvalidSimSpec as exc:
+    except ArgumentOutOfRange as exc:
         raise UsageError(str(exc)) from None
     fractions = _parse_sweep(args.subsample_sweep, spec.n) if args.subsample_sweep else None
     _output_dir(args.out)
@@ -408,7 +413,7 @@ def cmd_plotdata(args) -> int:
     labels = _read_labels_csv(args.labels, file_names=True)
     missing = sorted({b.entity_id for b in batches} - set(labels))
     if missing:
-        raise CsvFormatError(f"labels missing for entities: {missing[:5]}")
+        raise InputError(f"labels missing for entities: {missing[:5]}")
     clusters = {}
     for b in batches:
         clusters.setdefault(labels[b.entity_id], []).append(b.amounts)

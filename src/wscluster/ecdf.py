@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArgumentOutOfRange,
-    CsvFormatError,
-    EmptyBatch,
-    NegativeAmount,
-    NonFiniteAmount,
-    SmallSampleWarning,
-)
+from .errors import ArgumentOutOfRange, InputError, SmallSampleWarning
 from .rng import substream
 
 __all__ = [
@@ -65,11 +58,11 @@ class TransactionBatch:
     def __post_init__(self):
         arr = np.asarray(self.amounts, dtype=np.float64).ravel()
         if arr.size == 0:
-            raise EmptyBatch(f"entity {self.entity_id!r} has no amounts")
+            raise InputError(f"entity {self.entity_id!r} has no amounts")
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteAmount(f"entity {self.entity_id!r} has NaN or infinite amounts")
+            raise InputError(f"entity {self.entity_id!r} has NaN or infinite amounts")
         if np.any(arr < 0):
-            raise NegativeAmount(f"entity {self.entity_id!r} has negative amounts")
+            raise InputError(f"entity {self.entity_id!r} has negative amounts")
         object.__setattr__(self, "amounts", arr)
 
     @property
@@ -149,7 +142,7 @@ def standardize(batches) -> Dataset:
     """
     batches = list(batches)
     if not batches:
-        raise EmptyBatch("no batches supplied")
+        raise InputError("no batches supplied")
     m0 = max(float(b.amounts.max()) for b in batches) or 1.0
     _warn_small_samples(batches)
     ids = [b.entity_id for b in batches]
@@ -204,7 +197,7 @@ def _csv_rows(path, columns):
     The rows follow a header of ``columns``, and a leading UTF-8
     byte-order mark is skipped. A different header, a row of one field, a
     file without data rows, bytes that are not UTF-8 and oversized fields
-    raise :class:`CsvFormatError`.
+    raise :class:`InputError`.
     """
     rows = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -212,22 +205,22 @@ def _csv_rows(path, columns):
         try:
             header = next(reader, None)
             if header is None or [c.strip().lower() for c in header[:2]] != list(columns):
-                raise CsvFormatError(f"{path}: expected header '{','.join(columns)}'")
+                raise InputError(f"{path}: expected header '{','.join(columns)}'")
             for rownum, row in enumerate(reader, start=2):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) < 2:
-                    raise CsvFormatError(f"{path}: row {rownum}: expected 2 columns")
+                    raise InputError(f"{path}: row {rownum}: expected 2 columns")
                 rows += 1
                 yield rownum, row[0], row[1]
         except UnicodeDecodeError as exc:
             # the file is decoded a block ahead of the reader, so the bad byte lies past line_num
-            raise CsvFormatError(
+            raise InputError(
                 f"{path}: not UTF-8 text after line {reader.line_num}: {exc.reason}") from None
         except csv.Error as exc:
-            raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
 
 
 def read_transactions_csv(path) -> list[TransactionBatch]:
@@ -258,7 +251,7 @@ def _read_with_csv(path) -> list[TransactionBatch]:
         try:
             value = float(amount)
         except ValueError:
-            raise CsvFormatError(
+            raise InputError(
                 f"{path}: row {rownum}: unparseable amount {amount!r}") from None
         amounts.setdefault(entity, []).append(value)
     return [TransactionBatch(e, np.asarray(v)) for e, v in amounts.items()]

@@ -6,45 +6,29 @@ class WsclusterError(Exception):
 
 
 class ArgumentOutOfRange(WsclusterError, ValueError):
-    """An argument outside the range its function accepts; the message names it and the range.
+    """An argument its function does not accept; the message names it and what is accepted.
 
     Raised for a cluster count, neighbor threshold, eigenpair count, K
     range, subsample size or plan, transaction cap, replication count or
-    kernel scale out of range, for a coverage rule whose minimum cluster
-    size is not below the population, and for eigengap selection over
-    fewer than two eigenvalues.
+    kernel scale out of range; for a coverage rule whose minimum cluster
+    size is not below the population; for eigengap selection over fewer
+    than two eigenvalues; for a matrix the eigensolver cannot take (not
+    square, or not symmetric); for a silhouette over fewer than two
+    occupied clusters; for partitions of different lengths; for a
+    simulation spec that cannot be drawn; and for a method name that the
+    method table does not hold.
     """
 
 
 # --- input validation -------------------------------------------------------
 
-class InputError(WsclusterError):
+class InputError(WsclusterError, ValueError):
     """The input data itself is unusable; the CLI exits with code 2.
 
     Raised for an empty batch, an amount that is NaN, infinite or negative,
-    a CSV that does not parse, and more entities than the dense distance
-    matrix holds.
+    a CSV that does not parse (the message carries the row), and more
+    entities than the dense distance matrix holds.
     """
-
-
-class EmptyBatch(InputError):
-    """A transaction batch contains no amounts."""
-
-
-class NonFiniteAmount(InputError):
-    """An amount is NaN or infinite."""
-
-
-class NegativeAmount(InputError):
-    """An amount is below zero."""
-
-
-class CsvFormatError(InputError):
-    """A transaction or label CSV could not be parsed; message carries the row."""
-
-
-class TooManyEntities(InputError, ValueError):
-    """More entities than the dense n x n distance matrix is allowed to hold."""
 
 
 # --- similarity graph -------------------------------------------------------
@@ -54,14 +38,14 @@ class NoVariation(WsclusterError):
 
 
 class IsolatedEntity(WsclusterError):
-    """Sigma is so small that an entity has no positive similarity to any other."""
+    """The similarity graph has an isolated entity.
+
+    Raised when sigma is so small that an entity has no positive similarity
+    to any other, and when a similarity row sums to zero.
+    """
 
 
 # --- spectral engine --------------------------------------------------------
-
-class ZeroDegree(WsclusterError):
-    """A similarity row sums to zero; the graph has an isolated entity."""
-
 
 class NoConvergence(WsclusterError):
     """The eigensolver failed to reach the residual tolerance."""
@@ -71,41 +55,10 @@ class RankDeficientSample(WsclusterError):
     """The subsample Gram matrix has fewer than K usable eigenvalues."""
 
 
-class NotSquare(WsclusterError, ValueError):
-    """The eigensolver was given a matrix that is not square."""
-
-
-class NotSymmetric(WsclusterError, ValueError):
-    """The eigensolver was given a matrix that is not symmetric."""
-
-
 # --- clustering -------------------------------------------------------------
-
-class SingleCluster(WsclusterError):
-    """Silhouette needs at least two occupied clusters."""
-
-
-class LengthMismatch(WsclusterError):
-    """Two partitions being compared have different lengths."""
-
 
 class InertiaIncreased(WsclusterError):
     """A Lloyd iteration raised the K-means inertia: a bug, never a property of the input."""
-
-
-# --- simulation and benchmark -----------------------------------------------
-
-class InvalidSimSpec(WsclusterError, ValueError):
-    """A simulation spec that cannot be drawn.
-
-    It names no known example, has a cluster size below 1, or has a beta
-    that is not positive and finite or whose expected draw beta * n
-    exceeds ``simulate.MAX_SIM_AMOUNTS``.
-    """
-
-
-class UnknownMethod(WsclusterError, ValueError):
-    """A clustering method name that the method table does not hold."""
 
 
 # --- warnings ---------------------------------------------------------------

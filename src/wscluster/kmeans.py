@@ -17,7 +17,6 @@ from .errors import (
     CandidateSkippedWarning,
     InertiaIncreased,
     RankDeficientSample,
-    SingleCluster,
 )
 from .rng import substream
 
@@ -137,7 +136,7 @@ def silhouette_mean(distances, labels) -> float:
     """
     uniq, own = np.unique(np.asarray(labels), return_inverse=True)
     if uniq.size < 2:
-        raise SingleCluster("silhouette needs at least two occupied clusters")
+        raise ArgumentOutOfRange("silhouette needs at least two occupied clusters")
     n, points = own.size, np.arange(own.size)
     # each point's summed distance to each cluster, through a one-hot matrix
     sums = np.asarray(distances, dtype=np.float64) @ np.eye(uniq.size)[own]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import ArgumentOutOfRange
 
 __all__ = [
     "Partition",
@@ -60,7 +60,7 @@ def _aligned_labels(truth, pred):
     t = truth.labels if isinstance(truth, Partition) else np.asarray(truth, dtype=np.int64)
     p = pred.labels if isinstance(pred, Partition) else np.asarray(pred, dtype=np.int64)
     if t.size != p.size:
-        raise LengthMismatch(f"partition lengths differ: {t.size} vs {p.size}")
+        raise ArgumentOutOfRange(f"partition lengths differ: {t.size} vs {p.size}")
     return t, p
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import Dataset, _padded_cum
-from .errors import ArgumentOutOfRange, IsolatedEntity, NoVariation, TooManyEntities
+from .errors import ArgumentOutOfRange, InputError, IsolatedEntity, NoVariation
 
 __all__ = [
     "DistanceMatrix",
@@ -101,7 +101,7 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     """
     n = dataset.n
     if n > MAX_DENSE_ENTITIES:
-        raise TooManyEntities(f"n={n} exceeds the dense-matrix guard ({MAX_DENSE_ENTITIES})")
+        raise InputError(f"n={n} exceeds the dense-matrix guard ({MAX_DENSE_ENTITIES})")
     if n < 2:  # no pairs, and np.concatenate below needs one entity
         return DistanceMatrix(list(dataset.entity_ids), np.zeros((n, n)))
     sizes = np.array([e.support.size for e in dataset.ecdfs], dtype=np.intp)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecdf import Dataset, TransactionBatch, standardize
-from .errors import ArgumentOutOfRange, InvalidSimSpec, UnknownMethod, WsclusterError
+from .errors import ArgumentOutOfRange, WsclusterError
 from .kmeans import kmeans
 from .metrics import Partition, cluster_accuracy, nmi, rand_index
 from .rng import substream
@@ -70,13 +70,13 @@ class SimSpec:
 
     def __post_init__(self):
         if self.example not in (1, 2):
-            raise InvalidSimSpec("example must be 1 (continuous) or 2 (discrete)")
+            raise ArgumentOutOfRange("example must be 1 (continuous) or 2 (discrete)")
         if any(s < 1 for s in self.cluster_sizes):
-            raise InvalidSimSpec("cluster sizes must be positive")
+            raise ArgumentOutOfRange("cluster sizes must be positive")
         if not 0 < self.beta < math.inf:
-            raise InvalidSimSpec("beta must be positive and finite")
+            raise ArgumentOutOfRange("beta must be positive and finite")
         if self.beta * self.n > MAX_SIM_AMOUNTS:
-            raise InvalidSimSpec(
+            raise ArgumentOutOfRange(
                 f"beta={self.beta:g} asks for about {self.beta * self.n:.3g} amounts over "
                 f"{self.n} entities; at most {MAX_SIM_AMOUNTS:.0e} are drawn")
 
@@ -190,6 +190,8 @@ def hc_complete_baseline(d: DistanceMatrix, k: int) -> Partition:
     order. The cut always yields exactly k clusters.
     """
     n = d.n
+    if k < 1:
+        raise ArgumentOutOfRange("k must be at least 1")
     if k > n:
         raise ArgumentOutOfRange(f"k={k} exceeds n={n}")
     if n == 1:
@@ -261,7 +263,7 @@ def run_method(method: str, dataset: Dataset, batches, distances: DistanceMatrix
     elif method == "hc":
         part = hc_complete_baseline(distances, k)
     else:
-        raise UnknownMethod(f"unknown method {method!r}")
+        raise ArgumentOutOfRange(f"unknown method {method!r}")
     return ClusteringRun(part, None, sigma=None)
 
 

@@ -29,14 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecdf import Dataset
-from .errors import (
-    ArgumentOutOfRange,
-    NoConvergence,
-    NotSquare,
-    NotSymmetric,
-    RankDeficientSample,
-    ZeroDegree,
-)
+from .errors import ArgumentOutOfRange, IsolatedEntity, NoConvergence, RankDeficientSample
 from .kmeans import kmeans
 from .metrics import Partition
 from .rng import substream
@@ -115,11 +108,11 @@ class ClusteringRun:
 
 
 def normalized_laplacian(s: SimilarityMatrix) -> Laplacian:
-    """L = D^{-1/2} S D^{-1/2}, degrees the full row sums of S; a zero one raises ZeroDegree."""
+    """L = D^{-1/2} S D^{-1/2}, degrees the full row sums of S; a zero one is an IsolatedEntity."""
     degrees = s.entries.sum(axis=1)
     bad = np.flatnonzero(degrees <= 0)
     if bad.size:
-        raise ZeroDegree(
+        raise IsolatedEntity(
             f"entity {s.entity_ids[bad[0]]!r} has zero degree; "
             "increase k0 or disable sparsification")
     scale = 1.0 / np.sqrt(degrees)
@@ -192,7 +185,7 @@ def sym_eig_topk(m: np.ndarray, k: int):
     global _last_solve
     m = np.ascontiguousarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquare("matrix must be square")
+        raise ArgumentOutOfRange("matrix must be square")
     n = m.shape[0]
     try:
         k = operator.index(k)
@@ -206,7 +199,7 @@ def sym_eig_topk(m: np.ndarray, k: int):
     if last is None or last[0] != key:
         asym = float(np.abs(m - m.T).max()) if n > 1 else 0.0
         if asym > 1e-12:
-            raise NotSymmetric(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+            raise ArgumentOutOfRange(f"matrix is not symmetric (max asymmetry {asym:.3e})")
         last = (key, *_solve_top(m, pairs))
         _last_solve = last
     _, values, vectors = last
@@ -288,6 +281,8 @@ def default_subsample_size(n: int, k: int) -> int:
     conservative under moderate imbalance; override with an explicit n_s
     when better information exists.
     """
+    if k < 1:
+        raise ArgumentOutOfRange("k must be at least 1")
     n_min_est = max(1, n // (4 * k))
     if n_min_est >= n:
         return n
@@ -427,6 +422,8 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
     resample or enlarge n_s in that case.
     """
     n = dataset.n
+    if k < 1:
+        raise ArgumentOutOfRange("k must be at least 1")
     if plan is None:
         if n_s is None:
             n_s = max(k, default_subsample_size(n, k))

@@ -226,6 +226,25 @@ class TestCluster:
         assert run["k"] == 3
         assert "silhouette_scores" in run["k_selection"]
 
+    def test_silhouette_with_k_max_below_two_is_usage_error(self, toy_csv, tmp_path, capsys):
+        csv_path, _ = toy_csv
+        out = tmp_path / "out"
+        assert main(["cluster", str(csv_path), "--k-selection", "silhouette",
+                     "--k-max", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("usage error: --k-max 1 leaves no candidate K; "
+                                           "silhouette selection needs at least 2\n")
+        assert not out.exists()
+
+    def test_silhouette_on_two_entities_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "two.csv"
+        write_transactions(path, [("a", [1, 2]), ("b", [5, 6])])
+        out = tmp_path / "out"
+        assert main(["cluster", str(path), "--k-selection", "silhouette",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("usage error: dataset too small for "
+                                           "silhouette selection\n")
+        assert not out.exists()
+
     def test_silhouette_skips_a_rank_deficient_candidate(self, toy_csv, tmp_path):
         # three groups of identical ECDFs: subwsc's sample Gram matrix has rank 3,
         # so K=4 cannot be embedded, and selection goes on without it

@@ -16,14 +16,7 @@ from wscluster import (
     standardize,
     wasserstein,
 )
-from wscluster.errors import (
-    ArgumentOutOfRange,
-    CsvFormatError,
-    EmptyBatch,
-    NegativeAmount,
-    NonFiniteAmount,
-    SmallSampleWarning,
-)
+from wscluster.errors import ArgumentOutOfRange, InputError, SmallSampleWarning
 
 
 class TestBuildEcdf:
@@ -52,13 +45,13 @@ class TestBuildEcdf:
                 assert e.evaluate(a) == np.sum(amounts <= a) / v
 
     def test_invalid_batches(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(InputError, match="entity 'a' has no amounts"):
             TransactionBatch("a", [])
-        with pytest.raises(NonFiniteAmount):
+        with pytest.raises(InputError, match="entity 'a' has NaN or infinite amounts"):
             TransactionBatch("a", [1.0, np.nan])
-        with pytest.raises(NonFiniteAmount):
+        with pytest.raises(InputError, match="entity 'a' has NaN or infinite amounts"):
             TransactionBatch("a", [np.inf])
-        with pytest.raises(NegativeAmount):
+        with pytest.raises(InputError, match="entity 'a' has negative amounts"):
             TransactionBatch("a", [1.0, -0.5])
 
 
@@ -190,25 +183,25 @@ class TestCsvIngestion:
     def test_unparseable_amount_reports_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("entity_id,amount\nm1,10\nm2,abc\n")
-        with pytest.raises(CsvFormatError, match="row 3"):
+        with pytest.raises(InputError, match="row 3: unparseable amount 'abc'"):
             read_transactions_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,value\nm1,10\n")
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(InputError, match="expected header 'entity_id,amount'"):
             read_transactions_csv(path)
 
     def test_bytes_not_utf8(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"entity_id,amount\na,1\nb,\xff2\n")
-        with pytest.raises(CsvFormatError, match="not UTF-8"):
+        with pytest.raises(InputError, match="not UTF-8 text after line"):
             read_transactions_csv(path)
 
     def test_oversized_field(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("entity_id,amount\na,1\nb," + "1" * 200_000 + "\n")
-        with pytest.raises(CsvFormatError, match="line 3"):
+        with pytest.raises(InputError, match="line 3: field larger than field limit"):
             read_transactions_csv(path)
 
     def test_interleaved_entities_across_many_chunks(self, tmp_path, monkeypatch):

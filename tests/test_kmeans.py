@@ -10,7 +10,6 @@ from wscluster.errors import (
     CandidateSkippedWarning,
     InertiaIncreased,
     RankDeficientSample,
-    SingleCluster,
 )
 
 # the package re-exports the function kmeans under the submodule's name
@@ -178,7 +177,8 @@ class TestSilhouette:
         assert silhouette_mean(euclidean(points), labels) > 0.9
 
     def test_single_cluster_error(self):
-        with pytest.raises(SingleCluster):
+        with pytest.raises(ArgumentOutOfRange,
+                           match="silhouette needs at least two occupied clusters"):
             silhouette_mean(np.zeros((4, 4)), [0, 0, 0, 0])
 
 

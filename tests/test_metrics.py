@@ -13,7 +13,7 @@ from wscluster import (
     rand_index,
 )
 from wscluster.metrics import render_report_table
-from wscluster.errors import LengthMismatch
+from wscluster.errors import ArgumentOutOfRange
 
 
 def pair_count_rand_index(truth, pred):
@@ -204,11 +204,11 @@ class TestInvariances:
 
 
 def test_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ArgumentOutOfRange, match="partition lengths differ: 2 vs 3"):
         rand_index([0, 1], [0, 1, 2])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ArgumentOutOfRange, match="partition lengths differ: 1 vs 2"):
         cluster_accuracy([0], [0, 1])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ArgumentOutOfRange, match="partition lengths differ: 3 vs 2"):
         nmi([0, 1, 0], [0, 1])
 
 

@@ -21,21 +21,21 @@ from wscluster import (
 from wscluster import simulate, spectral
 from wscluster.simulate import MAX_SIM_AMOUNTS, SETTING_SIZES, run_method, subsample_sweep
 from wscluster.spectral import subsample_plan, subwsc_run, sym_eig_topk, wsc_run
-from wscluster.errors import ArgumentOutOfRange, InvalidSimSpec, UnknownMethod
+from wscluster.errors import ArgumentOutOfRange
 
 
 @pytest.mark.parametrize("sizes, beta, example, message", [
-    ((5, 5), 10.0, 3, "example must be"),
-    ((5, 0), 10.0, 1, "cluster sizes"),
-    ((5, 5), 0.0, 2, "beta"),
-    ((5, 5), math.inf, 1, "finite"),
-    ((5, 5), math.nan, 1, "finite"),
-    ((5, 5), 1e25, 1, "amounts"),
+    ((5, 5), 10.0, 3, r"example must be 1 \(continuous\) or 2 \(discrete\)"),
+    ((5, 0), 10.0, 1, "cluster sizes must be positive"),
+    ((5, 5), 0.0, 2, "beta must be positive and finite"),
+    ((5, 5), math.inf, 1, "beta must be positive and finite"),
+    ((5, 5), math.nan, 1, "beta must be positive and finite"),
+    ((5, 5), 1e25, 1, r"amounts over 10 entities; at most 1e\+08 are drawn"),
     # beta * n just past MAX_SIM_AMOUNTS
-    ((5, 5), MAX_SIM_AMOUNTS / 10 * 1.001, 2, "amounts"),
+    ((5, 5), MAX_SIM_AMOUNTS / 10 * 1.001, 2, r"amounts over 10 entities; at most 1e\+08"),
 ], ids=["example", "size", "beta", "beta-inf", "beta-nan", "beta-huge", "beta-past-cap"])
 def test_invalid_sim_spec(sizes, beta, example, message):
-    with pytest.raises(InvalidSimSpec, match=message) as info:
+    with pytest.raises(ArgumentOutOfRange, match=message) as info:
         SimSpec(sizes, beta, example)
     assert isinstance(info.value, ValueError)
 
@@ -276,8 +276,15 @@ class TestRunMethod:
             expected = expected.partition
         assert np.array_equal(run.partition.labels, expected.labels)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("method", sorted(DIRECT_CALLS))
+    def test_k_below_one_is_rejected(self, data, method, k):
+        # default keywords, so that subwsc sizes its own sample from k
+        with pytest.raises(ArgumentOutOfRange, match=f"k={k} outside|k must be at least 1"):
+            run_method(method, *data, k, seed=4)
+
     def test_unknown_method_raises(self, data):
-        with pytest.raises(UnknownMethod, match="unknown method 'wsc_dense'") as info:
+        with pytest.raises(ArgumentOutOfRange, match="unknown method 'wsc_dense'") as info:
             run_method("wsc_dense", *data, 3, seed=4)
         assert isinstance(info.value, ValueError)
 

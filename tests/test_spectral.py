@@ -10,6 +10,7 @@ from wscluster import (
     SimilarityMatrix,
     TransactionBatch,
     cluster_accuracy,
+    default_subsample_size,
     eigengap_suggest_k,
     graph_laplacian,
     normalized_laplacian,
@@ -25,14 +26,7 @@ from wscluster import (
     wsc_spectrum,
 )
 from wscluster import spectral
-from wscluster.errors import (
-    ArgumentOutOfRange,
-    NoConvergence,
-    NotSquare,
-    NotSymmetric,
-    RankDeficientSample,
-    ZeroDegree,
-)
+from wscluster.errors import ArgumentOutOfRange, IsolatedEntity, NoConvergence, RankDeficientSample
 from wscluster.similarity import build_similarity, knn_sparsify
 
 
@@ -79,7 +73,7 @@ class TestNormalizedLaplacian:
     def test_zero_degree(self):
         entries = np.eye(3)
         entries[1, 1] = 0.0
-        with pytest.raises(ZeroDegree, match="e1"):
+        with pytest.raises(IsolatedEntity, match="entity 'e1' has zero degree"):
             normalized_laplacian(_sim(entries))
 
 
@@ -131,13 +125,14 @@ class TestSymEigTopk:
         assert np.allclose(vectors.T @ vectors, np.eye(5), atol=1e-8)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric, match="1.000e-06") as info:
+        with pytest.raises(ArgumentOutOfRange,
+                           match=r"not symmetric \(max asymmetry 1.000e-06\)") as info:
             sym_eig_topk(np.array([[0.0, 1e-6], [0.0, 0.0]]), 1)
         assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
     def test_rejects_non_square(self, shape):
-        with pytest.raises(NotSquare) as info:
+        with pytest.raises(ArgumentOutOfRange, match="matrix must be square") as info:
             sym_eig_topk(np.zeros(shape), 1)
         assert isinstance(info.value, ValueError)
 
@@ -304,7 +299,8 @@ class TestPartialEigensolve:
         sym_eig_topk(m, self.K)
         skewed = m.copy()
         skewed[0, 1] += 1e-6
-        with pytest.raises(NotSymmetric, match="1.000e-06"):
+        with pytest.raises(ArgumentOutOfRange,
+                           match=r"not symmetric \(max asymmetry 1.000e-06\)"):
             sym_eig_topk(skewed, self.K)
         assert self.calls == ["evr"]
 
@@ -367,11 +363,15 @@ class TestRequiredSubsampleSize:
         with pytest.raises(ArgumentOutOfRange):
             required_subsample_size(10, 10, 2)
 
+    # n_min None stands for default_subsample_size, which estimates n_min as n // (4 * k)
     @pytest.mark.parametrize("n, n_min, k, name", [
-        (1, 1, 1, "n"), (10, 5, 0, "k"), (10, 0, 2, "n_min")])
+        (1, 1, 1, "n"), (10, 5, 0, "k"), (10, 0, 2, "n_min"), (10, None, 0, "k")])
     def test_argument_below_its_minimum(self, n, n_min, k, name):
         with pytest.raises(ArgumentOutOfRange, match=f"^{name} must") as info:
-            required_subsample_size(n, n_min, k)
+            if n_min is None:
+                default_subsample_size(n, k)
+            else:
+                required_subsample_size(n, n_min, k)
         assert isinstance(info.value, ValueError)
 
 
