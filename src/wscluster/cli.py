@@ -234,7 +234,11 @@ def _load(path, timings, cap=None, seed=0):
 
 @contextlib.contextmanager
 def _recorded_warnings():
-    """Collect every warning raised in the block; print each to stderr on the way out."""
+    """Collect every warning raised in the block; print each to stderr on the way out.
+
+    Each prints as ``Category: message``. The warning's source location is
+    left out: it names a line of this package, not of the input.
+    """
     caught = []
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -242,8 +246,7 @@ def _recorded_warnings():
             yield caught
     finally:
         for w in caught:
-            print(warnings.formatwarning(w.message, w.category, w.filename, w.lineno),
-                  end="", file=sys.stderr)
+            print(f"{w.category.__name__}: {w.message}", file=sys.stderr)
 
 
 def _select(config, dataset, distances, cluster):
@@ -256,8 +259,9 @@ def _select(config, dataset, distances, cluster):
     Gram matrix changes with K, so each candidate solves its own. Since
     :func:`spectral.sym_eig_topk` keeps its last solve, repeating a solve
     of the same matrix for a K in the same block of ``EIG_BLOCK`` pairs
-    costs a digest, not a solve. Either way the chosen K's run is the
-    final one.
+    costs a digest, not a solve; :func:`spectral.wsc_spectrum` on the same
+    read-only ``distances`` with the same arguments costs neither the
+    graph nor the digest. Either way the chosen K's run is the final one.
     """
     if config.k_selection == "fixed":
         if config.k is None:

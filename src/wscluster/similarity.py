@@ -47,6 +47,14 @@ THREADS_MIN_BLOCK = 8192
 class DistanceMatrix:
     """Symmetric n x n matrix of pairwise Wasserstein distances.
 
+    ``entries`` is read-only. A C-contiguous float64 array that owns its
+    data is frozen in place, so the array given here becomes read-only too
+    and is not copied; any other input is copied into such an array first.
+    An entries shape other than (n, n) for the n ids, or a non-finite
+    entry, raises :class:`InputError`. Being read-only is what lets
+    :func:`wscluster.spectral.wsc_spectrum` reuse its solve of a graph of
+    the same array without rebuilding the graph.
+
     ``workers`` records the threads :func:`pairwise_distances` computed it
     on, and is 0 where no pair was computed there.
     """
@@ -54,6 +62,22 @@ class DistanceMatrix:
     entity_ids: list[str]
     entries: np.ndarray
     workers: int = 0
+
+    def __post_init__(self):
+        entries = self.entries
+        if not (type(entries) is np.ndarray and entries.dtype == np.float64
+                and entries.flags.c_contiguous and entries.flags.owndata):
+            entries = np.array(entries, dtype=np.float64, order="C")
+        n = len(self.entity_ids)
+        if entries.shape != (n, n):
+            raise InputError(f"distance entries of shape {entries.shape} for {n} entities")
+        finite = np.isfinite(entries)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise InputError(f"distance between {self.entity_ids[i]!r} and "
+                             f"{self.entity_ids[j]!r} is {entries[i, j]}")
+        entries.flags.writeable = False
+        self.entries = entries
 
     @property
     def n(self) -> int:
@@ -260,17 +284,24 @@ def nearest_neighbor_sets(d: DistanceMatrix, k0: int) -> np.ndarray:
     """Index matrix of each entity's k0 nearest neighbors.
 
     Row j lists the k0 entities closest to j, self excluded, distance ties
-    broken by the smaller entity index.
+    broken by the smaller entity index: bitwise a stable ``argsort`` of
+    each row's distances cut to k0 columns. Each row's k0-th distance comes
+    from a partition, and only the entries at or below it are sorted.
     """
     n = d.n
     if not 1 <= k0 <= n - 1:
         raise ArgumentOutOfRange(f"k0={k0} outside [1, {n - 1}]")
-    # column j holds the distances to j; a stable sort keeps ties in index order
-    # and puts the NaN that stands for self last
-    dist_to = d.entries.T.astype(np.float64, order="C")
+    # row j holds the distances to j; the NaN that stands for self sorts last,
+    # and every other entry is finite, so each row has at least k0 candidates
+    dist_to = d.entries.T.copy()
     np.fill_diagonal(dist_to, np.nan)
-    # a copy, as a view of the slice would keep the whole n x n argsort alive
-    return np.argsort(dist_to, axis=1, kind="stable")[:, :k0].copy()
+    # a copy, as a view of the column would keep the whole partitioned n x n alive
+    kth = np.partition(dist_to, k0 - 1, axis=1)[:, k0 - 1].copy()
+    rows, cols = np.nonzero(dist_to <= kth[:, None])
+    order = np.lexsort((cols, dist_to[rows, cols], rows))
+    counts = np.bincount(rows, minlength=n)
+    first = np.cumsum(counts) - counts
+    return cols[order[first[:, None] + np.arange(k0)]]
 
 
 def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int) -> SimilarityMatrix:

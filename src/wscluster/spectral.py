@@ -7,7 +7,9 @@ come from one LAPACK call in :func:`sym_eig_topk`: numpy's ``eigh``
 (``dsyevd``, all n pairs) below :data:`PARTIAL_EIG_MIN_N` rows, and scipy's
 ``eigh`` with ``driver="evr"`` (``dsyevr``, only the leading pairs, in
 whole blocks of :data:`EIG_BLOCK`) at or above it. The last solve is kept,
-so asking again for pairs of the same matrix does not solve it again.
+so asking again for pairs of the same matrix does not solve it again, and
+:func:`wsc_spectrum` asking again for the same graph of the same read-only
+distance matrix does not build it again.
 Either way every returned pair must satisfy ||L v - lambda v|| <=
 EIG_TOLERANCE * max |lambda| over the eigenvalues LAPACK returned.
 
@@ -24,6 +26,7 @@ import hashlib
 import math
 import operator
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +65,8 @@ PARTIAL_EIG_MIN_N = 1450
 # eigenpairs are solved for in whole blocks of this many; see sym_eig_topk
 EIG_BLOCK = 16
 
-# (key, eigenvalues, vectors) of the last solve that passed its checks
+# (key, eigenvalues, vectors, graph) of the last solve that passed its checks;
+# graph is set by wsc_spectrum, see there, and is None for any other solve
 _last_solve = None
 
 
@@ -166,12 +170,17 @@ def sym_eig_topk(m: np.ndarray, k: int):
     which are exactly what a cold call returns, so results never depend on
     what ran before. Repeated K selection over one graph therefore solves
     once, whether it goes through :class:`Spectrum` or one pipeline run per
-    K. ``blake2b`` is built into Python. The OpenSSL digests (``sha1``,
-    ``sha256``) hash an 18 MB matrix in 15 ms against 35 ms, but ``sha1``
-    raised a forked child's peak RSS from 78.2 to 79.2 MB. Only a solve
-    that passed every check below is kept. The symmetry check runs only on
-    a miss, since a hit's bytes are those of a matrix that passed it; that
-    saves its two n x n temporaries, 23 ms at n=1500.
+    K. A solve that :func:`wsc_spectrum` makes from a
+    :class:`~wscluster.similarity.DistanceMatrix`, whose entries are
+    read-only, is kept under that array as well, so its later calls
+    neither rebuild L nor hash it; a call here still hashes m, and hits
+    when m has the kept solve's bytes. ``blake2b`` is built into Python.
+    The OpenSSL digests (``sha1``, ``sha256``) hash an 18 MB matrix in
+    15 ms against 35 ms, but ``sha1`` raised a forked child's peak RSS
+    from 78.2 to 79.2 MB. Only a solve that passed every check below is
+    kept. The symmetry check runs only on a miss, since a hit's bytes are
+    those of a matrix that passed it; that saves its two n x n
+    temporaries, 23 ms at n=1500.
 
     Every returned pair must satisfy ||m v - lambda v|| <= EIG_TOLERANCE *
     max |lambda|, the maximum taken over the eigenvalues LAPACK returned.
@@ -193,17 +202,21 @@ def sym_eig_topk(m: np.ndarray, k: int):
         raise ArgumentOutOfRange(f"k={k!r} is not an integer") from None
     if not 1 <= k <= n:
         raise ArgumentOutOfRange(f"k={k} outside [1, {n}]")
-    pairs = min(n, EIG_BLOCK * -(-k // EIG_BLOCK))
+    pairs = _block_pairs(n, k)
     key = (hashlib.blake2b(m).digest(), n, pairs)
     last = _last_solve
     if last is None or last[0] != key:
         asym = float(np.abs(m - m.T).max()) if n > 1 else 0.0
         if asym > 1e-12:
             raise ArgumentOutOfRange(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-        last = (key, *_solve_top(m, pairs))
+        last = (key, *_solve_top(m, pairs), None)
         _last_solve = last
-    _, values, vectors = last
-    return values[:k].copy(), vectors[:, :k].copy()
+    return last[1][:k].copy(), last[2][:, :k].copy()
+
+
+def _block_pairs(n: int, k: int) -> int:
+    """Pairs solved for to return k of an order-n matrix; see :func:`sym_eig_topk`."""
+    return min(n, EIG_BLOCK * -(-k // EIG_BLOCK))
 
 
 def _solve_top(m: np.ndarray, pairs: int):
@@ -348,8 +361,9 @@ def _spectrum(dataset: Dataset, embed, *, sigma, knn_k0, distances, plan=None) -
     """The stage both pipelines share: graph, then embedding.
 
     The graph is timed as ``similarity``; ``embed`` turns the entries of
-    its Laplacian into ``(eigenvalues, rows)`` and is timed as
-    ``eigensolve``. The Laplacian is released once the embedding exists.
+    its Laplacian and the sigma used into ``(eigenvalues, rows)`` and is
+    timed as ``eigensolve``. The Laplacian is released once the embedding
+    exists.
     """
     timings = {}
     if distances is None:
@@ -362,7 +376,7 @@ def _spectrum(dataset: Dataset, embed, *, sigma, knn_k0, distances, plan=None) -
     timings["similarity"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    eigenvalues, rows = embed(lap.entries)
+    eigenvalues, rows = embed(lap.entries, sigma)
     del lap
     embedding = SpectralEmbedding(rows=rows, eigenvalues=eigenvalues)
     timings["eigensolve"] = time.perf_counter() - t0
@@ -376,11 +390,44 @@ def wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
 
     Its :meth:`Spectrum.cluster` runs K-means for any K up to k, so that
     selecting K over a range costs one graph and one eigensolve.
+
+    Given ``distances``, whose entries are read-only, a solve made here is
+    also kept under a second key: a weak reference to that entries array,
+    ``sigma``, ``knn_k0``, the block of pairs solved for (see
+    :func:`sym_eig_topk`) and the sigma used. A later call on the same
+    array with the same arguments, for any k in the block, returns copies
+    of the kept prefix without building the graph or hashing L, so K
+    selection by one :func:`wsc_run` per K builds and solves one graph.
+    The results are bitwise those of a cold call. Any other solve replaces
+    the kept one, and the weak reference never keeps the array alive.
     """
     if not 1 <= k <= dataset.n:
         raise ArgumentOutOfRange(f"k={k} outside [1, {dataset.n}]")
-    return _spectrum(dataset, lambda entries: sym_eig_topk(entries, k),
-                     sigma=sigma, knn_k0=knn_k0, distances=distances)
+    t0 = time.perf_counter()
+    entries = distances.entries if distances is not None else None
+    params = None
+    if entries is not None and not entries.flags.writeable:
+        params = (sigma, knn_k0, _block_pairs(distances.n, k))
+    last = _last_solve
+    graph = last[3] if last is not None else None
+    if params is not None and graph is not None and graph[0]() is entries and graph[1] == params:
+        t1 = time.perf_counter()
+        embedding = SpectralEmbedding(rows=last[2][:, :k].copy(),
+                                      eigenvalues=last[1][:k].copy())
+        timings = {"similarity": t1 - t0, "eigensolve": time.perf_counter() - t1}
+        return Spectrum(dataset, embedding, graph[2], timings)
+
+    def embed(lap_entries, sigma_used):
+        global _last_solve
+        values, vectors = sym_eig_topk(lap_entries, k)
+        last = _last_solve
+        # the kept solve is this graph's unless another thread solved since
+        if (params is not None and np.array_equal(last[1][:k], values)
+                and np.array_equal(last[2][:, :k], vectors)):
+            _last_solve = (*last[:3], (weakref.ref(entries), params, sigma_used))
+        return values, vectors
+
+    return _spectrum(dataset, embed, sigma=sigma, knn_k0=knn_k0, distances=distances)
 
 
 def wsc_run(dataset: Dataset, k: int, *, sigma: float | None = None,
@@ -432,7 +479,7 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
         raise ArgumentOutOfRange(f"plan is over {plan.n} entities, dataset has {n}")
     if k > plan.n_s:
         raise ArgumentOutOfRange(f"k={k} exceeds the subsample size {plan.n_s}")
-    return _spectrum(dataset, lambda entries: _gram_embedding(entries[:, plan.selected], k),
+    return _spectrum(dataset, lambda entries, _: _gram_embedding(entries[:, plan.selected], k),
                      sigma=sigma, knn_k0=knn_k0, distances=distances,
                      plan=plan).cluster(k, seed)
 

@@ -175,6 +175,21 @@ class TestCluster:
         assert "first: 'e0'" in recorded[0]["message"]
         assert "SmallSampleWarning: " + recorded[0]["message"] in capsys.readouterr().err
 
+    def test_warnings_print_without_a_source_location(self, tmp_path):
+        path = tmp_path / "small.csv"
+        write_transactions(path, [("e0", [1.0])] + [
+            (f"e{i}", [i, i + 0.5, i + 1.0, i + 2.0]) for i in range(1, 12)])
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wscluster.cli", "cluster", str(path), "--k", "2",
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        message = json.loads((out / "run.json").read_text())["warnings"][0]["message"]
+        assert proc.stderr == f"SmallSampleWarning: {message}\n"
+        assert ".py:" not in proc.stderr
+
     @pytest.mark.parametrize("method", ["wsc", "subwsc"])
     def test_loads_no_scipy(self, tmp_path, method):
         batches, _ = generate(SimSpec((10, 10, 10), beta=30, example=1, seed=1))

@@ -221,6 +221,52 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert isinstance(info.value, ValueError)
 
 
+class TestDistanceMatrix:
+    def test_an_owned_float64_array_is_frozen_in_place(self):
+        entries = np.array([[0.0, 1.0], [1.0, 0.0]])
+        d = DistanceMatrix(["a", "b"], entries)
+        assert d.entries is entries
+        assert not entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            d.entries[0, 1] = 2.0
+
+    def test_pairwise_distances_are_read_only(self):
+        d = pairwise_distances(_dataset([[1.0, 2.0], [3.0], [0.5, 4.0]]))
+        assert not d.entries.flags.writeable
+
+    @pytest.mark.parametrize("convert", [
+        lambda a: a[:, :],
+        lambda a: a.astype(np.float32),
+        lambda a: np.asfortranarray(a),
+        lambda a: a.tolist(),
+    ], ids=["view", "float32", "fortran", "list"])
+    def test_any_other_input_is_copied(self, convert):
+        base = np.array([[0.0, 0.5, 2.0], [0.5, 0.0, 1.5], [2.0, 1.5, 0.0]])
+        given_entries = convert(base)
+        d = DistanceMatrix(["a", "b", "c"], given_entries)
+        assert d.entries is not given_entries
+        assert d.entries.dtype == np.float64 and d.entries.flags.c_contiguous
+        assert not d.entries.flags.writeable
+        assert np.array_equal(d.entries, base)
+        base[0, 1] = base[1, 0] = 9.0
+        if isinstance(given_entries, np.ndarray) and given_entries.flags.writeable:
+            given_entries[0, 2] = given_entries[2, 0] = 9.0
+        assert d.entries[0, 1] == 0.5 and d.entries[0, 2] == 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_is_input_error(self, bad):
+        entries = np.zeros((3, 3))
+        entries[2, 1] = entries[1, 2] = bad
+        with pytest.raises(InputError, match=rf"between 'b' and 'c' is {bad}"):
+            DistanceMatrix(["a", "b", "c"], entries)
+        assert entries.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2)])
+    def test_a_shape_other_than_n_by_n_is_input_error(self, shape):
+        with pytest.raises(InputError, match="for 3 entities"):
+            DistanceMatrix(["a", "b", "c"], np.zeros(shape))
+
+
 class TestBuildSimilarity:
     def test_zero_distance_gives_one(self):
         s = build_similarity(_dmatrix([[0, 0.5], [0.5, 0]]))
@@ -353,6 +399,19 @@ class TestKnnSparsify:
         assert neighbors.shape == (600, 10)
         assert neighbors.base is None
         assert held < 1 << 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 24), symmetric=st.booleans())
+    def test_neighbor_sets_match_a_stable_argsort(self, data, n, symmetric):
+        # few distinct integer distances, so most rows tie at their k0-th distance
+        raw = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n,
+                                          max_size=n * n)), dtype=np.float64).reshape(n, n)
+        d = _dmatrix(raw + raw.T if symmetric else raw)
+        dist_to = d.entries.T.astype(np.float64, order="C")
+        np.fill_diagonal(dist_to, np.nan)
+        full = np.argsort(dist_to, axis=1, kind="stable")
+        for k0 in range(1, n):
+            assert np.array_equal(similarity.nearest_neighbor_sets(d, k0), full[:, :k0])
 
     def test_k0_out_of_range(self):
         d = _dmatrix([[0, 1], [1, 0]])

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -6,16 +7,20 @@ import pytest
 from conftest import duplicate_group_batches, jacobi_eigh
 
 from wscluster import (
+    DistanceMatrix,
     Partition,
+    SimSpec,
     SimilarityMatrix,
     TransactionBatch,
     cluster_accuracy,
     default_subsample_size,
     eigengap_suggest_k,
+    generate,
     graph_laplacian,
     normalized_laplacian,
     pairwise_distances,
     required_subsample_size,
+    select_k_silhouette,
     standardize,
     subsample_plan,
     subwsc,
@@ -531,3 +536,150 @@ class TestSubwsc:
         for j, col in enumerate(plan.selected):
             expected = sim.entries[:, col] / np.sqrt(degrees * degrees[col])
             assert np.allclose(sub[:, j], expected, atol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def selection_input():
+    """Three simulated groups of 20 and their distance matrix."""
+    batches, _ = generate(SimSpec((20, 20, 20), beta=100, example=2, seed=1))
+    dataset = standardize(batches)
+    return dataset, pairwise_distances(dataset)
+
+
+def _same_run(a, b):
+    return (np.array_equal(a.embedding.rows, b.embedding.rows)
+            and np.array_equal(a.embedding.eigenvalues, b.embedding.eigenvalues)
+            and np.array_equal(a.partition.labels, b.partition.labels) and a.sigma == b.sigma)
+
+
+class TestGraphKey:
+    """wsc_spectrum keeps its solve under the read-only distance array it built the graph from."""
+
+    @pytest.fixture(autouse=True)
+    def count_lapack_calls(self, monkeypatch):
+        self.calls = []
+        self.graphs = []
+        monkeypatch.setattr(spectral, "_last_solve", None)
+        solve = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            self.calls.append("eigh")
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        build = spectral.graph_laplacian
+
+        def built(distances, sigma=None, knn_k0=None):
+            self.graphs.append((sigma, knn_k0))
+            return build(distances, sigma, knn_k0)
+        monkeypatch.setattr(spectral, "graph_laplacian", built)
+
+    def _cold(self, *args, **kwargs):
+        spectral._last_solve = None
+        return wsc_run(*args, **kwargs)
+
+    def test_a_selection_session_builds_and_solves_each_graph_once(self, selection_input):
+        dataset, distances = selection_input
+        runs = {}
+
+        def cluster(k, seed):
+            runs[k] = wsc_run(dataset, k, seed=seed, distances=distances)
+            return runs[k].partition
+
+        select_k_silhouette(cluster, range(2, 9), distances, seed=3)
+        for run in runs.values():
+            assert set(run.timings) == {"similarity", "eigensolve", "kmeans"}
+        lap = normalized_laplacian(build_similarity(distances))
+        eigengap_suggest_k(sym_eig_topk(lap.entries, 9)[0], k_max=9)
+        wsc_run(dataset, 3, knn_k0=10, seed=3, distances=distances)
+        for n_s in (6, 18):
+            subwsc_run(dataset, 3, n_s=n_s, seed=3, distances=distances)
+        assert self.graphs == [(None, None), (None, 10), (None, None), (None, None)]
+        assert self.calls == ["eigh"] * 4
+        # the Gram solve replaced the kept one, graph key and all
+        assert spectral._last_solve[3] is None
+        for k, run in runs.items():
+            assert _same_run(run, self._cold(dataset, k, seed=3, distances=distances))
+
+    @pytest.mark.parametrize("changed", [
+        {"sigma": 0.5}, {"knn_k0": 10}, {"k": spectral.EIG_BLOCK + 1},
+    ], ids=["sigma", "knn_k0", "pairs"])
+    def test_other_arguments_miss(self, selection_input, changed):
+        dataset, distances = selection_input
+        wsc_spectrum(dataset, 3, distances=distances)
+        args = {"k": 3, "sigma": None, "knn_k0": None, **changed}
+        k = args.pop("k")
+        top = wsc_spectrum(dataset, k, distances=distances, **args)
+        assert self.graphs == [(None, None), (args["sigma"], args["knn_k0"])]
+        assert self.calls == ["eigh"] * 2
+        again = wsc_spectrum(dataset, k, distances=distances, **args)
+        assert len(self.graphs) == 2 and len(self.calls) == 2
+        assert np.array_equal(again.embedding.rows, top.embedding.rows)
+
+    def test_the_default_sigma_given_misses_the_key_but_hits_the_laplacian(self,
+                                                                          selection_input):
+        dataset, distances = selection_input
+        sigma = float(distances.entries.max())
+        wsc_spectrum(dataset, 3, distances=distances)
+        wsc_spectrum(dataset, 3, sigma=sigma, distances=distances)
+        assert self.graphs == [(None, None), (sigma, None)]
+        assert self.calls == ["eigh"]
+
+    def test_an_equal_copy_misses_the_key_but_hits_the_laplacian(self, selection_input):
+        dataset, distances = selection_input
+        copy = DistanceMatrix(list(distances.entity_ids), distances.entries.copy())
+        first = wsc_run(dataset, 3, seed=1, distances=distances)
+        second = wsc_run(dataset, 3, seed=1, distances=copy)
+        assert len(self.graphs) == 2 and self.calls == ["eigh"]
+        assert _same_run(first, second)
+
+    def test_the_key_does_not_keep_the_matrix_alive(self, selection_input):
+        dataset, distances = selection_input
+        copy = DistanceMatrix(list(distances.entity_ids), distances.entries.copy())
+        wsc_spectrum(dataset, 3, distances=copy)
+        ref = spectral._last_solve[3][0]
+        assert ref() is copy.entries
+        del copy
+        gc.collect()
+        assert ref() is None
+        wsc_spectrum(dataset, 3, distances=distances)
+        assert len(self.graphs) == 2 and self.calls == ["eigh"]
+
+    def test_writable_or_reassigned_entries_never_hit(self, selection_input):
+        dataset, distances = selection_input
+        own = DistanceMatrix(list(distances.entity_ids), distances.entries.copy())
+        wsc_spectrum(dataset, 3, distances=own)
+        own.entries.flags.writeable = True
+        own.entries[0, 1] = own.entries[1, 0] = 0.5 * own.entries[0, 1]
+        changed = wsc_run(dataset, 3, seed=1, distances=own)
+        assert len(self.graphs) == 2 and self.calls == ["eigh"] * 2
+        # nothing is kept under a writable array
+        wsc_spectrum(dataset, 3, distances=own)
+        assert len(self.graphs) == 3
+        own.entries = distances.entries
+        wsc_spectrum(dataset, 3, distances=own)
+        assert len(self.graphs) == 4 and self.calls == ["eigh"] * 3
+        fixed = DistanceMatrix(list(own.entity_ids), own.entries.copy())
+        assert not _same_run(changed, self._cold(dataset, 3, seed=1, distances=fixed))
+
+    def test_mutating_a_hit_leaves_later_calls_alone(self, selection_input):
+        dataset, distances = selection_input
+        wsc_spectrum(dataset, 4, distances=distances)
+        hit = wsc_spectrum(dataset, 4, distances=distances)
+        expected = hit.embedding.rows.copy(), hit.embedding.eigenvalues.copy()
+        hit.embedding.rows[:] = 0.0
+        hit.embedding.eigenvalues[:] = 0.0
+        again = wsc_spectrum(dataset, 4, distances=distances)
+        assert len(self.graphs) == 1 and self.calls == ["eigh"]
+        assert np.array_equal(again.embedding.rows, expected[0])
+        assert np.array_equal(again.embedding.eigenvalues, expected[1])
+
+    def test_mutating_the_base_of_a_view_changes_no_later_result(self, selection_input):
+        dataset, distances = selection_input
+        base = distances.entries.copy()
+        view = DistanceMatrix(list(distances.entity_ids), base[:, :])
+        first = wsc_run(dataset, 3, seed=1, distances=view)
+        base[0, 1] = base[1, 0] = 0.0
+        second = wsc_run(dataset, 3, seed=1, distances=view)
+        assert len(self.graphs) == 1 and self.calls == ["eigh"]
+        assert _same_run(first, second)
+        assert _same_run(first, self._cold(dataset, 3, seed=1, distances=distances))
