@@ -29,7 +29,6 @@ from .spectral import (
     ClusteringRun,
     Laplacian,
     SpectralEmbedding,
-    Spectrum,
     SubsamplePlan,
     default_subsample_size,
     eigengap_suggest_k,
@@ -42,7 +41,6 @@ from .spectral import (
     sym_eig_topk,
     wsc,
     wsc_run,
-    wsc_spectrum,
 )
 from .kmeans import KmeansResult, kmeans, select_k_silhouette, silhouette_mean
 from .metrics import (
@@ -71,10 +69,10 @@ __all__ = [
     "read_transactions_csv", "standardize", "wasserstein",
     "DistanceMatrix", "SimilarityMatrix", "build_similarity", "knn_sparsify",
     "pairwise_distances",
-    "ClusteringRun", "Laplacian", "SpectralEmbedding", "Spectrum", "SubsamplePlan",
+    "ClusteringRun", "Laplacian", "SpectralEmbedding", "SubsamplePlan",
     "default_subsample_size", "eigengap_suggest_k", "graph_laplacian", "normalized_laplacian",
     "required_subsample_size", "subsample_plan", "subwsc", "subwsc_run",
-    "sym_eig_topk", "wsc", "wsc_run", "wsc_spectrum",
+    "sym_eig_topk", "wsc", "wsc_run",
     "KmeansResult", "kmeans", "select_k_silhouette", "silhouette_mean",
     "Partition", "cluster_accuracy", "matching_matrix",
     "metric_report", "nmi", "rand_index",

@@ -44,7 +44,7 @@ from .simulate import (
     run_method,
     subsample_sweep,
 )
-from .spectral import eigengap_suggest_k, wsc_spectrum
+from .spectral import _wsc_spectrum, eigengap_suggest_k
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,7 +115,7 @@ def build_parser():
     p.add_argument("--k-selection", choices=["fixed", "silhouette", "eigengap"],
                    default="fixed",
                    help="eigengap reads the wsc graph; on the dense graph it tends to "
-                        "return K=1, so pair it with --knn-k0")
+                        "return K=1")
     p.add_argument("--k-max", type=_positive(int), default=8,
                    help="largest K considered by automatic selection")
     p.add_argument("--sigma", type=_positive(float), default=None)
@@ -250,47 +250,47 @@ def _recorded_warnings():
 
 
 def _select(config, dataset, distances, cluster):
-    """The given or selected K, its run, and what the selection saw.
+    """The given or selected K, its run, what the selection saw, and the stage timings.
 
-    Eigengap selection reads the leading eigenvalues of the ``wsc`` graph.
-    With ``--method wsc`` one solve of that graph serves every candidate K,
-    since the embedding for K is the first K columns of the embedding for
-    the largest K. The other methods run once per candidate; ``subwsc``'s
-    Gram matrix changes with K, so each candidate solves its own. Since
-    :func:`spectral.sym_eig_topk` keeps its last solve, repeating a solve
-    of the same matrix for a K in the same block of ``EIG_BLOCK`` pairs
-    costs a digest, not a solve; :func:`spectral.wsc_spectrum` on the same
-    read-only ``distances`` with the same arguments costs neither the
-    graph nor the digest. Either way the chosen K's run is the final one.
+    Every candidate K runs ``cluster(k)``, whatever the method, and the
+    chosen K's run is returned. Eigengap selection reads the leading
+    eigenvalues of the ``wsc`` graph of the same ``distances``. For
+    ``wsc`` one graph and one solve serve every candidate K in a block of
+    ``EIG_BLOCK`` pairs: a later :func:`spectral.wsc_run` on the same
+    read-only ``distances`` with the same arguments reads a prefix of the
+    kept solve and builds nothing (see :func:`spectral._wsc_spectrum`).
+    ``subwsc``'s Gram matrix changes with K, so each candidate solves its
+    own. The stage timings sum every candidate's run and the eigengap's
+    own solve, so a run that reused a solve does not hide its cost.
     """
     if config.k_selection == "fixed":
         if config.k is None:
             raise UsageError("--k is required with --k-selection fixed")
-        return config.k, cluster(config.k), None
+        run = cluster(config.k)
+        return config.k, run, None, [run.timings]
     if config.k is not None:
         raise UsageError("--k conflicts with automatic --k-selection")
     n = dataset.n
-    spectrum = functools.partial(wsc_spectrum, dataset, sigma=config.sigma,
-                                 knn_k0=config.knn_k0, distances=distances)
     if config.k_selection == "eigengap":
-        top = spectrum(min(n, config.k_max + 1))
-        eigenvalues = top.embedding.eigenvalues
+        embedding, _, timings = _wsc_spectrum(dataset, min(n, config.k_max + 1),
+                                              sigma=config.sigma, knn_k0=config.knn_k0,
+                                              distances=distances)
+        eigenvalues = embedding.eigenvalues
         k = eigengap_suggest_k(eigenvalues, k_max=config.k_max + 1)
-        run = top.cluster(k, config.seed) if config.method == "wsc" else cluster(k)
-        return k, run, {"eigengap_eigenvalues": eigenvalues.tolist()}
+        run = cluster(k)
+        return k, run, {"eigengap_eigenvalues": eigenvalues.tolist()}, [timings, run.timings]
     if config.k_max < 2:
         raise UsageError(f"--k-max {config.k_max} leaves no candidate K; "
                          "silhouette selection needs at least 2")
     k_range = range(2, min(config.k_max, n - 1) + 1)
     if not len(k_range):
         raise UsageError("dataset too small for silhouette selection")
-    if config.method == "wsc":
-        cluster = functools.partial(spectrum(k_range[-1]).cluster, seed=config.seed)
     runs = {}
     best, scores = select_k_silhouette(
         lambda k, seed: runs.setdefault(k, cluster(k)).partition, k_range, distances,
         seed=config.seed)
-    return best, runs[best], {"silhouette_scores": {str(k): v for k, v in scores.items()}}
+    return (best, runs[best], {"silhouette_scores": {str(k): v for k, v in scores.items()}},
+            [run.timings for run in runs.values()])
 
 
 def cmd_cluster(args) -> int:
@@ -304,9 +304,11 @@ def cmd_cluster(args) -> int:
                                     seed=config.seed, sigma=config.sigma,
                                     knn_k0=config.knn_k0, n_s=config.n_s)
         t0 = time.perf_counter()
-        k, run, selection_info = _select(config, dataset, distances, cluster)
+        k, run, selection_info, stages = _select(config, dataset, distances, cluster)
         timings["cluster"] = time.perf_counter() - t0
-        timings.update({f"stage_{k_}": v for k_, v in run.timings.items()})
+        for stage in stages:
+            for name, seconds in stage.items():
+                timings[f"stage_{name}"] = timings.get(f"stage_{name}", 0.0) + seconds
 
         labels_path = _write_csv(os.path.join(_output_dir(args.out), "labels.csv"),
                                  ["entity_id", "label"],

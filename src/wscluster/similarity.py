@@ -52,8 +52,10 @@ class DistanceMatrix:
     and is not copied; any other input is copied into such an array first.
     An entries shape other than (n, n) for the n ids, or a non-finite
     entry, raises :class:`InputError`. Being read-only is what lets
-    :func:`wscluster.spectral.wsc_spectrum` reuse its solve of a graph of
-    the same array without rebuilding the graph.
+    :func:`wscluster.spectral.wsc_run` reuse its solve of a graph of the
+    same array without rebuilding the graph. ``pickle`` and
+    ``copy.deepcopy`` rebuild a copy through the constructor, so a copy is
+    read-only and checked too.
 
     ``workers`` records the threads :func:`pairwise_distances` computed it
     on, and is 0 where no pair was computed there.
@@ -78,6 +80,9 @@ class DistanceMatrix:
                              f"{self.entity_ids[j]!r} is {entries[i, j]}")
         entries.flags.writeable = False
         self.entries = entries
+
+    def __reduce__(self):
+        return DistanceMatrix, (self.entity_ids, self.entries, self.workers)
 
     @property
     def n(self) -> int:

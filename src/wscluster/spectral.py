@@ -8,7 +8,7 @@ come from one LAPACK call in :func:`sym_eig_topk`: numpy's ``eigh``
 ``eigh`` with ``driver="evr"`` (``dsyevr``, only the leading pairs, in
 whole blocks of :data:`EIG_BLOCK`) at or above it. The last solve is kept,
 so asking again for pairs of the same matrix does not solve it again, and
-:func:`wsc_spectrum` asking again for the same graph of the same read-only
+:func:`wsc_run` asking again for the same graph of the same read-only
 distance matrix does not build it again.
 Either way every returned pair must satisfy ||L v - lambda v|| <=
 EIG_TOLERANCE * max |lambda| over the eigenvalues LAPACK returned.
@@ -43,7 +43,6 @@ __all__ = [
     "SpectralEmbedding",
     "SubsamplePlan",
     "ClusteringRun",
-    "Spectrum",
     "normalized_laplacian",
     "graph_laplacian",
     "sym_eig_topk",
@@ -53,7 +52,6 @@ __all__ = [
     "default_subsample_size",
     "wsc",
     "subwsc",
-    "wsc_spectrum",
     "wsc_run",
     "subwsc_run",
 ]
@@ -66,7 +64,7 @@ PARTIAL_EIG_MIN_N = 1450
 EIG_BLOCK = 16
 
 # (key, eigenvalues, vectors, graph) of the last solve that passed its checks;
-# graph is set by wsc_spectrum, see there, and is None for any other solve
+# graph is set by _wsc_spectrum, see there, and is None for any other solve
 _last_solve = None
 
 
@@ -168,10 +166,9 @@ def sym_eig_topk(m: np.ndarray, k: int):
     contiguous float64 bytes, its order and ``pairs``. A call on the same
     bytes for any k in the same block returns copies of the kept prefix,
     which are exactly what a cold call returns, so results never depend on
-    what ran before. Repeated K selection over one graph therefore solves
-    once, whether it goes through :class:`Spectrum` or one pipeline run per
-    K. A solve that :func:`wsc_spectrum` makes from a
-    :class:`~wscluster.similarity.DistanceMatrix`, whose entries are
+    what ran before. Repeated K selection over one graph by one pipeline
+    run per K therefore solves once. A solve that :func:`wsc_run` makes
+    from a :class:`~wscluster.similarity.DistanceMatrix`, whose entries are
     read-only, is kept under that array as well, so its later calls
     neither rebuild L nor hash it; a call here still hashes m, and hits
     when m has the kept solve's bytes. ``blake2b`` is built into Python.
@@ -196,12 +193,7 @@ def sym_eig_topk(m: np.ndarray, k: int):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentOutOfRange("matrix must be square")
     n = m.shape[0]
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ArgumentOutOfRange(f"k={k!r} is not an integer") from None
-    if not 1 <= k <= n:
-        raise ArgumentOutOfRange(f"k={k} outside [1, {n}]")
+    k = _order(k, n)
     pairs = _block_pairs(n, k)
     key = (hashlib.blake2b(m).digest(), n, pairs)
     last = _last_solve
@@ -212,6 +204,17 @@ def sym_eig_topk(m: np.ndarray, k: int):
         last = (key, *_solve_top(m, pairs), None)
         _last_solve = last
     return last[1][:k].copy(), last[2][:, :k].copy()
+
+
+def _order(k, n: int) -> int:
+    """k as an int in [1, n]; anything else raises :class:`ArgumentOutOfRange`."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ArgumentOutOfRange(f"k={k!r} is not an integer") from None
+    if not 1 <= k <= n:
+        raise ArgumentOutOfRange(f"k={k} outside [1, {n}]")
+    return k
 
 
 def _block_pairs(n: int, k: int) -> int:
@@ -322,48 +325,13 @@ def graph_laplacian(distances: DistanceMatrix, sigma: float | None = None,
     return normalized_laplacian(sim), sim.sigma
 
 
-@dataclass
-class Spectrum:
-    """The leading eigenpairs of one graph from one solve, ready for K-means at any K.
-
-    ``timings`` holds the ``similarity`` and ``eigensolve`` stages (and
-    ``distances`` when they were computed here); each run adds ``kmeans``.
-    """
-
-    dataset: Dataset
-    embedding: SpectralEmbedding
-    sigma: float
-    timings: dict
-    plan: SubsamplePlan | None = None
-
-    def cluster(self, k: int, seed: int = 0) -> ClusteringRun:
-        """K-means on the first k embedding columns.
-
-        For ``wsc`` those columns are the k leading eigenvectors, bitwise the
-        ones a solve for k pairs gives whenever k and the spectrum's own
-        order fall in one block of ``EIG_BLOCK`` pairs, on either side of
-        ``PARTIAL_EIG_MIN_N``; below it they are for any k.
-        """
-        if not 1 <= k <= self.embedding.k:
-            raise ArgumentOutOfRange(f"k={k} outside [1, {self.embedding.k}]")
-        timings = dict(self.timings)
-        t0 = time.perf_counter()
-        embedding = SpectralEmbedding(rows=np.ascontiguousarray(self.embedding.rows[:, :k]),
-                                      eigenvalues=self.embedding.eigenvalues[:k])
-        result = kmeans(embedding.rows, k, seed=seed)
-        partition = Partition.from_labels(result.labels, entity_ids=self.dataset.entity_ids)
-        timings["kmeans"] = time.perf_counter() - t0
-        return ClusteringRun(partition, embedding, sigma=self.sigma, timings=timings,
-                             plan=self.plan)
-
-
-def _spectrum(dataset: Dataset, embed, *, sigma, knn_k0, distances, plan=None) -> Spectrum:
+def _spectrum(dataset: Dataset, embed, *, sigma, knn_k0, distances):
     """The stage both pipelines share: graph, then embedding.
 
-    The graph is timed as ``similarity``; ``embed`` turns the entries of
-    its Laplacian and the sigma used into ``(eigenvalues, rows)`` and is
-    timed as ``eigensolve``. The Laplacian is released once the embedding
-    exists.
+    Returns ``(embedding, sigma used, timings)``. The graph is timed as
+    ``similarity``; ``embed`` turns the entries of its Laplacian into
+    ``(eigenvalues, rows)`` and is timed as ``eigensolve``. The Laplacian is
+    released once the embedding exists.
     """
     timings = {}
     if distances is None:
@@ -376,20 +344,26 @@ def _spectrum(dataset: Dataset, embed, *, sigma, knn_k0, distances, plan=None) -
     timings["similarity"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    eigenvalues, rows = embed(lap.entries, sigma)
+    eigenvalues, rows = embed(lap.entries)
     del lap
     embedding = SpectralEmbedding(rows=rows, eigenvalues=eigenvalues)
     timings["eigensolve"] = time.perf_counter() - t0
-    return Spectrum(dataset, embedding, sigma, timings, plan)
+    return embedding, sigma, timings
 
 
-def wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
-                 knn_k0: int | None = None,
-                 distances: DistanceMatrix | None = None) -> Spectrum:
-    """The ``wsc`` graph and its k leading eigenpairs, from one solve.
+def _clustered(dataset: Dataset, spectrum, seed: int, plan=None) -> ClusteringRun:
+    """K-means of a :func:`_spectrum` result, one cluster per column; timed as ``kmeans``."""
+    embedding, sigma, timings = spectrum
+    t0 = time.perf_counter()
+    result = kmeans(embedding.rows, embedding.k, seed=seed)
+    partition = Partition.from_labels(result.labels, entity_ids=dataset.entity_ids)
+    timings["kmeans"] = time.perf_counter() - t0
+    return ClusteringRun(partition, embedding, sigma=sigma, timings=timings, plan=plan)
 
-    Its :meth:`Spectrum.cluster` runs K-means for any K up to k, so that
-    selecting K over a range costs one graph and one eigensolve.
+
+def _wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
+                  knn_k0: int | None = None, distances: DistanceMatrix | None = None):
+    """The ``wsc`` graph's k leading eigenpairs, as :func:`_spectrum` returns them.
 
     Given ``distances``, whose entries are read-only, a solve made here is
     also kept under a second key: a weak reference to that entries array,
@@ -401,8 +375,8 @@ def wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
     The results are bitwise those of a cold call. Any other solve replaces
     the kept one, and the weak reference never keeps the array alive.
     """
-    if not 1 <= k <= dataset.n:
-        raise ArgumentOutOfRange(f"k={k} outside [1, {dataset.n}]")
+    global _last_solve
+    k = _order(k, dataset.n)
     t0 = time.perf_counter()
     entries = distances.entries if distances is not None else None
     params = None
@@ -415,27 +389,29 @@ def wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
         embedding = SpectralEmbedding(rows=last[2][:, :k].copy(),
                                       eigenvalues=last[1][:k].copy())
         timings = {"similarity": t1 - t0, "eigensolve": time.perf_counter() - t1}
-        return Spectrum(dataset, embedding, graph[2], timings)
+        return embedding, graph[2], timings
 
-    def embed(lap_entries, sigma_used):
-        global _last_solve
-        values, vectors = sym_eig_topk(lap_entries, k)
-        last = _last_solve
-        # the kept solve is this graph's unless another thread solved since
-        if (params is not None and np.array_equal(last[1][:k], values)
-                and np.array_equal(last[2][:, :k], vectors)):
-            _last_solve = (*last[:3], (weakref.ref(entries), params, sigma_used))
-        return values, vectors
-
-    return _spectrum(dataset, embed, sigma=sigma, knn_k0=knn_k0, distances=distances)
+    spectrum = _spectrum(dataset, lambda lap: sym_eig_topk(lap, k), sigma=sigma,
+                         knn_k0=knn_k0, distances=distances)
+    embedding, sigma_used, _ = spectrum
+    last = _last_solve
+    # the kept solve is this graph's unless another thread solved since
+    if (params is not None and np.array_equal(last[1][:k], embedding.eigenvalues)
+            and np.array_equal(last[2][:, :k], embedding.rows)):
+        _last_solve = (*last[:3], (weakref.ref(entries), params, sigma_used))
+    return spectrum
 
 
 def wsc_run(dataset: Dataset, k: int, *, sigma: float | None = None,
             knn_k0: int | None = None, seed: int = 0,
             distances: DistanceMatrix | None = None) -> ClusteringRun:
-    """Full-spectrum pipeline; returns the partition with its diagnostics."""
-    return wsc_spectrum(dataset, k, sigma=sigma, knn_k0=knn_k0,
-                        distances=distances).cluster(k, seed)
+    """Full-spectrum pipeline; returns the partition with its diagnostics.
+
+    One run per K over the same read-only ``distances`` builds and solves
+    the graph once; see :func:`_wsc_spectrum`.
+    """
+    return _clustered(dataset, _wsc_spectrum(dataset, k, sigma=sigma, knn_k0=knn_k0,
+                                             distances=distances), seed)
 
 
 def wsc(dataset: Dataset, k: int, **kwargs) -> Partition:
@@ -479,9 +455,9 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
         raise ArgumentOutOfRange(f"plan is over {plan.n} entities, dataset has {n}")
     if k > plan.n_s:
         raise ArgumentOutOfRange(f"k={k} exceeds the subsample size {plan.n_s}")
-    return _spectrum(dataset, lambda entries, _: _gram_embedding(entries[:, plan.selected], k),
-                     sigma=sigma, knn_k0=knn_k0, distances=distances,
-                     plan=plan).cluster(k, seed)
+    spectrum = _spectrum(dataset, lambda lap: _gram_embedding(lap[:, plan.selected], k),
+                         sigma=sigma, knn_k0=knn_k0, distances=distances)
+    return _clustered(dataset, spectrum, seed, plan)
 
 
 def subwsc(dataset: Dataset, k: int, plan: SubsamplePlan | None = None,

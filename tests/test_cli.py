@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -274,9 +275,9 @@ class TestCluster:
                    for w in run["warnings"])
 
     def test_eigengap_selection(self, toy_csv, tmp_path):
-        # the eigengap needs the sparsified graph to expose block structure;
-        # on the dense exponential kernel the trailing eigenvalues decay too
-        # smoothly for a gap at the true K
+        # the toy groups hold 10 entities each, so k0=9 is about one group:
+        # the kNN graph then falls apart into the groups, with the gap at the
+        # true K. On the dense graph eigengap tends to return K=1
         csv_path, _ = toy_csv
         out = tmp_path / "out"
         assert main(["cluster", str(csv_path), "--k-selection", "eigengap",
@@ -301,10 +302,11 @@ class TestCluster:
 
     @pytest.mark.parametrize("method", ["wsc", "subwsc"])
     @pytest.mark.parametrize("selection, k_max, solves", [
-        # wsc clusters every candidate K from one graph and one solve; subwsc's
-        # Gram embedding depends on K, so it solves once per candidate, after
-        # the eigengap's own solve for k_max + 1 pairs of the wsc graph
-        ("silhouette", 3, {"wsc": [3], "subwsc": [2, 3]}),
+        # wsc clusters every candidate K from one graph and one solve, made
+        # for the first candidate; subwsc's Gram embedding depends on K, so it
+        # solves once per candidate, after the eigengap's own solve for
+        # k_max + 1 pairs of the wsc graph
+        ("silhouette", 3, {"wsc": [2], "subwsc": [2, 3]}),
         ("eigengap", 5, {"wsc": [6], "subwsc": [6, 3]}),
     ])
     def test_selection_solves_once_for_wsc(self, toy_csv, tmp_path, monkeypatch, method,
@@ -320,6 +322,36 @@ class TestCluster:
                      "--out", str(out)]) == 0
         assert json.loads((out / "run.json").read_text())["k"] == 3
         assert calls == solves[method]
+
+    @pytest.mark.parametrize("method", ["wsc", "subwsc", "hc"])
+    @pytest.mark.parametrize("selection", ["silhouette", "eigengap"])
+    def test_stage_timings_sum_every_candidate(self, toy_csv, tmp_path, monkeypatch, method,
+                                               selection):
+        # wsc's later candidates reuse the first one's solve, so the chosen
+        # run alone would report about 0 s for the graph and the solve
+        pause, calls = 0.01, []
+        kmeans = spectral.kmeans
+
+        def slow_kmeans(rows, k, **kwargs):
+            calls.append(k)
+            time.sleep(pause)
+            return kmeans(rows, k, **kwargs)
+        monkeypatch.setattr(spectral, "kmeans", slow_kmeans)
+        csv_path, _ = toy_csv
+        out = tmp_path / "out"
+        assert main(["cluster", str(csv_path), "--method", method, "--k-selection", selection,
+                     "--k-max", "3", "--knn-k0", "9", "--out", str(out)]) == 0
+        timings = json.loads((out / "run.json").read_text())["timings"]
+        stages = {name for name in timings if name.startswith("stage_")}
+        # the eigengap solves the wsc graph whatever the method
+        expected = {"stage_similarity", "stage_eigensolve"} if selection == "eigengap" else set()
+        if method != "hc":
+            expected |= {"stage_similarity", "stage_eigensolve", "stage_kmeans"}
+            # every candidate's K-means counts, not only the chosen one's
+            assert len(calls) == (1 if selection == "eigengap" else 2)
+            assert timings["stage_kmeans"] >= pause * len(calls)
+        assert stages == expected
+        assert sum(timings[name] for name in stages) <= timings["cluster"]
 
     def test_hc_on_one_entity(self, tmp_path):
         path = tmp_path / "one.csv"

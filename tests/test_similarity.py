@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -265,6 +267,28 @@ class TestDistanceMatrix:
     def test_a_shape_other_than_n_by_n_is_input_error(self, shape):
         with pytest.raises(InputError, match="for 3 entities"):
             DistanceMatrix(["a", "b", "c"], np.zeros(shape))
+
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_a_copy_is_read_only(self, duplicate):
+        d = DistanceMatrix(["a", "b"], np.array([[0.0, 1.5], [1.5, 0.0]]), workers=2)
+        twin = duplicate(d)
+        assert twin.entries is not d.entries
+        assert not twin.entries.flags.writeable
+        assert twin.entity_ids == d.entity_ids and twin.workers == 2
+        assert np.array_equal(twin.entries, d.entries)
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_a_copy_of_a_non_finite_entry_is_input_error(self, duplicate):
+        d = DistanceMatrix(["a", "b"], np.zeros((2, 2)))
+        # reassigning entries skips the constructor's checks
+        d.entries = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(InputError, match="between 'a' and 'b' is nan"):
+            duplicate(d)
 
 
 class TestBuildSimilarity:

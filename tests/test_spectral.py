@@ -28,7 +28,6 @@ from wscluster import (
     sym_eig_topk,
     wsc,
     wsc_run,
-    wsc_spectrum,
 )
 from wscluster import spectral
 from wscluster.errors import ArgumentOutOfRange, IsolatedEntity, NoConvergence, RankDeficientSample
@@ -452,16 +451,17 @@ class TestWsc:
         # for 6 pairs are bitwise the solve for k pairs
         dataset, _ = duplicate_dataset
         distances = pairwise_distances(dataset)
-        top = wsc_spectrum(dataset, 6, knn_k0=9, distances=distances)
         for k in range(1, 7):
+            spectral._last_solve = None
+            top = wsc_run(dataset, 6, knn_k0=9, seed=4, distances=distances)
+            shared = wsc_run(dataset, k, knn_k0=9, seed=4, distances=distances)
+            spectral._last_solve = None
             alone = wsc_run(dataset, k, knn_k0=9, seed=4, distances=distances)
-            shared = top.cluster(k, seed=4)
+            assert np.array_equal(shared.embedding.rows, top.embedding.rows[:, :k])
             assert np.array_equal(shared.embedding.rows, alone.embedding.rows)
             assert np.array_equal(shared.embedding.eigenvalues, alone.embedding.eigenvalues)
             assert np.array_equal(shared.partition.labels, alone.partition.labels)
             assert shared.sigma == alone.sigma
-        with pytest.raises(ArgumentOutOfRange):
-            top.cluster(7)
 
     def test_requesting_extra_clusters_keeps_k_occupied(self, duplicate_dataset):
         # empty-cluster repair guarantees k occupied clusters even when the
@@ -553,7 +553,7 @@ def _same_run(a, b):
 
 
 class TestGraphKey:
-    """wsc_spectrum keeps its solve under the read-only distance array it built the graph from."""
+    """wsc_run keeps its solve under the read-only distance array it built the graph from."""
 
     @pytest.fixture(autouse=True)
     def count_lapack_calls(self, monkeypatch):
@@ -605,22 +605,32 @@ class TestGraphKey:
     ], ids=["sigma", "knn_k0", "pairs"])
     def test_other_arguments_miss(self, selection_input, changed):
         dataset, distances = selection_input
-        wsc_spectrum(dataset, 3, distances=distances)
+        wsc_run(dataset, 3, distances=distances)
         args = {"k": 3, "sigma": None, "knn_k0": None, **changed}
         k = args.pop("k")
-        top = wsc_spectrum(dataset, k, distances=distances, **args)
+        top = wsc_run(dataset, k, distances=distances, **args)
         assert self.graphs == [(None, None), (args["sigma"], args["knn_k0"])]
         assert self.calls == ["eigh"] * 2
-        again = wsc_spectrum(dataset, k, distances=distances, **args)
+        again = wsc_run(dataset, k, distances=distances, **args)
         assert len(self.graphs) == 2 and len(self.calls) == 2
         assert np.array_equal(again.embedding.rows, top.embedding.rows)
+
+    @pytest.mark.parametrize("k", [2.0, "3"])
+    def test_a_non_integer_k_is_rejected_cold_and_warm(self, selection_input, k):
+        # warm, 2.0 passes the range check and matches the key's block of pairs
+        dataset, distances = selection_input
+        for _ in range(2):
+            with pytest.raises(ArgumentOutOfRange, match="is not an integer"):
+                wsc_run(dataset, k, distances=distances)
+            wsc_run(dataset, 3, distances=distances)
+        assert self.calls == ["eigh"]
 
     def test_the_default_sigma_given_misses_the_key_but_hits_the_laplacian(self,
                                                                           selection_input):
         dataset, distances = selection_input
         sigma = float(distances.entries.max())
-        wsc_spectrum(dataset, 3, distances=distances)
-        wsc_spectrum(dataset, 3, sigma=sigma, distances=distances)
+        wsc_run(dataset, 3, distances=distances)
+        wsc_run(dataset, 3, sigma=sigma, distances=distances)
         assert self.graphs == [(None, None), (sigma, None)]
         assert self.calls == ["eigh"]
 
@@ -635,40 +645,40 @@ class TestGraphKey:
     def test_the_key_does_not_keep_the_matrix_alive(self, selection_input):
         dataset, distances = selection_input
         copy = DistanceMatrix(list(distances.entity_ids), distances.entries.copy())
-        wsc_spectrum(dataset, 3, distances=copy)
+        wsc_run(dataset, 3, distances=copy)
         ref = spectral._last_solve[3][0]
         assert ref() is copy.entries
         del copy
         gc.collect()
         assert ref() is None
-        wsc_spectrum(dataset, 3, distances=distances)
+        wsc_run(dataset, 3, distances=distances)
         assert len(self.graphs) == 2 and self.calls == ["eigh"]
 
     def test_writable_or_reassigned_entries_never_hit(self, selection_input):
         dataset, distances = selection_input
         own = DistanceMatrix(list(distances.entity_ids), distances.entries.copy())
-        wsc_spectrum(dataset, 3, distances=own)
+        wsc_run(dataset, 3, distances=own)
         own.entries.flags.writeable = True
         own.entries[0, 1] = own.entries[1, 0] = 0.5 * own.entries[0, 1]
         changed = wsc_run(dataset, 3, seed=1, distances=own)
         assert len(self.graphs) == 2 and self.calls == ["eigh"] * 2
         # nothing is kept under a writable array
-        wsc_spectrum(dataset, 3, distances=own)
+        wsc_run(dataset, 3, distances=own)
         assert len(self.graphs) == 3
         own.entries = distances.entries
-        wsc_spectrum(dataset, 3, distances=own)
+        wsc_run(dataset, 3, distances=own)
         assert len(self.graphs) == 4 and self.calls == ["eigh"] * 3
         fixed = DistanceMatrix(list(own.entity_ids), own.entries.copy())
         assert not _same_run(changed, self._cold(dataset, 3, seed=1, distances=fixed))
 
     def test_mutating_a_hit_leaves_later_calls_alone(self, selection_input):
         dataset, distances = selection_input
-        wsc_spectrum(dataset, 4, distances=distances)
-        hit = wsc_spectrum(dataset, 4, distances=distances)
+        wsc_run(dataset, 4, distances=distances)
+        hit = wsc_run(dataset, 4, distances=distances)
         expected = hit.embedding.rows.copy(), hit.embedding.eigenvalues.copy()
         hit.embedding.rows[:] = 0.0
         hit.embedding.eigenvalues[:] = 0.0
-        again = wsc_spectrum(dataset, 4, distances=distances)
+        again = wsc_run(dataset, 4, distances=distances)
         assert len(self.graphs) == 1 and self.calls == ["eigh"]
         assert np.array_equal(again.embedding.rows, expected[0])
         assert np.array_equal(again.embedding.eigenvalues, expected[1])
