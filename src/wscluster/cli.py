@@ -258,10 +258,11 @@ def _select(config, dataset, distances, cluster):
     ``wsc`` one graph and one solve serve every candidate K in a block of
     ``EIG_BLOCK`` pairs: a later :func:`spectral.wsc_run` on the same
     read-only ``distances`` with the same arguments reads a prefix of the
-    kept solve and builds nothing (see :func:`spectral._wsc_spectrum`).
+    block :func:`spectral._wsc_spectrum` keeps and builds nothing.
     ``subwsc``'s Gram matrix changes with K, so each candidate solves its
-    own. The stage timings sum every candidate's run and the eigengap's
-    own solve, so a run that reused a solve does not hide its cost.
+    own, in :func:`spectral.sym_eig_topk`'s separate slot. The stage
+    timings sum every candidate's run and the eigengap's own solve, so a
+    run that reused a solve does not hide its cost.
     """
     if config.k_selection == "fixed":
         if config.k is None:

@@ -6,10 +6,11 @@ and K-means those rows directly, without row normalization. The eigenpairs
 come from one LAPACK call in :func:`sym_eig_topk`: numpy's ``eigh``
 (``dsyevd``, all n pairs) below :data:`PARTIAL_EIG_MIN_N` rows, and scipy's
 ``eigh`` with ``driver="evr"`` (``dsyevr``, only the leading pairs, in
-whole blocks of :data:`EIG_BLOCK`) at or above it. The last solve is kept,
-so asking again for pairs of the same matrix does not solve it again, and
-:func:`wsc_run` asking again for the same graph of the same read-only
-distance matrix does not build it again.
+whole blocks of :data:`EIG_BLOCK`) at or above it. Two slots, each with
+one owner, keep a solve: :func:`sym_eig_topk` its last, so asking again for
+pairs of the same matrix does not solve it again, and :func:`wsc_run` its
+last block of a read-only distance matrix's graph, so asking again does
+not build that graph again.
 Either way every returned pair must satisfy ||L v - lambda v|| <=
 EIG_TOLERANCE * max |lambda| over the eigenvalues LAPACK returned.
 
@@ -63,9 +64,11 @@ PARTIAL_EIG_MIN_N = 1450
 # eigenpairs are solved for in whole blocks of this many; see sym_eig_topk
 EIG_BLOCK = 16
 
-# (key, eigenvalues, vectors, graph) of the last solve that passed its checks;
-# graph is set by _wsc_spectrum, see there, and is None for any other solve
+# (key, eigenvalues, vectors) of sym_eig_topk's last solve that passed its checks
 _last_solve = None
+# (weakref to D.entries, (sigma, knn_k0, pairs), eigenvalues, rows, sigma used)
+# of _wsc_spectrum's last block solved from a read-only D
+_last_graph = None
 
 
 @dataclass
@@ -167,11 +170,10 @@ def sym_eig_topk(m: np.ndarray, k: int):
     bytes for any k in the same block returns copies of the kept prefix,
     which are exactly what a cold call returns, so results never depend on
     what ran before. Repeated K selection over one graph by one pipeline
-    run per K therefore solves once. A solve that :func:`wsc_run` makes
-    from a :class:`~wscluster.similarity.DistanceMatrix`, whose entries are
-    read-only, is kept under that array as well, so its later calls
-    neither rebuild L nor hash it; a call here still hashes m, and hits
-    when m has the kept solve's bytes. ``blake2b`` is built into Python.
+    run per K therefore solves once. This slot is written and read only
+    here. :func:`wsc_run` keeps its own block (see :func:`_wsc_spectrum`),
+    so a solve here of another matrix, a Gram matrix say, leaves that
+    block in place. ``blake2b`` is built into Python.
     The OpenSSL digests (``sha1``, ``sha256``) hash an 18 MB matrix in
     15 ms against 35 ms, but ``sha1`` raised a forked child's peak RSS
     from 78.2 to 79.2 MB. Only a solve that passed every check below is
@@ -201,7 +203,7 @@ def sym_eig_topk(m: np.ndarray, k: int):
         asym = float(np.abs(m - m.T).max()) if n > 1 else 0.0
         if asym > 1e-12:
             raise ArgumentOutOfRange(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-        last = (key, *_solve_top(m, pairs), None)
+        last = (key, *_solve_top(m, pairs))
         _last_solve = last
     return last[1][:k].copy(), last[2][:, :k].copy()
 
@@ -365,41 +367,39 @@ def _wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
                   knn_k0: int | None = None, distances: DistanceMatrix | None = None):
     """The ``wsc`` graph's k leading eigenpairs, as :func:`_spectrum` returns them.
 
-    Given ``distances``, whose entries are read-only, a solve made here is
-    also kept under a second key: a weak reference to that entries array,
-    ``sigma``, ``knn_k0``, the block of pairs solved for (see
-    :func:`sym_eig_topk`) and the sigma used. A later call on the same
-    array with the same arguments, for any k in the block, returns copies
-    of the kept prefix without building the graph or hashing L, so K
-    selection by one :func:`wsc_run` per K builds and solves one graph.
-    The results are bitwise those of a cold call. Any other solve replaces
-    the kept one, and the weak reference never keeps the array alive.
+    The graph is solved for its whole block of pairs (see
+    :func:`sym_eig_topk`) and copies of the first k are returned. Given
+    ``distances``, whose entries are read-only, the block and the sigma
+    used are kept in a slot only this function writes and reads, under a
+    weak reference to that array, ``sigma``, ``knn_k0`` and the block's
+    size. A later call with the same array and arguments, for any k in the
+    block, returns copies of the kept prefix without building the graph or
+    hashing L, so K selection by one :func:`wsc_run` per K builds and
+    solves one graph, bitwise as a cold call would. The slot is replaced in
+    one assignment, so a concurrent call reads the old block or the new,
+    and the weak reference never keeps the array alive.
     """
-    global _last_solve
+    global _last_graph
     k = _order(k, dataset.n)
+    pairs = _block_pairs(dataset.n, k)
     t0 = time.perf_counter()
     entries = distances.entries if distances is not None else None
-    params = None
-    if entries is not None and not entries.flags.writeable:
-        params = (sigma, knn_k0, _block_pairs(distances.n, k))
-    last = _last_solve
-    graph = last[3] if last is not None else None
-    if params is not None and graph is not None and graph[0]() is entries and graph[1] == params:
+    keep = entries is not None and not entries.flags.writeable
+    last = _last_graph
+    if keep and last is not None and last[0]() is entries and last[1] == (sigma, knn_k0, pairs):
         t1 = time.perf_counter()
-        embedding = SpectralEmbedding(rows=last[2][:, :k].copy(),
-                                      eigenvalues=last[1][:k].copy())
+        embedding = SpectralEmbedding(rows=last[3][:, :k].copy(), eigenvalues=last[2][:k].copy())
         timings = {"similarity": t1 - t0, "eigensolve": time.perf_counter() - t1}
-        return embedding, graph[2], timings
+        return embedding, last[4], timings
 
-    spectrum = _spectrum(dataset, lambda lap: sym_eig_topk(lap, k), sigma=sigma,
-                         knn_k0=knn_k0, distances=distances)
-    embedding, sigma_used, _ = spectrum
-    last = _last_solve
-    # the kept solve is this graph's unless another thread solved since
-    if (params is not None and np.array_equal(last[1][:k], embedding.eigenvalues)
-            and np.array_equal(last[2][:, :k], embedding.rows)):
-        _last_solve = (*last[:3], (weakref.ref(entries), params, sigma_used))
-    return spectrum
+    block, sigma_used, timings = _spectrum(dataset, lambda lap: sym_eig_topk(lap, pairs),
+                                           sigma=sigma, knn_k0=knn_k0, distances=distances)
+    if keep:
+        _last_graph = (weakref.ref(entries), (sigma, knn_k0, pairs), block.eigenvalues,
+                       block.rows, sigma_used)
+    embedding = SpectralEmbedding(rows=block.rows[:, :k].copy(),
+                                  eigenvalues=block.eigenvalues[:k].copy())
+    return embedding, sigma_used, timings
 
 
 def wsc_run(dataset: Dataset, k: int, *, sigma: float | None = None,
@@ -445,11 +445,10 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
     resample or enlarge n_s in that case.
     """
     n = dataset.n
-    if k < 1:
-        raise ArgumentOutOfRange("k must be at least 1")
+    k = _order(k, n)
     if plan is None:
         if n_s is None:
-            n_s = max(k, default_subsample_size(n, k))
+            n_s = default_subsample_size(n, k)
         plan = subsample_plan(n, n_s, seed=seed)
     if plan.n != n:
         raise ArgumentOutOfRange(f"plan is over {plan.n} entities, dataset has {n}")

@@ -302,12 +302,12 @@ class TestCluster:
 
     @pytest.mark.parametrize("method", ["wsc", "subwsc"])
     @pytest.mark.parametrize("selection, k_max, solves", [
-        # wsc clusters every candidate K from one graph and one solve, made
-        # for the first candidate; subwsc's Gram embedding depends on K, so it
-        # solves once per candidate, after the eigengap's own solve for
-        # k_max + 1 pairs of the wsc graph
-        ("silhouette", 3, {"wsc": [2], "subwsc": [2, 3]}),
-        ("eigengap", 5, {"wsc": [6], "subwsc": [6, 3]}),
+        # wsc clusters every candidate K from one graph and one solve of its
+        # whole block of 16 pairs; subwsc's Gram embedding depends on K, so
+        # it solves once per candidate, after the eigengap's own solve of
+        # the wsc graph's block
+        ("silhouette", 3, {"wsc": [16], "subwsc": [2, 3]}),
+        ("eigengap", 5, {"wsc": [16], "subwsc": [16, 3]}),
     ])
     def test_selection_solves_once_for_wsc(self, toy_csv, tmp_path, monkeypatch, method,
                                            selection, k_max, solves):

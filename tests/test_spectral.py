@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -32,6 +33,11 @@ from wscluster import (
 from wscluster import spectral
 from wscluster.errors import ArgumentOutOfRange, IsolatedEntity, NoConvergence, RankDeficientSample
 from wscluster.similarity import build_similarity, knn_sparsify
+
+
+def _forget_kept_solves():
+    """Empty both slots that keep a solve, so the next call starts cold."""
+    spectral._last_solve = spectral._last_graph = None
 
 
 def _sim(entries, sigma=1.0):
@@ -189,7 +195,7 @@ class TestPartialEigensolve:
         import scipy.linalg
         self.calls = []
         # each test starts cold, so its counts do not depend on the one before
-        monkeypatch.setattr(spectral, "_last_solve", None)
+        _forget_kept_solves()
         for module, name in ((scipy.linalg, "evr"), (np.linalg, "eigh")):
             solve = getattr(module, "eigh")
 
@@ -265,7 +271,7 @@ class TestPartialEigensolve:
         block = spectral.EIG_BLOCK
         values, vectors = sym_eig_topk(m, block)
         for k in range(1, block + 1):
-            spectral._last_solve = None
+            _forget_kept_solves()
             alone = sym_eig_topk(m, k)
             assert np.array_equal(alone[0], values[:k])
             assert np.array_equal(alone[1], vectors[:, :k])
@@ -452,10 +458,10 @@ class TestWsc:
         dataset, _ = duplicate_dataset
         distances = pairwise_distances(dataset)
         for k in range(1, 7):
-            spectral._last_solve = None
+            _forget_kept_solves()
             top = wsc_run(dataset, 6, knn_k0=9, seed=4, distances=distances)
             shared = wsc_run(dataset, k, knn_k0=9, seed=4, distances=distances)
-            spectral._last_solve = None
+            _forget_kept_solves()
             alone = wsc_run(dataset, k, knn_k0=9, seed=4, distances=distances)
             assert np.array_equal(shared.embedding.rows, top.embedding.rows[:, :k])
             assert np.array_equal(shared.embedding.rows, alone.embedding.rows)
@@ -526,6 +532,12 @@ class TestSubwsc:
         with pytest.raises(ArgumentOutOfRange):
             subwsc(dataset, 5, subsample_plan(dataset.n, 4, seed=0))
 
+    def test_k_above_n_names_k_not_the_sample_size(self, duplicate_dataset):
+        dataset, _ = duplicate_dataset
+        n = dataset.n
+        with pytest.raises(ArgumentOutOfRange, match=rf"^k={n + 1} outside \[1, {n}\]$"):
+            subwsc_run(dataset, n + 1)
+
     def test_sub_laplacian_entries(self, duplicate_dataset):
         dataset, _ = duplicate_dataset
         distances = pairwise_distances(dataset)
@@ -559,7 +571,7 @@ class TestGraphKey:
     def count_lapack_calls(self, monkeypatch):
         self.calls = []
         self.graphs = []
-        monkeypatch.setattr(spectral, "_last_solve", None)
+        _forget_kept_solves()
         solve = np.linalg.eigh
 
         def counted(*args, **kwargs):
@@ -574,7 +586,7 @@ class TestGraphKey:
         monkeypatch.setattr(spectral, "graph_laplacian", built)
 
     def _cold(self, *args, **kwargs):
-        spectral._last_solve = None
+        _forget_kept_solves()
         return wsc_run(*args, **kwargs)
 
     def test_a_selection_session_builds_and_solves_each_graph_once(self, selection_input):
@@ -595,8 +607,10 @@ class TestGraphKey:
             subwsc_run(dataset, 3, n_s=n_s, seed=3, distances=distances)
         assert self.graphs == [(None, None), (None, 10), (None, None), (None, None)]
         assert self.calls == ["eigh"] * 4
-        # the Gram solve replaced the kept one, graph key and all
-        assert spectral._last_solve[3] is None
+        # the Gram solves took sym_eig_topk's slot and left the last graph's block
+        graph = spectral._last_graph
+        assert graph[0]() is distances.entries and graph[1] == (None, 10, spectral.EIG_BLOCK)
+        assert spectral._last_solve[0][1] == 18
         for k, run in runs.items():
             assert _same_run(run, self._cold(dataset, k, seed=3, distances=distances))
 
@@ -615,15 +629,54 @@ class TestGraphKey:
         assert len(self.graphs) == 2 and len(self.calls) == 2
         assert np.array_equal(again.embedding.rows, top.embedding.rows)
 
-    @pytest.mark.parametrize("k", [2.0, "3"])
-    def test_a_non_integer_k_is_rejected_cold_and_warm(self, selection_input, k):
-        # warm, 2.0 passes the range check and matches the key's block of pairs
+    @pytest.mark.parametrize("run, k", [
+        pytest.param(run, k, id=f"{prefix}{k}")
+        for prefix, run in (("", wsc_run), ("subwsc-", subwsc_run)) for k in (2.0, "3")])
+    def test_a_non_integer_k_is_rejected_cold_and_warm(self, selection_input, run, k):
+        # warm, 2.0 passes the range check and matches the key's block of pairs;
+        # subwsc rejects it before it draws a plan or builds a graph
         dataset, distances = selection_input
         for _ in range(2):
             with pytest.raises(ArgumentOutOfRange, match="is not an integer"):
-                wsc_run(dataset, k, distances=distances)
+                run(dataset, k, distances=distances)
             wsc_run(dataset, 3, distances=distances)
-        assert self.calls == ["eigh"]
+        assert len(self.graphs) == 1 and self.calls == ["eigh"]
+
+    def test_a_gram_solve_between_two_runs_leaves_the_graph_kept(self, selection_input):
+        dataset, distances = selection_input
+        wsc_run(dataset, 3, seed=2, distances=distances)
+        subwsc_run(dataset, 3, n_s=18, seed=2, distances=distances)
+        again = wsc_run(dataset, 3, seed=2, distances=distances)
+        assert len(self.graphs) == 2 and self.calls == ["eigh"] * 2
+        assert _same_run(again, self._cold(dataset, 3, seed=2, distances=distances))
+
+    def test_concurrent_selections_on_two_matrices_match_cold_runs(self, selection_input):
+        # each thread's graph keeps replacing the other's in the slot, and
+        # each reads back only the block it keeps under its own matrix
+        batches, _ = generate(SimSpec((20, 20, 20), beta=100, example=1, seed=2))
+        other = standardize(batches)
+        inputs = [selection_input, (other, pairwise_distances(other))]
+        ks = range(2, 9)
+        cold = [{k: self._cold(dataset, k, seed=5, distances=d) for k in ks}
+                for dataset, d in inputs]
+        _forget_kept_solves()
+        barrier = threading.Barrier(len(inputs))
+        results = [[] for _ in inputs]
+
+        def select(i):
+            dataset, d = inputs[i]
+            barrier.wait()
+            for _ in range(5):
+                results[i].extend((k, wsc_run(dataset, k, seed=5, distances=d)) for k in ks)
+
+        threads = [threading.Thread(target=select, args=(i,)) for i in range(len(inputs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for i, runs in enumerate(results):
+            assert len(runs) == 5 * len(ks)
+            assert all(_same_run(run, cold[i][k]) for k, run in runs)
 
     def test_the_default_sigma_given_misses_the_key_but_hits_the_laplacian(self,
                                                                           selection_input):
@@ -646,7 +699,7 @@ class TestGraphKey:
         dataset, distances = selection_input
         copy = DistanceMatrix(list(distances.entity_ids), distances.entries.copy())
         wsc_run(dataset, 3, distances=copy)
-        ref = spectral._last_solve[3][0]
+        ref = spectral._last_graph[0]
         assert ref() is copy.entries
         del copy
         gc.collect()
