@@ -22,6 +22,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import __version__
 from .ecdf import (
     DEFAULT_TRANSACTION_CAP,
@@ -294,6 +299,12 @@ def _select(config, dataset, distances, cluster):
             [run.timings for run in runs.values()])
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes, else KiB
+
+
 def cmd_cluster(args) -> int:
     with _recorded_warnings() as caught:
         config = RunConfig(method=args.method, k=args.k, k_selection=args.k_selection,
@@ -328,6 +339,8 @@ def cmd_cluster(args) -> int:
         }
         if selection_info:
             run_info["k_selection"] = selection_info
+        if resource is not None:
+            run_info["memory"] = {"peak_rss_mb": _peak_rss_mb()}
         _write_json(os.path.join(args.out, "run.json"), run_info)
         print(f"wrote {labels_path} (n={dataset.n}, k={k})")
         return EXIT_OK

@@ -1,4 +1,6 @@
-"""Exception and warning types raised across the package."""
+"""Exception and warning types raised across the package, and the integer check they share."""
+
+import operator
 
 
 class WsclusterError(Exception):
@@ -18,6 +20,23 @@ class ArgumentOutOfRange(WsclusterError, ValueError):
     simulation spec that cannot be drawn; and for a method name that the
     method table does not hold.
     """
+
+
+def _integer_in(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high], or at least ``low`` when ``high`` is None.
+
+    Anything :func:`operator.index` refuses, a float or a string say, and
+    any int out of range raises :class:`ArgumentOutOfRange`.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ArgumentOutOfRange(f"{name}={value!r} is not an integer") from None
+    if high is None and value < low:
+        raise ArgumentOutOfRange(f"{name} must be at least {low} ({name}={value})")
+    if high is not None and not low <= value <= high:
+        raise ArgumentOutOfRange(f"{name}={value} outside [{low}, {high}]")
+    return value
 
 
 # --- input validation -------------------------------------------------------

@@ -17,6 +17,7 @@ from .errors import (
     CandidateSkippedWarning,
     InertiaIncreased,
     RankDeficientSample,
+    _integer_in,
 )
 from .rng import substream
 
@@ -106,16 +107,13 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
 
     Each restart seeds centers with k-means++ and iterates Lloyd updates
     until assignments stop changing. The best restart by (inertia, restart
-    index) wins, making the result deterministic for a given seed.
+    index) wins, making the result deterministic for a given seed. A ``k``
+    that is not an integer in [1, n] raises :class:`ArgumentOutOfRange`.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
-    n = points.shape[0]
-    if k > n:
-        raise ArgumentOutOfRange(f"k={k} exceeds the number of points ({n})")
-    if k < 1:
-        raise ArgumentOutOfRange("k must be at least 1")
+    k = _integer_in("k", k, 1, points.shape[0])
     best = None
     for restart in range(N_INIT):
         gen = substream(seed, "kmeans-restart", restart)

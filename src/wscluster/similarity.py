@@ -42,6 +42,13 @@ BLOCK_ELEMENTS = 32768
 # 5,345 (discrete amounts, n=200 and 400), 0.94x at 7,902, 0.74x at 11,557
 THREADS_MIN_BLOCK = 8192
 
+# values per block of rows in the passes over an n x n matrix that need
+# scratch of their own: the neighbor search here, and in wscluster.spectral
+# the Laplacian's scaling and the eigensolver's symmetry check. Each block
+# holds max(1, ROW_BLOCK_VALUES // n) rows, so their scratch stays near
+# this many values at any n, a twentieth of n x n at n=400
+ROW_BLOCK_VALUES = 8192
+
 
 @dataclass
 class DistanceMatrix:
@@ -181,6 +188,12 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     return DistanceMatrix(list(dataset.entity_ids), out, workers)
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive row ranges of an n x n matrix, about ROW_BLOCK_VALUES values each."""
+    step = max(1, ROW_BLOCK_VALUES // max(n, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def _allowed_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -274,7 +287,9 @@ def build_similarity(d: DistanceMatrix, sigma: float | None = None) -> Similarit
     elif sigma <= 0:
         raise ArgumentOutOfRange("sigma must be positive")
     with np.errstate(over="ignore"):  # W / sigma beyond the float range: exp gives 0
-        entries = np.exp(-d.entries / sigma)
+        # W / -sigma rounds as -W / sigma does, and exp runs in the same buffer
+        entries = np.divide(d.entries, -sigma)
+        np.exp(entries, out=entries)
     if d.n >= 2:  # a row's largest similarity is its nearest neighbor's, which kNN keeps
         np.fill_diagonal(entries, 0.0)
         isolated = np.flatnonzero(entries.max(axis=1) <= 0)
@@ -291,38 +306,62 @@ def nearest_neighbor_sets(d: DistanceMatrix, k0: int) -> np.ndarray:
     Row j lists the k0 entities closest to j, self excluded, distance ties
     broken by the smaller entity index: bitwise a stable ``argsort`` of
     each row's distances cut to k0 columns. Each row's k0-th distance comes
-    from a partition, and only the entries at or below it are sorted.
+    from a partition, and only the entries at or below it are sorted. Rows
+    are taken in blocks of about ``ROW_BLOCK_VALUES`` distances, so scratch
+    memory beyond the n x k0 result is O(max(ROW_BLOCK_VALUES, n)).
     """
     n = d.n
     if not 1 <= k0 <= n - 1:
         raise ArgumentOutOfRange(f"k0={k0} outside [1, {n - 1}]")
-    # row j holds the distances to j; the NaN that stands for self sorts last,
-    # and every other entry is finite, so each row has at least k0 candidates
-    dist_to = d.entries.T.copy()
-    np.fill_diagonal(dist_to, np.nan)
-    # a copy, as a view of the column would keep the whole partitioned n x n alive
-    kth = np.partition(dist_to, k0 - 1, axis=1)[:, k0 - 1].copy()
-    rows, cols = np.nonzero(dist_to <= kth[:, None])
-    order = np.lexsort((cols, dist_to[rows, cols], rows))
-    counts = np.bincount(rows, minlength=n)
-    first = np.cumsum(counts) - counts
-    return cols[order[first[:, None] + np.arange(k0)]]
+    neighbors = np.empty((n, k0), dtype=np.intp)
+    for block in _row_blocks(n):
+        # row j holds the distances to block.start + j
+        dist_to = d.entries[:, block].T
+        size = dist_to.shape[0]
+        own = (np.arange(size), np.arange(block.start, block.stop))
+        # the k0-th distance, partitioned with self as a NaN, which sorts last;
+        # every other entry is finite, so each row has at least k0 candidates
+        part = dist_to.copy()
+        part[own] = np.nan
+        part.partition(k0 - 1, axis=1)
+        kth = part[:, k0 - 1].copy()
+        del part  # before the mask and the sort need their own scratch
+        within = dist_to <= kth[:, None]
+        within[own] = False
+        rows, cols = np.nonzero(within)
+        order = np.lexsort((cols, dist_to[rows, cols], rows))
+        counts = np.bincount(rows, minlength=size)
+        first = np.cumsum(counts) - counts
+        neighbors[block] = cols[order[first[:, None] + np.arange(k0)]]
+    return neighbors
 
 
-def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int) -> SimilarityMatrix:
+def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int, *,
+                 out: np.ndarray | None = None) -> SimilarityMatrix:
     """Zero all similarities outside the union k0-nearest-neighbor graph.
 
     Entry (i, j) survives when i is among j's k0 nearest neighbors or vice
     versa (either end suffices, so the graph is not the mutual one); the
     diagonal always survives. Applying the same reconstruction
     twice is a no-op.
+
+    The result is written to ``out``, an n x n float64 array, which may be
+    ``s.entries`` itself: :func:`wscluster.spectral.graph_laplacian` cuts
+    its own S that way. Without ``out`` the result gets a new array and S
+    is left as it was. The surviving entries are gathered before ``out``
+    is zeroed and put back, so memory beyond ``out`` is O(n x k0).
     """
-    neighbors = nearest_neighbor_sets(d, k0)
+    neighbors = nearest_neighbor_sets(d, k0)  # row j lists the i that keep (i, j)
     n = s.n
-    keep = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), k0)
-    keep[neighbors.ravel(), rows] = True
-    keep |= keep.T
-    np.fill_diagonal(keep, True)
-    entries = np.where(keep, s.entries, 0.0)
-    return SimilarityMatrix(list(s.entity_ids), entries, sigma=s.sigma, k0=k0)
+    rows = np.arange(n)[:, None]
+    to_row = s.entries[neighbors, rows]
+    from_row = s.entries[rows, neighbors]
+    diagonal = s.entries.diagonal().copy()
+    if out is None:
+        out = np.zeros((n, n))
+    else:
+        out.fill(0.0)
+    out[neighbors, rows] = to_row
+    out[rows, neighbors] = from_row
+    np.fill_diagonal(out, diagonal)
+    return SimilarityMatrix(list(s.entity_ids), out, sigma=s.sigma, k0=k0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecdf import Dataset, TransactionBatch, standardize
-from .errors import ArgumentOutOfRange, WsclusterError
+from .errors import ArgumentOutOfRange, WsclusterError, _integer_in
 from .kmeans import kmeans
 from .metrics import Partition, cluster_accuracy, nmi, rand_index
 from .rng import substream
@@ -190,10 +190,7 @@ def hc_complete_baseline(d: DistanceMatrix, k: int) -> Partition:
     order. The cut always yields exactly k clusters.
     """
     n = d.n
-    if k < 1:
-        raise ArgumentOutOfRange("k must be at least 1")
-    if k > n:
-        raise ArgumentOutOfRange(f"k={k} exceeds n={n}")
+    k = _integer_in("k", k, 1, n)
     if n == 1:
         # linkage needs at least one pair
         return Partition.from_labels([0], entity_ids=list(d.entity_ids))

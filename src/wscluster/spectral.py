@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -33,11 +32,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecdf import Dataset
-from .errors import ArgumentOutOfRange, IsolatedEntity, NoConvergence, RankDeficientSample
+from .errors import (
+    ArgumentOutOfRange,
+    IsolatedEntity,
+    NoConvergence,
+    RankDeficientSample,
+    _integer_in,
+)
 from .kmeans import kmeans
 from .metrics import Partition
 from .rng import substream
-from .similarity import DistanceMatrix, SimilarityMatrix, build_similarity, knn_sparsify, pairwise_distances
+from .similarity import (
+    DistanceMatrix,
+    SimilarityMatrix,
+    _row_blocks,
+    build_similarity,
+    knn_sparsify,
+    pairwise_distances,
+)
 
 __all__ = [
     "Laplacian",
@@ -112,8 +124,16 @@ class ClusteringRun:
     plan: SubsamplePlan | None = None
 
 
-def normalized_laplacian(s: SimilarityMatrix) -> Laplacian:
-    """L = D^{-1/2} S D^{-1/2}, degrees the full row sums of S; a zero one is an IsolatedEntity."""
+def normalized_laplacian(s: SimilarityMatrix, *, out: np.ndarray | None = None) -> Laplacian:
+    """L = D^{-1/2} S D^{-1/2}, degrees the full row sums of S; a zero one is an IsolatedEntity.
+
+    Entry (i, j) is S_ij * (a_i * a_j) with a = 1 / sqrt(degrees). Rows
+    are scaled in blocks, so scratch memory is about
+    :data:`wscluster.similarity.ROW_BLOCK_VALUES` values. L is written to
+    ``out``, an n x n float64 array, which may be ``s.entries`` itself:
+    :func:`graph_laplacian` turns its own S into L that way. Without
+    ``out``, L gets a new array and S is left as it was.
+    """
     degrees = s.entries.sum(axis=1)
     bad = np.flatnonzero(degrees <= 0)
     if bad.size:
@@ -121,10 +141,14 @@ def normalized_laplacian(s: SimilarityMatrix) -> Laplacian:
             f"entity {s.entity_ids[bad[0]]!r} has zero degree; "
             "increase k0 or disable sparsification")
     scale = 1.0 / np.sqrt(degrees)
-    return Laplacian(entries=s.entries * np.outer(scale, scale), degrees=degrees)
+    if out is None:
+        out = np.empty(s.entries.shape)
+    for rows in _row_blocks(s.n):
+        np.multiply(s.entries[rows], np.outer(scale[rows], scale), out=out[rows])
+    return Laplacian(entries=out, degrees=degrees)
 
 
-def sym_eig_topk(m: np.ndarray, k: int):
+def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False):
     """The k algebraically largest eigenpairs of a symmetric matrix.
 
     Returns ``(eigenvalues, vectors)`` with eigenvalues descending and
@@ -178,8 +202,23 @@ def sym_eig_topk(m: np.ndarray, k: int):
     15 ms against 35 ms, but ``sha1`` raised a forked child's peak RSS
     from 78.2 to 79.2 MB. Only a solve that passed every check below is
     kept. The symmetry check runs only on a miss, since a hit's bytes are
-    those of a matrix that passed it; that saves its two n x n
-    temporaries, 23 ms at n=1500.
+    those of a matrix that passed it. It takes max |m - m^T| over blocks
+    of rows, so its scratch is about
+    :data:`wscluster.similarity.ROW_BLOCK_VALUES` values, and a NaN
+    anywhere in m makes the maximum NaN, which passes on to LAPACK.
+
+    ``overwrite=True``, after scipy's ``overwrite_a``, lets the partial
+    path solve m in its own buffer, where LAPACK would otherwise copy all
+    n x n of it; the caller gives up m's contents, which are undefined
+    afterwards. m is hashed and its diagonal saved first. LAPACK reads the
+    Fortran view ``m.T``, which for a symmetric m is the matrix the copy
+    would hold, so the pairs are bitwise the same as without
+    ``overwrite``. It destroys one triangle and the diagonal of m; the
+    diagonal is put back, and the residual check reads the other triangle
+    through BLAS ``dsymm``. Below ``PARTIAL_EIG_MIN_N`` ``dsyevd`` needs
+    its own workspace anyway, so ``overwrite`` changes nothing there. On
+    a read-only or non-contiguous m, or one not of float64, the solve
+    works on a copy and m is left as it was.
 
     Every returned pair must satisfy ||m v - lambda v|| <= EIG_TOLERANCE *
     max |lambda|, the maximum taken over the eigenvalues LAPACK returned.
@@ -195,28 +234,26 @@ def sym_eig_topk(m: np.ndarray, k: int):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentOutOfRange("matrix must be square")
     n = m.shape[0]
-    k = _order(k, n)
+    k = _integer_in("k", k, 1, n)
     pairs = _block_pairs(n, k)
     key = (hashlib.blake2b(m).digest(), n, pairs)
     last = _last_solve
     if last is None or last[0] != key:
-        asym = float(np.abs(m - m.T).max()) if n > 1 else 0.0
+        asym = _asymmetry(m)
         if asym > 1e-12:
             raise ArgumentOutOfRange(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-        last = (key, *_solve_top(m, pairs))
+        last = (key, *_solve_top(m, pairs, overwrite))
         _last_solve = last
     return last[1][:k].copy(), last[2][:, :k].copy()
 
 
-def _order(k, n: int) -> int:
-    """k as an int in [1, n]; anything else raises :class:`ArgumentOutOfRange`."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ArgumentOutOfRange(f"k={k!r} is not an integer") from None
-    if not 1 <= k <= n:
-        raise ArgumentOutOfRange(f"k={k} outside [1, {n}]")
-    return k
+def _asymmetry(m: np.ndarray) -> float:
+    """max |m - m^T| of a square m, NaN if m holds one, taken over blocks of rows."""
+    block_max = [0.0]
+    for rows in _row_blocks(m.shape[0]):
+        diff = np.subtract(m[rows], m[:, rows].T)
+        block_max.append(np.abs(diff, out=diff).max())
+    return float(np.max(block_max))
 
 
 def _block_pairs(n: int, k: int) -> int:
@@ -224,13 +261,18 @@ def _block_pairs(n: int, k: int) -> int:
     return min(n, EIG_BLOCK * -(-k // EIG_BLOCK))
 
 
-def _solve_top(m: np.ndarray, pairs: int):
+def _solve_top(m: np.ndarray, pairs: int, overwrite: bool):
     """The checked, sign-fixed leading ``pairs`` eigenpairs of m; see :func:`sym_eig_topk`."""
     n = m.shape[0]
+    overwrite = overwrite and n >= PARTIAL_EIG_MIN_N and m.flags.writeable
     try:
         if n >= PARTIAL_EIG_MIN_N:
             from scipy.linalg import eigh
-            eigenvalues, vectors = eigh(m, subset_by_index=(n - pairs, n - 1), driver="evr")
+            if overwrite:
+                diagonal = m.diagonal().copy()
+            # m.T is Fortran-ordered, so LAPACK may work in m's own buffer
+            eigenvalues, vectors = eigh(m.T if overwrite else m, driver="evr",
+                                        subset_by_index=(n - pairs, n - 1), overwrite_a=overwrite)
         else:
             eigenvalues, vectors = np.linalg.eigh(m)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -244,7 +286,14 @@ def _solve_top(m: np.ndarray, pairs: int):
         if nz.size and v[nz[0]] < 0:
             top_vecs[:, col] = -v
     norm = float(np.abs(eigenvalues).max())
-    residual = np.linalg.norm(m @ top_vecs - top_vecs * top_vals, axis=0)
+    if overwrite:
+        from scipy.linalg.blas import dsymm
+        np.fill_diagonal(m, diagonal)
+        # the triangle LAPACK left intact, the upper one of m.T
+        product = dsymm(1.0, m.T, top_vecs, lower=0)
+    else:
+        product = m @ top_vecs
+    residual = np.linalg.norm(product - top_vecs * top_vals, axis=0)
     # written so that a NaN residual or norm fails too
     if not (norm == 0 or np.all(residual <= EIG_TOLERANCE * norm)):
         raise NoConvergence(
@@ -257,14 +306,13 @@ def eigengap_suggest_k(eigenvalues, k_max: int | None = None) -> int:
 
     Considers candidates K' with 1 <= K' < min(k_max, len(eigenvalues));
     ties go to the smallest K'. Fewer than two eigenvalues, or a ``k_max``
-    below 2, leave no candidate and raise :class:`ArgumentOutOfRange`.
+    below 2, leave no candidate and raise :class:`ArgumentOutOfRange`, as
+    does a ``k_max`` that is not an integer.
     """
     values = np.asarray(eigenvalues, dtype=np.float64)
     if values.size < 2:
         raise ArgumentOutOfRange("need at least two eigenvalues")
-    if k_max is not None and k_max < 2:
-        raise ArgumentOutOfRange(f"k_max={k_max} leaves no candidate K; it must be at least 2")
-    upper = min(k_max if k_max is not None else values.size, values.size)
+    upper = values.size if k_max is None else min(_integer_in("k_max", k_max, 2), values.size)
     gaps = values[:upper - 1] - values[1:upper]
     # gaps that differ only by rounding noise count as tied; smallest K' wins
     cutoff = gaps.max() - 1e-12 * max(1.0, abs(float(gaps.max())))
@@ -277,14 +325,13 @@ def required_subsample_size(n: int, n_min: int, k: int) -> int:
     With a minimum cluster size ``n_min`` out of ``n`` entities, a simple
     random sample of ceil(alpha * (ln n + ln k)) entities, with
     alpha = -1 / ln(1 - n_min / n), hits all k clusters with probability at
-    least 1 - 1/n. The result is clamped to [k, n].
+    least 1 - 1/n. The result is clamped to [k, n]. Each argument must be
+    an integer, n >= 2, k >= 1 and 1 <= n_min < n; anything else raises
+    :class:`ArgumentOutOfRange`.
     """
-    if n < 2:
-        raise ArgumentOutOfRange("n must be at least 2")
-    if k < 1:
-        raise ArgumentOutOfRange("k must be at least 1")
-    if n_min < 1:
-        raise ArgumentOutOfRange("n_min must be at least 1")
+    n = _integer_in("n", n, 2)
+    k = _integer_in("k", k, 1)
+    n_min = _integer_in("n_min", n_min, 1)
     if n_min >= n:
         raise ArgumentOutOfRange(f"n_min={n_min} must be below n={n}")
     alpha = -1.0 / math.log(1.0 - n_min / n)
@@ -297,10 +344,11 @@ def default_subsample_size(n: int, k: int) -> int:
 
     Assumes the smallest cluster holds at least n / (4k) entities, which is
     conservative under moderate imbalance; override with an explicit n_s
-    when better information exists.
+    when better information exists. n and k must be integers of at least
+    1; anything else raises :class:`ArgumentOutOfRange`.
     """
-    if k < 1:
-        raise ArgumentOutOfRange("k must be at least 1")
+    n = _integer_in("n", n, 1)
+    k = _integer_in("k", k, 1)
     n_min_est = max(1, n // (4 * k))
     if n_min_est >= n:
         return n
@@ -308,9 +356,8 @@ def default_subsample_size(n: int, k: int) -> int:
 
 
 def subsample_plan(n: int, n_s: int, seed: int = 0) -> SubsamplePlan:
-    """Uniform simple random sample of ``n_s`` of ``n`` entities."""
-    if not 1 <= n_s <= n:
-        raise ArgumentOutOfRange(f"n_s={n_s} outside [1, {n}]")
+    """Uniform simple random sample of ``n_s`` of ``n`` entities, integers with 1 <= n_s <= n."""
+    n_s = _integer_in("n_s", n_s, 1, _integer_in("n", n, 1))
     selected = substream(seed, "subsample-plan").permutation(n)[:n_s]
     return SubsamplePlan(n=n, selected=selected.astype(np.intp))
 
@@ -320,11 +367,14 @@ def graph_laplacian(distances: DistanceMatrix, sigma: float | None = None,
     """L of the kernel graph exp(-W / sigma), cut to the union k0-NN graph if ``knn_k0`` is given.
 
     Returns ``(L, sigma)``; ``wsc``, ``subwsc`` and eigengap selection of K all read this L.
+    The graph owns one n x n buffer from the kernel on: the cut and the
+    normalization write into S's own entries, which become L's, so memory
+    beyond D is one n x n array and blocks of scratch.
     """
     sim = build_similarity(distances, sigma)
     if knn_k0 is not None:
-        sim = knn_sparsify(sim, distances, knn_k0)
-    return normalized_laplacian(sim), sim.sigma
+        sim = knn_sparsify(sim, distances, knn_k0, out=sim.entries)
+    return normalized_laplacian(sim, out=sim.entries), sim.sigma
 
 
 def _spectrum(dataset: Dataset, embed, *, sigma, knn_k0, distances):
@@ -380,7 +430,7 @@ def _wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
     and the weak reference never keeps the array alive.
     """
     global _last_graph
-    k = _order(k, dataset.n)
+    k = _integer_in("k", k, 1, dataset.n)
     pairs = _block_pairs(dataset.n, k)
     t0 = time.perf_counter()
     entries = distances.entries if distances is not None else None
@@ -392,8 +442,10 @@ def _wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
         timings = {"similarity": t1 - t0, "eigensolve": time.perf_counter() - t1}
         return embedding, last[4], timings
 
-    block, sigma_used, timings = _spectrum(dataset, lambda lap: sym_eig_topk(lap, pairs),
-                                           sigma=sigma, knn_k0=knn_k0, distances=distances)
+    # L is built here and dropped after the solve, so LAPACK may overwrite it
+    block, sigma_used, timings = _spectrum(
+        dataset, lambda lap: sym_eig_topk(lap, pairs, overwrite=True),
+        sigma=sigma, knn_k0=knn_k0, distances=distances)
     if keep:
         _last_graph = (weakref.ref(entries), (sigma, knn_k0, pairs), block.eigenvalues,
                        block.rows, sigma_used)
@@ -445,7 +497,7 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
     resample or enlarge n_s in that case.
     """
     n = dataset.n
-    k = _order(k, n)
+    k = _integer_in("k", k, 1, n)
     if plan is None:
         if n_s is None:
             n_s = default_subsample_size(n, k)

@@ -127,6 +127,24 @@ class TestCluster:
         run = json.loads((out / "run.json").read_text())
         assert run["distance_workers"] == len(threads) == 3
 
+    @pytest.mark.skipif(sys.platform == "win32", reason="no resource module")
+    def test_run_json_records_the_peak_rss(self, toy_csv, tmp_path):
+        import resource
+        csv_path, _ = toy_csv
+        out = tmp_path / "out"
+        assert run_cli(["cluster", str(csv_path), "--k", "3", "--out", str(out)]).returncode == 0
+        peak = json.loads((out / "run.json").read_text())["memory"]["peak_rss_mb"]
+        # the largest peak of any child so far, the one just run included
+        children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        assert 10 < peak <= children / (1 << 20 if sys.platform == "darwin" else 1024)
+
+    def test_run_json_has_no_memory_without_resource(self, toy_csv, tmp_path):
+        csv_path, _ = toy_csv
+        out = tmp_path / "out"
+        with mock.patch("wscluster.cli.resource", None):
+            assert main(["cluster", str(csv_path), "--k", "3", "--out", str(out)]) == 0
+        assert "memory" not in json.loads((out / "run.json").read_text())
+
     def test_subwsc_default_n_s_echoed(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
         out = tmp_path / "out"
@@ -314,7 +332,7 @@ class TestCluster:
         calls = []
         solve = spectral.sym_eig_topk
         monkeypatch.setattr(spectral, "sym_eig_topk",
-                            lambda m, k: calls.append(k) or solve(m, k))
+                            lambda m, k, **kw: calls.append(k) or solve(m, k, **kw))
         csv_path, _ = toy_csv
         out = tmp_path / "out"
         assert main(["cluster", str(csv_path), "--method", method, "--k-selection", selection,

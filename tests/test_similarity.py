@@ -331,6 +331,15 @@ class TestBuildSimilarity:
             with pytest.raises(IsolatedEntity, match="'e0'"):
                 build_similarity(d, sigma=sigma)
 
+    @pytest.mark.parametrize("sigma", [None, 0.37, 3])
+    def test_bitwise_the_kernel_of_the_negated_distances(self, sigma):
+        gen = np.random.default_rng(8)
+        raw = gen.random((40, 40))
+        d = _dmatrix(np.triu(raw, 1) + np.triu(raw, 1).T)
+        expected = np.exp(-d.entries / (d.entries.max() if sigma is None else sigma))
+        np.fill_diagonal(expected, 1.0)
+        assert np.array_equal(build_similarity(d, sigma).entries, expected)
+
     def test_one_entity_is_never_isolated(self):
         s = build_similarity(_dmatrix([[0.0]]), sigma=1e-320)
         assert s.entries.tolist() == [[1.0]]
@@ -344,6 +353,18 @@ class TestBuildSimilarity:
         order_d = np.argsort(d.entries[iu])
         order_s = np.argsort(-s.entries[iu])
         assert np.array_equal(order_d, order_s)
+
+
+def _check_neighbor_sets(data, n, symmetric):
+    # few distinct integer distances, so most rows tie at their k0-th distance
+    raw = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n,
+                                      max_size=n * n)), dtype=np.float64).reshape(n, n)
+    d = _dmatrix(raw + raw.T if symmetric else raw)
+    dist_to = d.entries.T.astype(np.float64, order="C")
+    np.fill_diagonal(dist_to, np.nan)
+    full = np.argsort(dist_to, axis=1, kind="stable")
+    for k0 in range(1, n):
+        assert np.array_equal(similarity.nearest_neighbor_sets(d, k0), full[:, :k0])
 
 
 class TestKnnSparsify:
@@ -409,6 +430,20 @@ class TestKnnSparsify:
         np.fill_diagonal(off_diag, 0.0)
         assert np.count_nonzero(off_diag) <= 2 * k0 * n
 
+    @pytest.mark.parametrize("into", ["s", "other"])
+    def test_out_equals_a_new_array(self, into):
+        gen = np.random.default_rng(9)
+        raw = np.round(gen.random((300, 300)), 2)  # ties across several blocks of rows
+        d = _dmatrix(np.triu(raw, 1) + np.triu(raw, 1).T)
+        s = build_similarity(d)
+        before = s.entries.copy()
+        expected = knn_sparsify(s, d, 7)
+        assert np.array_equal(s.entries, before)
+        out = s.entries if into == "s" else np.full((300, 300), 7.0)
+        result = knn_sparsify(s, d, 7, out=out)
+        assert result.entries is out and result.k0 == 7
+        assert np.array_equal(result.entries, expected.entries)
+
     def test_neighbor_sets_hold_no_more_than_their_indices(self):
         # a view of the argsort's first k0 columns would keep all n x n indices alive
         gen = np.random.default_rng(7)
@@ -427,15 +462,14 @@ class TestKnnSparsify:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(2, 24), symmetric=st.booleans())
     def test_neighbor_sets_match_a_stable_argsort(self, data, n, symmetric):
-        # few distinct integer distances, so most rows tie at their k0-th distance
-        raw = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n,
-                                          max_size=n * n)), dtype=np.float64).reshape(n, n)
-        d = _dmatrix(raw + raw.T if symmetric else raw)
-        dist_to = d.entries.T.astype(np.float64, order="C")
-        np.fill_diagonal(dist_to, np.nan)
-        full = np.argsort(dist_to, axis=1, kind="stable")
-        for k0 in range(1, n):
-            assert np.array_equal(similarity.nearest_neighbor_sets(d, k0), full[:, :k0])
+        _check_neighbor_sets(data, n, symmetric)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 24), symmetric=st.booleans())
+    def test_neighbor_sets_match_a_stable_argsort_in_small_blocks(self, data, n, symmetric):
+        # blocks of max(1, 20 // n) rows: one block up to n=4, then blocks that split n
+        with mock.patch.object(similarity, "ROW_BLOCK_VALUES", 20):
+            _check_neighbor_sets(data, n, symmetric)
 
     def test_k0_out_of_range(self):
         d = _dmatrix([[0, 1], [1, 0]])

@@ -356,9 +356,9 @@ class TestBenchmark:
         # fraction; wall times alone order wrongly when the machine is shared
         orders = []
 
-        def recording(m, k):
+        def recording(m, k, **kwargs):
             orders.append(m.shape[0])
-            return sym_eig_topk(m, k)
+            return sym_eig_topk(m, k, **kwargs)
 
         monkeypatch.setattr(spectral, "sym_eig_topk", recording)
         spec = SimSpec((200, 200, 200), beta=20, example=1, seed=5)

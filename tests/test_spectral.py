@@ -1,6 +1,7 @@
 import gc
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wscluster import (
     eigengap_suggest_k,
     generate,
     graph_laplacian,
+    kmeans,
     normalized_laplacian,
     pairwise_distances,
     required_subsample_size,
@@ -33,11 +35,19 @@ from wscluster import (
 from wscluster import spectral
 from wscluster.errors import ArgumentOutOfRange, IsolatedEntity, NoConvergence, RankDeficientSample
 from wscluster.similarity import build_similarity, knn_sparsify
+from wscluster.simulate import hc_complete_baseline
 
 
 def _forget_kept_solves():
     """Empty both slots that keep a solve, so the next call starts cold."""
     spectral._last_solve = spectral._last_graph = None
+
+
+def _groups_distances(n, seed=0):
+    """Distances between n random points on a line, in three groups."""
+    gen = np.random.default_rng(seed)
+    x = gen.random(n) + np.repeat([0.0, 3.0, 6.0], -(-n // 3))[:n]
+    return DistanceMatrix([f"e{i}" for i in range(n)], np.abs(x[:, None] - x[None, :]))
 
 
 def _sim(entries, sigma=1.0):
@@ -86,6 +96,20 @@ class TestNormalizedLaplacian:
         with pytest.raises(IsolatedEntity, match="entity 'e1' has zero degree"):
             normalized_laplacian(_sim(entries))
 
+    def test_out_is_bitwise_the_scaled_product(self):
+        # n spans several blocks of rows; each entry is S_ij * (a_i * a_j)
+        sim = build_similarity(_groups_distances(300))
+        before = sim.entries.copy()
+        scale = 1.0 / np.sqrt(before.sum(axis=1))
+        expected = before * np.outer(scale, scale)
+        lap = normalized_laplacian(sim)
+        assert np.array_equal(lap.entries, expected)
+        assert np.array_equal(sim.entries, before)
+        into = normalized_laplacian(sim, out=sim.entries)
+        assert into.entries is sim.entries
+        assert np.array_equal(into.entries, expected)
+        assert np.array_equal(into.degrees, lap.degrees)
+
 
 class TestGraphLaplacian:
     @pytest.mark.parametrize("sigma, k0", [(None, None), (0.5, None), (None, 9), (2.0, 4)])
@@ -99,6 +123,20 @@ class TestGraphLaplacian:
         assert used == sim.sigma
         assert np.array_equal(lap.entries, normalized_laplacian(sim).entries)
         assert np.array_equal(lap.degrees, sim.entries.sum(axis=1))
+
+    @pytest.mark.parametrize("k0", [None, 10])
+    def test_the_graph_holds_one_n_by_n_buffer(self, k0):
+        # beyond D: L itself, built in S's buffer, and scratch in blocks of rows
+        n = 600
+        distances = _groups_distances(n)
+        tracemalloc.start()
+        try:
+            lap, _ = graph_laplacian(distances, None, k0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lap.entries.shape == (n, n)
+        assert peak <= 1.1 * 8 * n * n
 
 
 class TestSymEigTopk:
@@ -324,6 +362,51 @@ class TestPartialEigensolve:
         assert self.calls == ["evr"]
         assert np.array_equal(again[0], expected[0]) and np.array_equal(again[1], expected[1])
 
+    @pytest.mark.parametrize("n", [spectral.PARTIAL_EIG_MIN_N - 1, spectral.PARTIAL_EIG_MIN_N])
+    def test_without_overwrite_the_matrix_is_left_alone(self, n):
+        m = _laplacian_of_points(np.random.default_rng(13).normal(0.0, 1.0, n))
+        before = m.copy()
+        sym_eig_topk(m, self.K)
+        _forget_kept_solves()
+        sym_eig_topk(m, self.K, overwrite=False)
+        assert np.array_equal(m, before)
+
+    @pytest.mark.parametrize("k0", [None, 10])
+    def test_overwrite_returns_the_same_pairs(self, k0):
+        m = graph_laplacian(_groups_distances(spectral.PARTIAL_EIG_MIN_N), None, k0)[0].entries
+        kept = sym_eig_topk(m, spectral.EIG_BLOCK)
+        _forget_kept_solves()
+        work = m.copy()
+        overwritten = sym_eig_topk(work, spectral.EIG_BLOCK, overwrite=True)
+        assert self.calls == ["evr", "evr"]
+        assert np.array_equal(overwritten[0], kept[0])
+        assert np.array_equal(overwritten[1], kept[1])
+        # the diagonal and one triangle survive
+        assert np.array_equal(np.tril(work), np.tril(m))
+
+    def test_overwrite_solves_in_the_matrix_s_own_buffer(self, partial_size_laplacian):
+        m = partial_size_laplacian[0]
+        n = m.shape[0]
+        sym_eig_topk(m.copy(), self.K, overwrite=True)  # loads scipy's wrappers
+        _forget_kept_solves()
+        work = m.copy()
+        tracemalloc.start()
+        try:
+            sym_eig_topk(work, self.K, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert self.calls == ["evr", "evr"]
+        assert peak <= 0.2 * 8 * n * n
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_nan_with_overwrite_is_no_convergence(self, partial_size_laplacian):
+        m = partial_size_laplacian[0].copy()
+        m[3, 5] = m[5, 3] = np.nan
+        with pytest.raises(NoConvergence):
+            sym_eig_topk(m, self.K, overwrite=True)
+        assert self.calls == ["evr"]
+
     def test_partial_path_starts_at_the_cut_over(self):
         n = spectral.PARTIAL_EIG_MIN_N
         m = np.diag(np.linspace(0.0, 1.0, n))
@@ -352,6 +435,23 @@ class TestEigengap:
         with pytest.raises(ArgumentOutOfRange, match=f"k_max={k_max}") as info:
             eigengap_suggest_k([1.0, 0.6, 0.2], k_max=k_max)
         assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: default_subsample_size(30, "3"),
+    lambda: default_subsample_size(30, 2.5),
+    lambda: required_subsample_size(30, 5, 2.5),
+    lambda: required_subsample_size(30.5, 5, 2),
+    lambda: subsample_plan(30, 2.5),
+    lambda: kmeans(np.arange(6.0), 2.5),
+    lambda: kmeans(np.arange(6.0), "2"),
+    lambda: eigengap_suggest_k([1.0, 0.6, 0.2], k_max=2.5),
+    lambda: hc_complete_baseline(DistanceMatrix(["a", "b"], np.eye(2)[::-1].copy()), 1.5),
+], ids=["default-str", "default-float", "required-k", "required-n", "plan", "kmeans-float",
+        "kmeans-str", "eigengap", "hc"])
+def test_a_count_that_is_not_an_integer_is_argument_out_of_range(call):
+    with pytest.raises(ArgumentOutOfRange, match="is not an integer"):
+        call()
 
 
 class TestRequiredSubsampleSize:
