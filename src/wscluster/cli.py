@@ -334,6 +334,7 @@ def cmd_cluster(args) -> int:
             "eigenvalues": run.embedding.eigenvalues.tolist() if run.embedding else None,
             "timings": timings,
             "distance_workers": distances.workers,
+            "distance_kernel": distances.kernel,
             "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                          for w in caught],
         }

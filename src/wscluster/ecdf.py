@@ -8,7 +8,15 @@ between two entities is the area between their ECDFs,
 
 which for step functions is an exact finite sum over the merged support.
 W is a metric on ECDFs: it is symmetric, zero exactly for identical step
-functions, and satisfies the triangle inequality.
+functions, and satisfies the triangle inequality. :func:`wasserstein`
+computes it pair by pair and is the oracle for the batched distance
+matrix of :func:`wscluster.similarity.pairwise_distances`. That has two
+exact paths: the same merged-support sum, and the equal integral of
+|Q_a(u) - Q_b(u)| over the quantile functions, whose steps at k/m depend
+only on the two sample counts. The quantile path runs when the dataset
+has at most ``QUANTILE_MAX_RATIO`` = 3 transactions per distinct amount
+and every ``cum_prob`` is its tie counts over ``sample_count``, as
+:func:`build_ecdf` makes it.
 
 Transactions arrive as an ``entity_id,amount`` CSV. Quote-free files are
 read a chunk at a time, with each entity's amounts parsed by numpy; every

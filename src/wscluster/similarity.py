@@ -28,19 +28,33 @@ __all__ = [
 # dense storage guard; beyond this the quadratic memory is a deliberate choice
 MAX_DENSE_ENTITIES = 20_000
 
-# merged values sorted per block of rows in pairwise_distances. numpy's sort,
-# take and cumsum release the GIL on blocks this large, so worker threads
-# overlap. Continuous n=400 benchmark input, 2 cores, kernel alone: median
-# 0.36 s on two threads against 0.49 s on one; at 8192 a second thread
-# gained nothing (best of 7, 0.54 s against 0.53 s)
+# values per block in pairwise_distances: merged supports sorted at once on
+# the merge path, |Q_a - Q_b| differences summed at once on the quantile path.
+# numpy's sort, take and cumsum release the GIL on merge blocks this large,
+# so worker threads overlap. Tied input (example 1 at n=400 with every
+# amount four times, so the merge path sees its continuous supports), 2
+# cores, merge path alone, median of 5: 0.44-0.45 s on two threads against
+# 0.52-0.54 s on one; at 8192 a second thread lost (0.87 s against 0.71-0.75)
 BLOCK_ELEMENTS = 32768
 
-# fewest merged values per block, on average, for which pairwise_distances
-# runs more than one thread: below it the Python work of each block, which
-# holds the GIL, outweighs numpy's GIL-free work. Two threads over one, 2
-# cores, kernel alone: 1.52x at a mean block of 2,675 values and 1.02x at
-# 5,345 (discrete amounts, n=200 and 400), 0.94x at 7,902, 0.74x at 11,557
+# fewest merged values per block, on average, for which the merge path runs
+# more than one thread: below it the Python work of each block, which holds
+# the GIL, outweighs numpy's GIL-free work. Two threads over one, 2 cores,
+# merge path alone, median of 5: 2.2x at a mean block of 1,933 and 3,905
+# values (discrete amounts, n=200 and 400), 1.33x at 5,345 (discrete, beta
+# 2000), 1.2x at 6,991 (the tied input above in blocks of 8192), 0.67x at
+# 15,339 (example 1 rounded to 0.1) and 0.84x at 21,830 (the tied input)
 THREADS_MIN_BLOCK = 8192
+
+# most transactions per distinct amount, over the whole dataset, at which
+# pairwise_distances takes the quantile path: its cost grows with the sample
+# counts and the merge path's with the support sizes. Example 1 at n=400,
+# amounts rounded to coarser steps, 2 cores, best of 3, quantile against
+# merge: at beta 100, 0.09 against 0.18 s at 2.3 transactions per value,
+# 0.10 against 0.12 s at 4.2, 0.12 against 0.11 s at 5.2 and 0.10 against
+# 0.07 s at 7.0; at beta 300, 0.28 against 0.35 s at 3.0 and 0.28 against
+# 0.21 s at 4.9
+QUANTILE_MAX_RATIO = 3
 
 # values per block of rows in the passes over an n x n matrix that need
 # scratch of their own: the neighbor search here, and in wscluster.spectral
@@ -65,12 +79,14 @@ class DistanceMatrix:
     read-only and checked too.
 
     ``workers`` records the threads :func:`pairwise_distances` computed it
-    on, and is 0 where no pair was computed there.
+    on, and ``kernel`` the path it took, ``"quantile"`` or ``"merge"``;
+    they are 0 and None where no pair was computed there.
     """
 
     entity_ids: list[str]
     entries: np.ndarray
     workers: int = 0
+    kernel: str | None = None
 
     def __post_init__(self):
         entries = self.entries
@@ -89,7 +105,7 @@ class DistanceMatrix:
         self.entries = entries
 
     def __reduce__(self):
-        return DistanceMatrix, (self.entity_ids, self.entries, self.workers)
+        return DistanceMatrix, (self.entity_ids, self.entries, self.workers, self.kernel)
 
     @property
     def n(self) -> int:
@@ -121,30 +137,150 @@ class SimilarityMatrix:
 def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     """Compute all pairwise Wasserstein distances of a dataset, exactly.
 
-    Entities are taken widest support first, and each is paired with
-    blocks of the later ones; a block is one stable sort of its support
-    merged with every other's, at most BLOCK_ELEMENTS values unless one
-    pair alone is wider. Each pair is computed once and mirrored.
+    Two exact paths compute each pair once and mirror it; the result
+    records the one taken as ``kernel``:
 
-    The rows run on one thread per CPU this process may run on, but no
-    more than the n - 1 rows there are to share, and on one thread alone
-    when the blocks average fewer than THREADS_MIN_BLOCK merged values;
-    the result records the count as ``workers``. Row i runs on worker
-    i mod workers. A block does not depend on the worker count, so the
-    result is bitwise the same for any count. Each block allocates its own
-    arrays and frees them when it ends, so memory beyond the n x n result
-    is O(workers x BLOCK_ELEMENTS + total support size).
+    - ``"quantile"`` integrates |Q_a - Q_b| over the steps of the two
+      quantile functions, which depend only on the two sample counts
+      (:func:`_quantile_distances`). It runs on one thread.
+    - ``"merge"`` merges the two supports and integrates |F_a - F_b|
+      between the merged values (:func:`_merge_distances`).
+
+    The quantile path's cost grows with the sample counts and the merge
+    path's with the support sizes, so the quantile path runs when the
+    transactions number at most QUANTILE_MAX_RATIO times the distinct
+    amounts, summed over the entities, and every ECDF's ``cum_prob`` is
+    its tie counts accumulated and divided by ``sample_count``, bitwise,
+    as :func:`wscluster.ecdf.build_ecdf` makes it. Any other ECDF takes the
+    merge path. Either way the result records its thread count as
+    ``workers``, and memory beyond the n x n result is
+    O(workers x BLOCK_ELEMENTS + total sample count).
     """
     n = dataset.n
     if n > MAX_DENSE_ENTITIES:
         raise InputError(f"n={n} exceeds the dense-matrix guard ({MAX_DENSE_ENTITIES})")
     if n < 2:  # no pairs, and np.concatenate below needs one entity
         return DistanceMatrix(list(dataset.entity_ids), np.zeros((n, n)))
-    sizes = np.array([e.support.size for e in dataset.ecdfs], dtype=np.intp)
+    out = np.zeros((n, n), dtype=np.float64)
+    atoms = _sorted_atoms(dataset.ecdfs)
+    if atoms is None:
+        kernel, workers = "merge", _merge_distances(dataset.ecdfs, out)
+    else:
+        kernel, workers = "quantile", 1
+        _quantile_distances(*atoms, out)
+    out += out.T
+    return DistanceMatrix(list(dataset.entity_ids), out, workers, kernel)
+
+
+def _sorted_atoms(ecdfs):
+    """Every entity's amounts sorted, laid end to end, and each one's count; or None.
+
+    None where the quantile path does not apply: the sample counts sum to
+    more than QUANTILE_MAX_RATIO times the support sizes, or some ECDF's
+    ``cum_prob`` is not its tie counts over ``sample_count``, bitwise, so
+    that amounts repeated by those counts would not be its own.
+    """
+    sizes = np.array([e.support.size for e in ecdfs], dtype=np.intp)
+    counts = np.array([e.sample_count for e in ecdfs], dtype=np.float64)
+    if sizes.min() < 1 or not counts.sum() <= QUANTILE_MAX_RATIO * sizes.sum():
+        return None
+    per_value = np.repeat(counts, sizes)
+    cum = np.concatenate([e.cum_prob for e in ecdfs])
+    tally = np.rint(cum * per_value)  # ties at or below each value
+    with np.errstate(divide="ignore", invalid="ignore"):  # a sample count of 0
+        if not np.array_equal(tally / per_value, cum):
+            return None
+    ends = np.cumsum(sizes)
+    ties = np.diff(tally, prepend=0.0)
+    ties[ends[:-1]] = tally[ends[:-1]]  # each entity's first value
+    if not np.array_equal(tally[ends - 1], counts) or ties.min() < 0:
+        return None
+    support = np.concatenate([e.support for e in ecdfs])
+    return np.repeat(support, ties.astype(np.intp)), counts.astype(np.intp)
+
+
+def _quantile_distances(atoms, counts, out):
+    """Exact W1 of every pair as the L1 distance between quantile functions.
+
+    ``atoms`` holds each entity's amounts sorted, ``counts[e]`` of them for
+    entity e, end to end. W1(a, b) = integral over (0, 1) of
+    |Q_a(u) - Q_b(u)| du, and Q_a is constant between the steps k/m_a. In
+    units of 1/(m_a m_b) those steps are the multiples of m_b and Q_b's the
+    multiples of m_a, so the merged steps depend only on the pair (m_a,
+    m_b): entities are grouped by sample count, and each pair of groups
+    builds them once (:func:`_step_pattern`). Then each block of pairs is
+    one gather of both sides' atoms, one subtraction, one ``abs`` and one
+    weighted sum, about BLOCK_ELEMENTS values each. Each unordered pair is
+    written to ``out`` once, in one of its two positions, and the other
+    position is left 0; within a group only pairs i < j are written.
+    """
+    start = np.cumsum(counts) - counts
+    order = np.argsort(counts, kind="stable")
+    group_counts, first = np.unique(counts[order], return_index=True)
+    groups = np.split(order, first[1:])
+    for a, rows_a in enumerate(groups):
+        for b in range(a, len(groups)):
+            rows_b = groups[b]
+            take_a, take_b, weight = _step_pattern(int(group_counts[a]), int(group_counts[b]))
+            pairs = max(1, BLOCK_ELEMENTS // weight.size)
+            step_b = min(rows_b.size, pairs)
+            step_a = max(1, pairs // step_b)
+            for lo_b in range(0, rows_b.size, step_b):
+                hi_b = min(lo_b + step_b, rows_b.size)
+                q_b = np.take(atoms, start[rows_b[lo_b:hi_b], None] + take_b)
+                stop_a = hi_b - 1 if a == b else rows_a.size  # i < j within a group
+                for lo_a in range(0, stop_a, step_a):
+                    hi_a = min(lo_a + step_a, stop_a)
+                    gap = np.take(atoms, start[rows_a[lo_a:hi_a], None] + take_a)[:, None] - q_b
+                    np.abs(gap, out=gap)
+                    block = np.einsum("ijk,k->ij", gap, weight)
+                    if a == b:
+                        block = np.triu(block, lo_a - lo_b + 1)
+                    out[rows_a[lo_a:hi_a, None], rows_b[lo_b:hi_b]] = block
+
+
+def _step_pattern(m_a: int, m_b: int):
+    """The merged steps of two quantile functions of m_a and m_b atoms.
+
+    Returns, for each interval between consecutive merged steps, the atom
+    of a and the atom of b that hold there and the interval's width. In
+    units of 1/(m_a m_b) every step is an integer, so the intervals come out
+    exact and their widths are rounded only once.
+    """
+    total = m_a * m_b
+    steps = np.empty(m_a + m_b + 1, dtype=np.intp)
+    steps[:m_a] = np.arange(0, total, m_b)
+    steps[m_a:-1] = np.arange(0, total, m_a)
+    steps[-1] = total
+    steps.sort()
+    width = steps[1:] - steps[:-1]
+    keep = width > 0  # of two equal steps, the later one
+    steps = steps[:-1][keep]
+    return steps // m_b, steps // m_a, width[keep] / total
+
+
+def _merge_distances(ecdfs, out) -> int:
+    """Exact W1 of every pair by merging supports; returns the threads it ran on.
+
+    Entities are taken widest support first, and each is paired with
+    blocks of the later ones; a block is one stable sort of its support
+    merged with every other's (:func:`_w1_block`), at most BLOCK_ELEMENTS
+    values unless one pair alone is wider. Each unordered pair is written
+    to ``out`` once, in one of its two positions.
+
+    The rows run on one thread per CPU this process may run on, but no
+    more than the n - 1 rows there are to share, and on one thread alone
+    when the blocks average fewer than THREADS_MIN_BLOCK merged values.
+    Row i runs on worker i mod workers. A block does not depend on the
+    worker count, so the result is bitwise the same for any count. Each
+    block allocates its own arrays and frees them when it ends.
+    """
+    n = len(ecdfs)
+    sizes = np.array([e.support.size for e in ecdfs], dtype=np.intp)
     # widest support first, so no later entity is wider than row i: one wide
     # entity then cannot shrink the blocks of all the narrow ones
     by_size = np.argsort(-sizes, kind="stable")
-    ecdfs = [dataset.ecdfs[k] for k in by_size]
+    ecdfs = [ecdfs[k] for k in by_size]
     sizes = sizes[by_size]
     support = np.concatenate([e.support for e in ecdfs])
     cum0 = np.concatenate([_padded_cum(e) for e in ecdfs])
@@ -160,7 +296,6 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
         workers = 1
     else:
         workers = min(_allowed_cpus(), n - 1)
-    out = np.zeros((n, n), dtype=np.float64)
 
     def rows(w):
         # worker w writes only rows i = w, w + workers, ... of out
@@ -180,12 +315,11 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     # size and its trim threshold to twice that, for the whole process, so one
     # serves every worker. Past this one the heap keeps the arrays each block
     # allocates and frees, where it would trim and fault them in again on
-    # every block. Continuous n=400 benchmark input, first call: 1.1k minor
-    # faults on one CPU and 1.7k on two; at a quarter of this size, 199k-233k
+    # every block. Tied input of BLOCK_ELEMENTS' note, first call: 1.6k minor
+    # faults on two CPUs and 1.0k on one; without this allocation, 187k
     np.empty(8 * int(first_block.max()), dtype=np.intp)
     _run_workers(rows, workers)
-    out += out.T
-    return DistanceMatrix(list(dataset.entity_ids), out, workers)
+    return workers
 
 
 def _row_blocks(n: int) -> list[slice]:

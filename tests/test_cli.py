@@ -111,6 +111,7 @@ class TestCluster:
         assert len(run["eigenvalues"]) == 3
         assert "timings" in run and "config" in run
         assert run["distance_workers"] >= 1
+        assert run["distance_kernel"] == "quantile"  # 40 distinct amounts per entity
 
     def test_run_json_records_the_threads_that_ran(self, tmp_path):
         def record(*args):
@@ -120,12 +121,15 @@ class TestCluster:
         real, threads = similarity._w1_block, set()
         gen = np.random.default_rng(11)
         csv_path = tmp_path / "tx.csv"
-        write_transactions(csv_path, [(f"e{i}", gen.random(30).tolist()) for i in range(40)])
+        # each amount four times, so the threaded merge path runs
+        write_transactions(csv_path, [(f"e{i}", np.repeat(gen.random(30), 4).tolist())
+                                      for i in range(40)])
         out = tmp_path / "out"
         with _workers(3), mock.patch.object(similarity, "_w1_block", side_effect=record):
             assert main(["cluster", str(csv_path), "--k", "3", "--out", str(out)]) == 0
         run = json.loads((out / "run.json").read_text())
         assert run["distance_workers"] == len(threads) == 3
+        assert run["distance_kernel"] == "merge"
 
     @pytest.mark.skipif(sys.platform == "win32", reason="no resource module")
     def test_run_json_records_the_peak_rss(self, toy_csv, tmp_path):

@@ -21,6 +21,7 @@ from conftest import AMOUNTS, grid_wasserstein
 from wscluster import (
     Dataset,
     DistanceMatrix,
+    Ecdf,
     SimilarityMatrix,
     TransactionBatch,
     build_ecdf,
@@ -54,8 +55,23 @@ def _amount_lists(draw):
 
 
 def _workers(count):
-    """Run pairwise_distances on ``count`` threads, whatever the host and the input."""
+    """Run pairwise_distances' merge path on ``count`` threads, whatever the host and the input."""
     return mock.patch.multiple(similarity, _allowed_cpus=lambda: count, THREADS_MIN_BLOCK=0)
+
+
+def _tied(values, ties=4):
+    """Each amount ``ties`` times: ``ties`` transactions per distinct amount take the merge path."""
+    return np.repeat(values, ties)
+
+
+def _path(kernel):
+    """Force pairwise_distances onto ``kernel`` through its transactions-per-value bound."""
+    return mock.patch.object(similarity, "QUANTILE_MAX_RATIO",
+                             math.inf if kernel == "quantile" else 0)
+
+
+def _oracle(ds):
+    return np.array([[wasserstein(a, b) for b in ds.ecdfs] for a in ds.ecdfs])
 
 
 def _dmatrix(entries):
@@ -91,7 +107,7 @@ class TestPairwiseDistances:
         assert np.all(np.diag(d.entries) == 0.0)
 
     # BLOCK_ELEMENTS=1 puts every pair in a block of its own; 3 workers
-    # run the threaded path on any host
+    # run the merge path's threads on any host. Each example takes each path
     @pytest.mark.parametrize("block", [similarity.BLOCK_ELEMENTS, 1],
                              ids=["default", "one-pair-blocks"])
     @settings(max_examples=150, deadline=None)
@@ -99,18 +115,23 @@ class TestPairwiseDistances:
     @example(amount_lists=[[0.5]])
     @example(amount_lists=[[0.5], [0.5, 1.0]])
     @example(amount_lists=[[0.0, 1.0], [0.0, 1.0]])
+    @example(amount_lists=[[k / 7 for k in range(7)], [k / 22 for k in range(11)]])  # 7 and 11
+    @example(amount_lists=[[0.1, 0.7, 0.2], [0.9, 0.3, 0.3], [0.5, 0.4, 0.8]])  # equal counts
     def test_every_entry_matches_the_oracle(self, block, amount_lists):
         ds = standardize([TransactionBatch(f"e{i}", a) for i, a in enumerate(amount_lists)])
-        oracle = np.array([[wasserstein(a, b) for b in ds.ecdfs] for a in ds.ecdfs])
-        for workers in (1, 3):
-            with mock.patch.object(similarity, "BLOCK_ELEMENTS", block), _workers(workers):
-                d = pairwise_distances(ds).entries
-            np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
+        oracle = _oracle(ds)
+        for kernel, workers in [("quantile", 1), ("merge", 1), ("merge", 3)]:
+            with mock.patch.object(similarity, "BLOCK_ELEMENTS", block), _path(kernel), \
+                    _workers(workers):
+                d = pairwise_distances(ds)
+            if ds.n >= 2:
+                assert (d.kernel, d.workers) == (kernel, min(workers, ds.n - 1))
+            np.testing.assert_allclose(d.entries, oracle, rtol=0, atol=1e-12)
 
     def test_one_wide_entity_among_narrow_ones(self):
         gen = np.random.default_rng(3)
-        amounts = [gen.random(5) for _ in range(50)]
-        amounts.insert(25, gen.permutation(20_000) + 1.0)
+        amounts = [_tied(gen.random(5)) for _ in range(50)]
+        amounts.insert(25, _tied(gen.permutation(20_000) + 1.0))
         ds = standardize([TransactionBatch(f"e{i}", a) for i, a in enumerate(amounts)])
         tracemalloc.start()
         try:
@@ -123,24 +144,79 @@ class TestPairwiseDistances:
         # a padded n x max|supp| matrix would take 51 * 20,000 * 8 bytes = 7.8 MB
         assert peak < d.entries.nbytes + 3 * 2**20
         # the wide entity's 50 pairs one by one, then one block per narrow row
+        assert d.kernel == "merge"
         assert block.call_count == 50 + 49
+
+    def test_one_wide_entity_on_the_quantile_path(self):
+        # 5 atoms against 20,000: each of the 50 pairs merges 20,004 steps,
+        # and a block of pairs gathered whole would take 50 * 20,004 * 8 bytes
+        gen = np.random.default_rng(3)
+        amounts = [gen.random(5) for _ in range(50)]
+        amounts.insert(25, gen.permutation(20_000) + 1.0)
+        ds = standardize([TransactionBatch(f"e{i}", a) for i, a in enumerate(amounts)])
+        tracemalloc.start()
+        try:
+            d = pairwise_distances(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.kernel == "quantile"
+        assert peak < d.entries.nbytes + 3 * 2**20
+        wide = ds.ecdfs[25]
+        expected = [wasserstein(wide, e) for e in ds.ecdfs]
+        np.testing.assert_allclose(d.entries[25], expected, rtol=0, atol=1e-12)
 
     def test_a_later_block_larger_than_the_first(self):
         # the two widest rows take one 6,000-value pair per block; the third
         # takes 8192 // 4000 = 2 rows of 2,000 + 2,000 values, 8,000 in all
         gen = np.random.default_rng(7)
-        ds = standardize([TransactionBatch(f"e{i}", gen.random(size))
+        ds = standardize([TransactionBatch(f"e{i}", _tied(gen.random(size)))
                           for i, size in enumerate([3000, 3000, 2000, 2000, 2000])])
         with mock.patch.object(similarity, "BLOCK_ELEMENTS", 8192):
-            d = pairwise_distances(ds).entries
-        oracle = np.array([[wasserstein(a, b) for b in ds.ecdfs] for a in ds.ecdfs])
-        np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
+            d = pairwise_distances(ds)
+        assert d.kernel == "merge"
+        np.testing.assert_allclose(d.entries, _oracle(ds), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [similarity.BLOCK_ELEMENTS, 600, 1],
+                             ids=["default", "split-groups", "one-pair-blocks"])
+    def test_quantile_path_is_symmetric_with_a_zero_diagonal(self, block):
+        # 90 entities in 5 groups of one sample count each; a block of 600
+        # values splits a group's pairs over several blocks of rows and columns
+        gen = np.random.default_rng(12)
+        ds = _dataset([gen.random(m) for m in gen.choice([30, 31, 45, 60, 61], 90)])
+        with mock.patch.object(similarity, "BLOCK_ELEMENTS", block):
+            d = pairwise_distances(ds)
+        assert d.kernel == "quantile"
+        assert np.array_equal(d.entries, d.entries.T)
+        assert np.all(np.diag(d.entries) == 0.0)
+        assert np.all(d.entries[~np.eye(90, dtype=bool)] > 0)
+        np.testing.assert_allclose(d.entries, _oracle(ds), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("odd", [
+        Ecdf(np.array([0.2, 0.6]), np.array([0.3, 1.0]), sample_count=2),  # 0.3 is not k/2
+        Ecdf(np.array([0.2, 0.6]), np.array([0.5, 1.0]), sample_count=3),
+        Ecdf(np.array([0.2, 0.6]), np.array([0.5, 1.0]), sample_count=0),
+        Ecdf(np.array([0.2, 0.4, 0.6]), np.array([1.0, 0.5, 1.0]), sample_count=2),
+    ], ids=["not-k-over-m", "wrong-count", "no-count", "decreasing"])
+    def test_a_hand_built_ecdf_takes_the_merge_path(self, odd):
+        ds = _dataset([[0.1, 0.5], [0.4, 0.7, 0.9]])
+        ds = Dataset(["e0", "e1", "odd"], ds.ecdfs + [odd], m0=1.0)
+        d = pairwise_distances(ds)
+        assert d.kernel == "merge"
+        np.testing.assert_allclose(d.entries, _oracle(ds), rtol=0, atol=1e-12)
+
+    def test_the_cheaper_path_by_transactions_per_value(self):
+        # 3 transactions per distinct amount is the bound; 4 takes the merge path
+        values = [np.array([0.1, 0.5]), np.array([0.4, 0.7, 0.9])]
+        for ties, kernel in [(1, "quantile"), (3, "quantile"), (4, "merge")]:
+            ds = _dataset([_tied(v, ties) for v in values])
+            assert pairwise_distances(ds).kernel == kernel
 
     def test_any_worker_count_gives_the_same_bits(self):
         # more workers than cores, switching threads as often as the
         # interpreter allows: a lost or misplaced row would change the bits
         gen = np.random.default_rng(8)
-        ds = standardize([TransactionBatch(f"e{i}", gen.random(size))
+        ds = standardize([TransactionBatch(f"e{i}", _tied(gen.random(size)))
                           for i, size in enumerate(gen.integers(1, 300, 60))])
         interval = sys.getswitchinterval()
         results = []
@@ -167,7 +243,8 @@ class TestPairwiseDistances:
 
         real, threads = similarity._w1_block, set()
         gen = np.random.default_rng(10)
-        ds = standardize([TransactionBatch(f"e{i}", gen.random(support)) for i in range(n)])
+        ds = standardize([TransactionBatch(f"e{i}", _tied(gen.random(support)))
+                          for i in range(n)])
         with mock.patch.object(similarity, "_allowed_cpus", return_value=cpus), \
                 mock.patch.object(similarity, "_w1_block", side_effect=record):
             assert pairwise_distances(ds).workers == expected
@@ -182,7 +259,7 @@ class TestPairwiseDistances:
 
         real = similarity._w1_block
         gen = np.random.default_rng(9)
-        ds = standardize([TransactionBatch(f"e{i}", gen.random(20)) for i in range(12)])
+        ds = standardize([TransactionBatch(f"e{i}", _tied(gen.random(20))) for i in range(12)])
         threads = threading.active_count()
         with _workers(3), \
                 mock.patch.object(similarity, "_w1_block", side_effect=fail_off_the_main_thread):
@@ -195,26 +272,34 @@ class TestPairwiseDistances:
         # a fresh interpreter that has loaded nothing large: each block
         # allocates and frees its arrays, and under glibc's default mmap and
         # trim thresholds the heap top is trimmed and faulted in again on
-        # every block, about 250,000 minor faults on this input. The extra
-        # environment variables vary what the interpreter allocated before
-        # the call, which the bound must not depend on
+        # every block, about 190,000 minor faults on the tied input. The
+        # extra environment variables vary what the interpreter allocated
+        # before the call, which the bound must not depend on. Each path
+        # runs in an interpreter of its own: the continuous amounts take the
+        # quantile path, and the same amounts four times each the merge path
         probe = """
-import resource
-from wscluster import pairwise_distances, standardize
+import resource, sys
+import numpy as np
+from wscluster import TransactionBatch, pairwise_distances, standardize
 from wscluster.simulate import SimSpec, generate
 batches, _ = generate(SimSpec((130, 130, 140), beta=100, example=1, seed=1))
-dataset = standardize(batches)
+ties = int(sys.argv[1])
+dataset = standardize([TransactionBatch(b.entity_id, np.repeat(b.amounts, ties))
+                       for b in batches])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-pairwise_distances(dataset)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+kernel = pairwise_distances(dataset).kernel
+print(kernel, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         env.update({f"WSCLUSTER_TEST_PAD_{k}": "x" * 16 for k in range(extra_vars)})
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) < 20_000
+        for ties, kernel in [(1, "quantile"), (4, "merge")]:
+            proc = subprocess.run([sys.executable, "-c", probe, str(ties)], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            ran, faults = proc.stdout.split()
+            assert ran == kernel
+            assert int(faults) < 20_000, f"{kernel}: {faults} minor faults"
 
     def test_dense_guard_is_input_error(self, monkeypatch):
         monkeypatch.setattr(similarity, "MAX_DENSE_ENTITIES", 2)
@@ -273,11 +358,13 @@ class TestDistanceMatrix:
         lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy,
     ], ids=["pickle", "deepcopy"])
     def test_a_copy_is_read_only(self, duplicate):
-        d = DistanceMatrix(["a", "b"], np.array([[0.0, 1.5], [1.5, 0.0]]), workers=2)
+        d = DistanceMatrix(["a", "b"], np.array([[0.0, 1.5], [1.5, 0.0]]), workers=2,
+                           kernel="merge")
         twin = duplicate(d)
         assert twin.entries is not d.entries
         assert not twin.entries.flags.writeable
-        assert twin.entity_ids == d.entity_ids and twin.workers == 2
+        assert twin.entity_ids == d.entity_ids
+        assert (twin.workers, twin.kernel) == (2, "merge")
         assert np.array_equal(twin.entries, d.entries)
 
     @pytest.mark.parametrize("duplicate", [
