@@ -6,6 +6,21 @@ Laplacian, either over the full graph or over a column subsample for large
 datasets.
 """
 
+import os
+import sys
+
+# log2 of the cycles an idle OpenBLAS thread spins before it sleeps. OpenBLAS's own
+# 28 burns about 0.13 s of a core after every threaded call, and once as each bundled
+# copy (numpy's, scipy's) loads. Wall of scipy's evr for 16 pairs at T = 14/16/18/28,
+# medians of fresh processes on 2 cores: n=1500 0.212/0.206/0.208/0.203 s (T=28
+# quartiles 0.183-0.220; paired against 28, +7.4/+4.3/+3.5%), n=3000 1.53/1.43/1.40/
+# 1.53 s. 18 (about 0.1 ms) is the smallest T that lost under 4% in pairs at n=1500
+# and nothing at n=3000.
+BLAS_THREAD_TIMEOUT = 18
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(BLAS_THREAD_TIMEOUT))
+# what numpy's and scipy's OpenBLAS read as they load; None when numpy's loaded before
+_blas_thread_timeout = None if "numpy" in sys.modules else os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
 __version__ = "0.1.0"
 
 from .ecdf import (

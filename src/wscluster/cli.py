@@ -27,7 +27,7 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
-from . import __version__
+from . import __version__, _blas_thread_timeout
 from .ecdf import (
     DEFAULT_TRANSACTION_CAP,
     TransactionBatch,
@@ -299,10 +299,15 @@ def _select(config, dataset, distances, cluster):
             [run.timings for run in runs.values()])
 
 
-def _peak_rss_mb() -> float:
-    """This process's peak resident set size so far, in MiB."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes, else KiB
+def _usage() -> tuple[float, float]:
+    """This process's peak resident set size so far in MiB, and its CPU seconds.
+
+    The CPU time is user plus system time over all of its threads.
+    """
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    peak = usage.ru_maxrss
+    peak = peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes, else KiB
+    return peak, usage.ru_utime + usage.ru_stime
 
 
 def cmd_cluster(args) -> int:
@@ -335,13 +340,15 @@ def cmd_cluster(args) -> int:
             "timings": timings,
             "distance_workers": distances.workers,
             "distance_kernel": distances.kernel,
+            "blas_thread_timeout": _blas_thread_timeout,
             "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                          for w in caught],
         }
         if selection_info:
             run_info["k_selection"] = selection_info
         if resource is not None:
-            run_info["memory"] = {"peak_rss_mb": _peak_rss_mb()}
+            peak_rss_mb, run_info["cpu_s"] = _usage()
+            run_info["memory"] = {"peak_rss_mb": peak_rss_mb}
         _write_json(os.path.join(args.out, "run.json"), run_info)
         print(f"wrote {labels_path} (n={dataset.n}, k={k})")
         return EXIT_OK

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -84,12 +85,51 @@ class Ecdf:
 
     ``support`` holds the strictly increasing distinct observed values and
     ``cum_prob`` the cumulative probabilities at those values; the last
-    entry of ``cum_prob`` is exactly 1.
+    entry of ``cum_prob`` is exactly 1. Construction checks both, and that
+    ``sample_count`` is an integer of at least 1, and raises
+    :class:`InputError` otherwise. It does not check that ``cum_prob``
+    counts in steps of 1/``sample_count``; the distance kernel does.
     """
 
     support: np.ndarray
     cum_prob: np.ndarray
     sample_count: int
+
+    def __post_init__(self):
+        support = np.asarray(self.support, dtype=np.float64)
+        cum = np.asarray(self.cum_prob, dtype=np.float64)
+        if support.ndim != 1 or not support.size or cum.shape != support.shape:
+            raise InputError("an ECDF needs a non-empty 1-D support and one cum_prob per value")
+        # a NaN fails every comparison, so once the order holds only the ends can be infinite
+        if not (np.all(support[1:] > support[:-1])
+                and math.isfinite(support[0]) and math.isfinite(support[-1])):
+            raise InputError("an ECDF support must be finite and strictly increasing")
+        if not (cum[0] > 0 and cum[-1] == 1 and np.all(cum[1:] >= cum[:-1])):
+            raise InputError("an ECDF cum_prob must be non-decreasing in (0, 1] and end at 1")
+        try:
+            count = operator.index(self.sample_count)
+        except TypeError:
+            count = 0
+        if count < 1:
+            raise InputError(f"an ECDF sample_count must be an integer of at least 1, "
+                             f"not {self.sample_count!r}")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "cum_prob", cum)
+        object.__setattr__(self, "sample_count", count)
+
+    @classmethod
+    def _unchecked(cls, support: np.ndarray, cum_prob: np.ndarray, sample_count: int) -> Ecdf:
+        """An Ecdf of float64 arrays and an int that already pass the checks, without them.
+
+        For :func:`build_ecdf`, whose ECDFs pass by construction: the checks
+        cost about 8 us per entity, which made :func:`standardize` about 30%
+        slower at n=400.
+        """
+        ecdf = object.__new__(cls)
+        for name, value in [("support", support), ("cum_prob", cum_prob),
+                            ("sample_count", sample_count)]:
+            object.__setattr__(ecdf, name, value)
+        return ecdf
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate F at the points ``x`` (vectorized)."""
@@ -122,7 +162,8 @@ def build_ecdf(batch: TransactionBatch) -> Ecdf:
     """
     support, counts = np.unique(batch.amounts, return_counts=True)
     cum = np.cumsum(counts, dtype=np.float64) / batch.size
-    return Ecdf(support=support, cum_prob=cum, sample_count=batch.size)
+    # the batch's amounts are finite, so the distinct sorted ones pass; the last sum is the size
+    return Ecdf._unchecked(support, cum, batch.size)
 
 
 def cap_transactions(batch: TransactionBatch, cap: int = DEFAULT_TRANSACTION_CAP,

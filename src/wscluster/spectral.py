@@ -19,6 +19,11 @@ eigenpairs of the small Gram matrix L_s^T L_s, and recovers an embedding
 for all n entities as U = L_s V Sigma^{-1/2}; its columns are orthonormal
 by construction. Both read L from :func:`graph_laplacian`, so degrees
 come from the full similarity matrix in either.
+
+The ``eigh`` and ``evr`` tables in :func:`sym_eig_topk` were measured under
+OpenBLAS's default idle spin of 2^28 cycles. Their wall times still hold
+under the shorter spin the package sets (:data:`wscluster.BLAS_THREAD_TIMEOUT`),
+which cuts the CPU time beside them, not the wall time.
 """
 
 from __future__ import annotations

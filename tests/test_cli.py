@@ -137,17 +137,35 @@ class TestCluster:
         csv_path, _ = toy_csv
         out = tmp_path / "out"
         assert run_cli(["cluster", str(csv_path), "--k", "3", "--out", str(out)]).returncode == 0
-        peak = json.loads((out / "run.json").read_text())["memory"]["peak_rss_mb"]
+        run = json.loads((out / "run.json").read_text())
+        peak = run["memory"]["peak_rss_mb"]
         # the largest peak of any child so far, the one just run included
-        children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        assert 10 < peak <= children / (1 << 20 if sys.platform == "darwin" else 1024)
+        children = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert 10 < peak <= children.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1024)
+        # and the CPU of every child so far, the one just run included
+        assert 0 < run["cpu_s"] <= children.ru_utime + children.ru_stime
+
+    def test_run_json_records_the_blas_thread_timeout(self, toy_csv, tmp_path):
+        csv_path, _ = toy_csv
+        out = tmp_path / "out"
+        # a fresh interpreter loads the package before numpy
+        assert run_cli(["cluster", str(csv_path), "--k", "3", "--out", str(out)]).returncode == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["blas_thread_timeout"] == os.environ["OPENBLAS_THREAD_TIMEOUT"]
+        # one that loaded numpy first cannot tell what numpy's OpenBLAS read
+        code = (f"import numpy, sys; from wscluster.cli import main; "
+                f"sys.exit(main(['cluster', {str(csv_path)!r}, '--k', '3', '--out', {str(out)!r}]))")
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                       check=True, capture_output=True, timeout=120)
+        assert json.loads((out / "run.json").read_text())["blas_thread_timeout"] is None
 
     def test_run_json_has_no_memory_without_resource(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
         out = tmp_path / "out"
         with mock.patch("wscluster.cli.resource", None):
             assert main(["cluster", str(csv_path), "--k", "3", "--out", str(out)]) == 0
-        assert "memory" not in json.loads((out / "run.json").read_text())
+        run = json.loads((out / "run.json").read_text())
+        assert "memory" not in run and "cpu_s" not in run
 
     def test_subwsc_default_n_s_echoed(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv

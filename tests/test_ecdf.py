@@ -9,6 +9,7 @@ from conftest import AMOUNTS, grid_wasserstein, random_amounts
 from wscluster import ecdf
 
 from wscluster import (
+    Ecdf,
     TransactionBatch,
     build_ecdf,
     cap_transactions,
@@ -53,6 +54,50 @@ class TestBuildEcdf:
             TransactionBatch("a", [np.inf])
         with pytest.raises(InputError, match="entity 'a' has negative amounts"):
             TransactionBatch("a", [1.0, -0.5])
+
+
+class TestEcdf:
+    @pytest.mark.parametrize("support, cum_prob, count", [
+        ([0.2, 0.6], [0.5, 1.0], 0),
+        ([0.2, 0.4, 0.6], [1.0, 0.5, 1.0], 2),
+        ([], [], 1),
+        ([[0.2, 0.6]], [[0.5, 1.0]], 2),
+        ([0.2, 0.6], [1.0], 1),
+        ([0.6, 0.2], [0.5, 1.0], 2),
+        ([0.2, 0.2], [0.5, 1.0], 2),
+        ([0.2, np.nan], [0.5, 1.0], 2),
+        ([0.2, np.inf], [0.5, 1.0], 2),
+        ([0.2, 0.6], [0.0, 1.0], 2),
+        ([0.2, 0.6], [0.5, 0.9], 2),
+        ([0.2, 0.6], [1.0, 1.5], 2),
+        ([0.2, 0.6], [np.nan, 1.0], 2),
+        ([0.2, 0.6], [0.5, 1.0], 2.0),
+        ([0.2, 0.6], [0.5, 1.0], None),
+    ], ids=["no-count", "decreasing", "empty", "two-d", "lengths-differ",
+            "decreasing-support", "repeated-value", "nan-support", "infinite-support",
+            "zero-first-step", "short-of-one", "above-one", "nan-prob", "float-count",
+            "none-count"])
+    def test_a_malformed_ecdf_is_refused(self, support, cum_prob, count):
+        with pytest.raises(InputError, match="an ECDF"):
+            Ecdf(np.array(support), np.array(cum_prob), sample_count=count)
+
+    @settings(max_examples=200, deadline=None)
+    @given(AMOUNTS)
+    def test_build_ecdf_passes_the_checks_it_skips(self, amounts):
+        e = build_ecdf(TransactionBatch("a", amounts))
+        checked = Ecdf(e.support, e.cum_prob, e.sample_count)
+        assert checked.support is e.support and checked.cum_prob is e.cum_prob
+        assert type(e.sample_count) is int and checked.sample_count == e.sample_count
+
+    def test_lists_become_float_arrays(self):
+        e = Ecdf([1, 2], [0.5, 1], sample_count=np.int64(2))
+        assert e.support.dtype == e.cum_prob.dtype == np.float64
+        assert e.support.tolist() == [1.0, 2.0] and e.cum_prob.tolist() == [0.5, 1.0]
+        assert type(e.sample_count) is int and e.sample_count == 2
+
+    def test_cum_prob_need_not_count_in_steps_of_one_over_the_count(self):
+        # the distance kernel sends such an ECDF down the merge path instead
+        assert Ecdf(np.array([0.2, 0.6]), np.array([0.3, 1.0]), sample_count=2).sample_count == 2
 
 
 class TestCapTransactions:

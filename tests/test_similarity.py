@@ -195,9 +195,7 @@ class TestPairwiseDistances:
     @pytest.mark.parametrize("odd", [
         Ecdf(np.array([0.2, 0.6]), np.array([0.3, 1.0]), sample_count=2),  # 0.3 is not k/2
         Ecdf(np.array([0.2, 0.6]), np.array([0.5, 1.0]), sample_count=3),
-        Ecdf(np.array([0.2, 0.6]), np.array([0.5, 1.0]), sample_count=0),
-        Ecdf(np.array([0.2, 0.4, 0.6]), np.array([1.0, 0.5, 1.0]), sample_count=2),
-    ], ids=["not-k-over-m", "wrong-count", "no-count", "decreasing"])
+    ], ids=["not-k-over-m", "wrong-count"])
     def test_a_hand_built_ecdf_takes_the_merge_path(self, odd):
         ds = _dataset([[0.1, 0.5], [0.4, 0.7, 0.9]])
         ds = Dataset(["e0", "e1", "odd"], ds.ecdfs + [odd], m0=1.0)
