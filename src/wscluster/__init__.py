@@ -68,7 +68,6 @@ from .metrics import (
 )
 from .simulate import (
     SETTING_SIZES,
-    GroundTruth,
     SimSpec,
     feature_kmeans_baseline,
     generate,
@@ -91,7 +90,7 @@ __all__ = [
     "KmeansResult", "kmeans", "select_k_silhouette", "silhouette_mean",
     "Partition", "cluster_accuracy", "matching_matrix",
     "metric_report", "nmi", "rand_index",
-    "SETTING_SIZES", "GroundTruth", "SimSpec", "feature_kmeans_baseline",
+    "SETTING_SIZES", "SimSpec", "feature_kmeans_baseline",
     "generate", "generate_dataset", "hc_complete_baseline", "run_benchmark",
     "subsample_sweep",
 ]

@@ -30,9 +30,8 @@ except ImportError:  # not on Windows
 from . import __version__, _blas_thread_timeout
 from .ecdf import (
     DEFAULT_TRANSACTION_CAP,
-    TransactionBatch,
     _csv_rows,
-    build_ecdf,
+    _ecdf_of,
     cap_transactions,
     read_transactions_csv,
     standardize,
@@ -457,7 +456,7 @@ def cmd_plotdata(args) -> int:
 
     manifest = {"clusters": {}, "histogram": "histogram.csv"}
     for c, amounts in pooled.items():
-        ecdf = build_ecdf(TransactionBatch(c, amounts))
+        ecdf = _ecdf_of(amounts)
         fname = f"cluster_{c}_ecdf.csv"
         _write_csv(os.path.join(args.out, fname), ["x", "F"],
                    zip(map(repr, ecdf.support.tolist()), map(repr, ecdf.cum_prob.tolist())))

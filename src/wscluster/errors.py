@@ -10,15 +10,17 @@ class WsclusterError(Exception):
 class ArgumentOutOfRange(WsclusterError, ValueError):
     """An argument its function does not accept; the message names it and what is accepted.
 
-    Raised for a cluster count, neighbor threshold, eigenpair count, K
-    range, subsample size or plan, transaction cap, replication count or
-    kernel scale out of range; for a coverage rule whose minimum cluster
-    size is not below the population; for eigengap selection over fewer
-    than two eigenvalues; for a matrix the eigensolver cannot take (not
-    square, or not symmetric); for a silhouette over fewer than two
-    occupied clusters; for partitions of different lengths; for a
-    simulation spec that cannot be drawn; and for a method name that the
-    method table does not hold.
+    Raised through :func:`_integer_in` for a cluster count or size,
+    neighbor threshold, eigenpair count, candidate K, subsample size or
+    plan, transaction cap or replication count that is not an integer in
+    range; for a NaN or non-positive kernel scale; for a coverage rule whose
+    minimum cluster size is not below the population; for eigengap
+    selection over fewer than two eigenvalues or a non-finite one; for
+    non-finite K-means points; for a matrix the eigensolver cannot take (not
+    square, or not symmetric); for a silhouette over fewer than two occupied
+    clusters; for partitions of different lengths; for a simulation spec
+    that cannot be drawn; and for a method name that the method table does
+    not hold.
     """
 
 

@@ -108,12 +108,15 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
     Each restart seeds centers with k-means++ and iterates Lloyd updates
     until assignments stop changing. The best restart by (inertia, restart
     index) wins, making the result deterministic for a given seed. A ``k``
-    that is not an integer in [1, n] raises :class:`ArgumentOutOfRange`.
+    that is not an integer in [1, n], or a non-finite point, raises
+    :class:`ArgumentOutOfRange`.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
     k = _integer_in("k", k, 1, points.shape[0])
+    if not np.isfinite(points).all():
+        raise ArgumentOutOfRange("kmeans points must be finite")
     best = None
     for restart in range(N_INIT):
         gen = substream(seed, "kmeans-restart", restart)
@@ -128,10 +131,11 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
 def silhouette_mean(distances, labels) -> float:
     """Mean silhouette coefficient over all points.
 
-    ``distances`` is the n x n distance matrix of the points. A point in a
-    singleton cluster contributes 0, as does a point whose intra- and
-    inter-cluster distances are both 0.
+    ``distances`` is the n x n distance matrix of the points, as an array
+    or a DistanceMatrix. A point in a singleton cluster contributes 0, as
+    does a point whose intra- and inter-cluster distances are both 0.
     """
+    distances = getattr(distances, "entries", distances)
     uniq, own = np.unique(np.asarray(labels), return_inverse=True)
     if uniq.size < 2:
         raise ArgumentOutOfRange("silhouette needs at least two occupied clusters")
@@ -156,19 +160,18 @@ def select_k_silhouette(cluster_fn, k_range, distances, seed: int = 0):
     ``cluster_fn(k, seed)`` must run the full clustering pipeline and
     return an object with a ``labels`` array; ``distances`` is the square
     matrix the silhouette is evaluated on (entity-space Wasserstein
-    distances by default in the pipelines). Ties go to the smaller K.
-    A candidate whose run raises :class:`RankDeficientSample` is skipped
-    with a :class:`CandidateSkippedWarning` and gets no score; the error is
-    raised only when every candidate was skipped. Returns
-    ``(best_k, scores)`` with one score per candidate that was clustered.
+    distances by default in the pipelines), an array or a DistanceMatrix.
+    Ties go to the smaller K. A candidate that is not an integer in
+    [2, n - 1] raises :class:`ArgumentOutOfRange`. One whose run raises
+    :class:`RankDeficientSample` is skipped with a :class:`CandidateSkippedWarning`
+    and gets no score; the error is raised only when every candidate was
+    skipped. Returns ``(best_k, scores)``, a score per candidate clustered.
     """
-    k_range = sorted(set(int(k) for k in k_range))
+    dist = np.asarray(getattr(distances, "entries", distances))
+    n = dist.shape[0]
+    k_range = sorted({_integer_in("k", k, 2, n - 1) for k in k_range})
     if not k_range:
         raise ArgumentOutOfRange("empty k_range")
-    dist = distances.entries if hasattr(distances, "entries") else np.asarray(distances)
-    n = dist.shape[0]
-    if k_range[0] < 2 or k_range[-1] > n - 1:
-        raise ArgumentOutOfRange(f"k_range must lie within [2, {n - 1}]")
     scores = {}
     for k in k_range:
         try:

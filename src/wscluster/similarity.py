@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import Dataset, _padded_cum
-from .errors import ArgumentOutOfRange, InputError, IsolatedEntity, NoVariation
+from .errors import ArgumentOutOfRange, InputError, IsolatedEntity, NoVariation, _integer_in
 
 __all__ = [
     "DistanceMatrix",
@@ -168,8 +168,19 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     else:
         kernel, workers = "quantile", 1
         _quantile_distances(*atoms, out)
-    out += out.T
+    _mirror(out)
     return DistanceMatrix(list(dataset.entity_ids), out, workers, kernel)
+
+
+def _mirror(out):
+    """``out += out.T`` in place, bitwise, a block of rows at a time: no second n x n array.
+
+    The rows before a block's first row lo are final, so the block copies from them.
+    """
+    for rows in _row_blocks(out.shape[0]):
+        lo = rows.start
+        out[rows, lo:] += out[lo:, rows].T
+        out[rows, :lo] = out[:lo, rows].T
 
 
 def _sorted_atoms(ecdfs):
@@ -182,17 +193,17 @@ def _sorted_atoms(ecdfs):
     """
     sizes = np.array([e.support.size for e in ecdfs], dtype=np.intp)
     counts = np.array([e.sample_count for e in ecdfs], dtype=np.float64)
-    if sizes.min() < 1 or not counts.sum() <= QUANTILE_MAX_RATIO * sizes.sum():
+    if not counts.sum() <= QUANTILE_MAX_RATIO * sizes.sum():
         return None
     per_value = np.repeat(counts, sizes)
     cum = np.concatenate([e.cum_prob for e in ecdfs])
     tally = np.rint(cum * per_value)  # ties at or below each value
-    with np.errstate(divide="ignore", invalid="ignore"):  # a sample count of 0
-        if not np.array_equal(tally / per_value, cum):
-            return None
+    if not np.array_equal(tally / per_value, cum):
+        return None
     ends = np.cumsum(sizes)
     ties = np.diff(tally, prepend=0.0)
     ties[ends[:-1]] = tally[ends[:-1]]  # each entity's first value
+    # Ecdf checks cum_prob once, and the array can be changed in place after that
     if not np.array_equal(tally[ends - 1], counts) or ties.min() < 0:
         return None
     support = np.concatenate([e.support for e in ecdfs])
@@ -418,8 +429,8 @@ def build_similarity(d: DistanceMatrix, sigma: float | None = None) -> Similarit
         sigma = float(d.entries.max())
         if sigma <= 0:
             raise NoVariation("all pairwise distances are zero; supply sigma explicitly")
-    elif sigma <= 0:
-        raise ArgumentOutOfRange("sigma must be positive")
+    elif not sigma > 0:  # NaN too
+        raise ArgumentOutOfRange(f"sigma must be positive, not {sigma}")
     with np.errstate(over="ignore"):  # W / sigma beyond the float range: exp gives 0
         # W / -sigma rounds as -W / sigma does, and exp runs in the same buffer
         entries = np.divide(d.entries, -sigma)
@@ -445,8 +456,7 @@ def nearest_neighbor_sets(d: DistanceMatrix, k0: int) -> np.ndarray:
     memory beyond the n x k0 result is O(max(ROW_BLOCK_VALUES, n)).
     """
     n = d.n
-    if not 1 <= k0 <= n - 1:
-        raise ArgumentOutOfRange(f"k0={k0} outside [1, {n - 1}]")
+    k0 = _integer_in("k0", k0, 1, n - 1)
     neighbors = np.empty((n, k0), dtype=np.intp)
     for block in _row_blocks(n):
         # row j holds the distances to block.start + j

@@ -32,7 +32,6 @@ from .spectral import ClusteringRun, subwsc_run, wsc_run
 
 __all__ = [
     "SimSpec",
-    "GroundTruth",
     "SETTING_SIZES",
     "generate",
     "generate_dataset",
@@ -61,7 +60,7 @@ MAX_SIM_AMOUNTS = 10**8
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Configuration of one synthetic dataset."""
+    """Configuration of one synthetic dataset; ``cluster_sizes`` is kept as a tuple of ints."""
 
     cluster_sizes: tuple
     beta: float
@@ -71,8 +70,8 @@ class SimSpec:
     def __post_init__(self):
         if self.example not in (1, 2):
             raise ArgumentOutOfRange("example must be 1 (continuous) or 2 (discrete)")
-        if any(s < 1 for s in self.cluster_sizes):
-            raise ArgumentOutOfRange("cluster sizes must be positive")
+        object.__setattr__(self, "cluster_sizes", tuple(
+            _integer_in(f"cluster_sizes[{i}]", s, 1) for i, s in enumerate(self.cluster_sizes)))
         if not 0 < self.beta < math.inf:
             raise ArgumentOutOfRange("beta must be positive and finite")
         if self.beta * self.n > MAX_SIM_AMOUNTS:
@@ -82,16 +81,11 @@ class SimSpec:
 
     @property
     def n(self) -> int:
-        return int(sum(self.cluster_sizes))
+        return sum(self.cluster_sizes)
 
     @property
     def k(self) -> int:
         return len(self.cluster_sizes)
-
-
-@dataclass
-class GroundTruth:
-    labels: np.ndarray
 
 
 def _normals(gen, size, mean, sd):
@@ -146,9 +140,10 @@ def _draw_amounts(gen, size, example, cluster):
 def generate(spec: SimSpec):
     """Draw one synthetic dataset.
 
-    Returns ``(batches, truth)``. Entity i's amounts come entirely from the
-    substream (seed, "entity", i), so any subset of entities can be
-    regenerated independently with identical results.
+    Returns ``(batches, truth)``, the truth a :class:`Partition` whose
+    clusters follow ``cluster_sizes`` in order. Entity i's amounts come
+    entirely from the substream (seed, "entity", i), so any subset of
+    entities can be regenerated independently with identical results.
     """
     n = spec.n
     floor = max(1, math.ceil(math.log(n)))
@@ -162,7 +157,7 @@ def generate(spec: SimSpec):
             # round half away from zero; amounts are non-negative here
             amounts = np.floor(amounts + 0.5)
         batches.append(TransactionBatch(f"e{i:05d}", amounts))
-    return batches, GroundTruth(labels=labels)
+    return batches, Partition(labels)
 
 
 def generate_dataset(spec: SimSpec):
@@ -274,15 +269,13 @@ def _replicate(spec: SimSpec, runs, replications: int, seed: int,
     :class:`WsclusterError` in a replication is recorded and skipped rather
     than aborting the run; any other exception propagates.
     """
-    if replications < 1:
-        raise ArgumentOutOfRange("replications must be at least 1")
+    replications = _integer_in("replications", replications, 1)
     result = BenchmarkResult(setting=setting, spec=spec)
     for rep in range(replications):
         rep_seed = int(substream(seed, "replication", rep).integers(2**63))
         rep_spec = SimSpec(spec.cluster_sizes, spec.beta, spec.example, seed=rep_seed)
         dataset, batches, truth = generate_dataset(rep_spec)
         distances = pairwise_distances(dataset)
-        truth_part = Partition.from_labels(truth.labels)
         for name, method, kwargs in runs:
             # timing starts after the distance matrix on purpose: that stage is
             # shared by every distance-based method, and the point of the
@@ -296,7 +289,7 @@ def _replicate(spec: SimSpec, runs, replications: int, seed: int,
                                         "error": f"{type(exc).__name__}: {exc}"})
                 continue
             seconds = time.perf_counter() - start
-            scores = {metric: fn(truth_part, part) for metric, fn in METRIC_FNS.items()}
+            scores = {metric: fn(truth, part) for metric, fn in METRIC_FNS.items()}
             scores["time_s"] = seconds
             result.raw.extend({"method": name, "metric": metric, "replication": rep,
                                "seed": rep_seed, "value": value}

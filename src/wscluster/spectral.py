@@ -312,11 +312,13 @@ def eigengap_suggest_k(eigenvalues, k_max: int | None = None) -> int:
     Considers candidates K' with 1 <= K' < min(k_max, len(eigenvalues));
     ties go to the smallest K'. Fewer than two eigenvalues, or a ``k_max``
     below 2, leave no candidate and raise :class:`ArgumentOutOfRange`, as
-    does a ``k_max`` that is not an integer.
+    do a ``k_max`` that is not an integer and a NaN or infinite eigenvalue.
     """
     values = np.asarray(eigenvalues, dtype=np.float64)
     if values.size < 2:
         raise ArgumentOutOfRange("need at least two eigenvalues")
+    if not np.isfinite(values).all():
+        raise ArgumentOutOfRange("eigenvalues must be finite")
     upper = values.size if k_max is None else min(_integer_in("k_max", k_max, 2), values.size)
     gaps = values[:upper - 1] - values[1:upper]
     # gaps that differ only by rounding noise count as tied; smallest K' wins

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ class TestEcdf:
 
     @settings(max_examples=200, deadline=None)
     @given(AMOUNTS)
-    def test_build_ecdf_passes_the_checks_it_skips(self, amounts):
+    def test_build_ecdf_output_passes_the_checks_unchanged(self, amounts):
         e = build_ecdf(TransactionBatch("a", amounts))
         checked = Ecdf(e.support, e.cum_prob, e.sample_count)
         assert checked.support is e.support and checked.cum_prob is e.cum_prob
@@ -145,6 +146,15 @@ class TestStandardize:
         batches = [TransactionBatch(f"e{i}", [1.0]) for i in range(10)]
         with pytest.warns(SmallSampleWarning):
             standardize(batches)
+
+    def test_each_ecdf_is_checked_and_no_amount_again(self):
+        batches = [TransactionBatch("a", [1.0, 2.0]), TransactionBatch("b", [3.0])]
+        with mock.patch.object(Ecdf, "__post_init__", autospec=True,
+                               side_effect=Ecdf.__post_init__) as ecdf_checks, \
+                mock.patch.object(TransactionBatch, "__post_init__", autospec=True,
+                                  side_effect=TransactionBatch.__post_init__) as batch_checks:
+            standardize(batches)
+        assert (ecdf_checks.call_count, batch_checks.call_count) == (2, 0)
 
 
 class TestWasserstein:

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from wscluster import kmeans, select_k_silhouette, silhouette_mean
+from wscluster import DistanceMatrix, kmeans, select_k_silhouette, silhouette_mean
 from wscluster.errors import (
     ArgumentOutOfRange,
     CandidateSkippedWarning,
@@ -127,6 +127,13 @@ class TestKmeans:
             kmeans(np.zeros((3, 1)), 0)
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_point_is_typed(self, bad):
+        points = np.arange(8.0).reshape(4, 2)
+        points[2, 1] = bad
+        with pytest.raises(ArgumentOutOfRange, match="must be finite"):
+            kmeans(points, 2)
+
 
 def euclidean(points):
     return np.linalg.norm(points[:, None] - points[None, :], axis=2)
@@ -175,6 +182,12 @@ class TestSilhouette:
                             gen.standard_normal((10, 2)) * 0.01 + 100.0])
         labels = [0] * 10 + [1] * 10
         assert silhouette_mean(euclidean(points), labels) > 0.9
+
+    def test_a_distance_matrix_is_read_as_its_entries(self):
+        points = np.array([[0.0], [1.0], [10.0], [12.0]])
+        d = DistanceMatrix(list("abcd"), euclidean(points))
+        labels = [0, 0, 1, 1]
+        assert silhouette_mean(d, labels) == silhouette_mean(d.entries, labels)
 
     def test_single_cluster_error(self):
         with pytest.raises(ArgumentOutOfRange,

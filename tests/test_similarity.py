@@ -166,6 +166,34 @@ class TestPairwiseDistances:
         expected = [wasserstein(wide, e) for e in ds.ecdfs]
         np.testing.assert_allclose(d.entries[25], expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("ties, kernel", [(1, "quantile"), (4, "merge")])
+    def test_one_n_by_n_array(self, ties, kernel):
+        # 800 entities of two amounts: the 5.1 MB result outweighs every block's scratch,
+        # so a mirror through out.T, a second n x n array, would double the peak
+        gen = np.random.default_rng(9)
+        ds = _dataset([_tied(gen.random(2), ties) for _ in range(800)])
+        tracemalloc.start()
+        try:
+            d = pairwise_distances(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.kernel == kernel
+        assert peak < 1.5 * d.entries.nbytes
+
+    @pytest.mark.parametrize("rows", [similarity.ROW_BLOCK_VALUES, 20], ids=["default", "small"])
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    def test_the_mirror_is_bitwise_the_sum_with_the_transpose(self, n, rows):
+        # each pair in one of its two positions, the other 0, as both paths leave it
+        gen = np.random.default_rng(n)
+        upper = np.triu(gen.random((n, n)), 1)
+        keep = gen.random((n, n)) < 0.5
+        out = np.where(keep, upper, 0.0) + np.where(keep, 0.0, upper).T
+        expected = out + out.T
+        with mock.patch.object(similarity, "ROW_BLOCK_VALUES", rows):
+            similarity._mirror(out)
+        assert np.array_equal(out, expected)
+
     def test_a_later_block_larger_than_the_first(self):
         # the two widest rows take one 6,000-value pair per block; the third
         # takes 8192 // 4000 = 2 rows of 2,000 + 2,000 values, 8,000 in all

@@ -26,7 +26,7 @@ from wscluster.errors import ArgumentOutOfRange
 
 @pytest.mark.parametrize("sizes, beta, example, message", [
     ((5, 5), 10.0, 3, r"example must be 1 \(continuous\) or 2 \(discrete\)"),
-    ((5, 0), 10.0, 1, "cluster sizes must be positive"),
+    ((5, 0), 10.0, 1, r"cluster_sizes\[1\] must be at least 1"),
     ((5, 5), 0.0, 2, "beta must be positive and finite"),
     ((5, 5), math.inf, 1, "beta must be positive and finite"),
     ((5, 5), math.nan, 1, "beta must be positive and finite"),

@@ -14,6 +14,7 @@ from wscluster import (
     SimSpec,
     SimilarityMatrix,
     TransactionBatch,
+    cap_transactions,
     cluster_accuracy,
     default_subsample_size,
     eigengap_suggest_k,
@@ -34,8 +35,8 @@ from wscluster import (
 )
 from wscluster import spectral
 from wscluster.errors import ArgumentOutOfRange, IsolatedEntity, NoConvergence, RankDeficientSample
-from wscluster.similarity import build_similarity, knn_sparsify
-from wscluster.simulate import hc_complete_baseline
+from wscluster.similarity import build_similarity, knn_sparsify, nearest_neighbor_sets
+from wscluster.simulate import hc_complete_baseline, run_benchmark
 
 
 def _forget_kept_solves():
@@ -48,6 +49,11 @@ def _groups_distances(n, seed=0):
     gen = np.random.default_rng(seed)
     x = gen.random(n) + np.repeat([0.0, 3.0, 6.0], -(-n // 3))[:n]
     return DistanceMatrix([f"e{i}" for i in range(n)], np.abs(x[:, None] - x[None, :]))
+
+
+def _small_dataset(n=6):
+    """n entities of two amounts each."""
+    return standardize([TransactionBatch(f"e{i}", [i + 1.0, 2.0 * i + 1.0]) for i in range(n)])
 
 
 def _sim(entries, sigma=1.0):
@@ -430,6 +436,12 @@ class TestEigengap:
         with pytest.raises(ArgumentOutOfRange):
             eigengap_suggest_k([1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_eigenvalue_is_typed(self, bad):
+        # a NaN gap makes the cutoff NaN, which no gap passes
+        with pytest.raises(ArgumentOutOfRange, match="eigenvalues must be finite"):
+            eigengap_suggest_k([1.0, bad, 0.5])
+
     @pytest.mark.parametrize("k_max", [1, 0, -3])
     def test_k_max_below_two(self, k_max):
         with pytest.raises(ArgumentOutOfRange, match=f"k_max={k_max}") as info:
@@ -447,10 +459,31 @@ class TestEigengap:
     lambda: kmeans(np.arange(6.0), "2"),
     lambda: eigengap_suggest_k([1.0, 0.6, 0.2], k_max=2.5),
     lambda: hc_complete_baseline(DistanceMatrix(["a", "b"], np.eye(2)[::-1].copy()), 1.5),
+    lambda: cap_transactions(TransactionBatch("a", [1.0, 2.0, 3.0]), 2.5),
+    lambda: cap_transactions(TransactionBatch("a", [1.0, 2.0, 3.0]), "2"),
+    lambda: nearest_neighbor_sets(_groups_distances(6), 2.5),
+    lambda: knn_sparsify(build_similarity(_groups_distances(6)), _groups_distances(6), "3"),
+    lambda: wsc_run(_small_dataset(), 2, knn_k0=2.5, distances=_groups_distances(6)),
+    lambda: run_benchmark(SimSpec((3, 3), 10.0), replications=2.5),
+    lambda: SimSpec((10.5, 3), 50.0),
+    lambda: select_k_silhouette(lambda k, seed: None, ["2", 3.9], np.zeros((5, 5))),
+    lambda: select_k_silhouette(lambda k, seed: None, [3.9], np.zeros((5, 5))),
 ], ids=["default-str", "default-float", "required-k", "required-n", "plan", "kmeans-float",
-        "kmeans-str", "eigengap", "hc"])
+        "kmeans-str", "eigengap", "hc", "cap-float", "cap-str", "k0-float", "knn-str",
+        "wsc-knn", "replications", "sim-size", "silhouette-str", "silhouette-float"])
 def test_a_count_that_is_not_an_integer_is_argument_out_of_range(call):
     with pytest.raises(ArgumentOutOfRange, match="is not an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_similarity(_groups_distances(6), sigma=math.nan),
+    lambda: wsc_run(_small_dataset(), 2, sigma=math.nan, distances=_groups_distances(6)),
+], ids=["graph", "wsc"])
+def test_a_nan_sigma_is_argument_out_of_range(call):
+    # NaN <= 0 is false: a check written that way builds an all-NaN graph, and the solve
+    # then fails with NoConvergence, which names the wrong cause
+    with pytest.raises(ArgumentOutOfRange, match="sigma must be positive"):
         call()
 
 
