@@ -41,9 +41,9 @@ from .kmeans import select_k_silhouette
 from .metrics import Partition, metric_report, render_report_table
 from .similarity import build_similarity, pairwise_distances
 from .simulate import (
-    BENCH_METHODS,
     SETTING_SIZES,
     SimSpec,
+    _bench_runs,
     run_benchmark,
     run_method,
     subsample_sweep,
@@ -396,15 +396,11 @@ def cmd_bench(args) -> int:
         raise UsageError("--methods names no method")
     if len(set(methods)) < len(methods):
         raise UsageError(f"--methods repeats a method: {args.methods!r}")
-    unknown = [m for m in methods if m not in BENCH_METHODS]
-    if unknown:
-        raise UsageError(f"unknown method {unknown[0]!r}; choose from {', '.join(BENCH_METHODS)}")
-    if not 0 < args.subsample_fraction <= 1:
-        raise UsageError(f"--subsample-fraction must lie in (0, 1], got {args.subsample_fraction}")
     sizes = args.sizes or SETTING_SIZES[args.setting]
     setting = "custom" if args.sizes else args.setting
     try:
         spec = SimSpec(sizes, args.beta, args.example, seed=args.seed)
+        _bench_runs(spec, methods, args.subsample_fraction)  # before the output directory
     except ArgumentOutOfRange as exc:
         raise UsageError(str(exc)) from None
     fractions = _parse_sweep(args.subsample_sweep, spec.n) if args.subsample_sweep else None

@@ -14,9 +14,10 @@ matrix of :func:`wscluster.similarity.pairwise_distances`. That has two
 exact paths: the same merged-support sum, and the equal integral of
 |Q_a(u) - Q_b(u)| over the quantile functions, whose steps at k/m depend
 only on the two sample counts. The quantile path runs when the dataset
-has at most ``QUANTILE_MAX_RATIO`` = 3 transactions per distinct amount
-and every ``cum_prob`` is its tie counts over ``sample_count``, as
-:func:`build_ecdf` makes it.
+has at most ``QUANTILE_MAX_RATIO`` = 3 transactions per distinct amount.
+An :class:`Ecdf` is its distinct amounts and their tie counts, so either
+path reads what it needs from it: the support and cumulative
+probabilities, or the amounts repeated by their counts.
 
 Transactions arrive as an ``entity_id,amount`` CSV. Quote-free files are
 read a chunk at a time, with each entity's amounts parsed by numpy; every
@@ -28,9 +29,8 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,46 +83,49 @@ class TransactionBatch:
 class Ecdf:
     """A right-continuous step function F(x) = P(amount <= x).
 
-    ``support`` holds the strictly increasing distinct observed values and
-    ``cum_prob`` the cumulative probabilities at those values; the last
-    entry of ``cum_prob`` is exactly 1. Construction checks both, and that
-    ``sample_count`` is an integer of at least 1, and raises
-    :class:`InputError` otherwise; every Ecdf passes these checks. They do
-    not check that ``cum_prob`` counts in steps of 1/``sample_count``; the
-    distance kernel does.
+    ``support`` holds the finite, strictly increasing distinct amounts and
+    ``counts`` the integer count, at least 1, of each; other input raises
+    :class:`InputError`. ``sample_count`` is their sum, and ``cum_prob``
+    the counts accumulated in float64 over it, ending at exactly 1; ``cum0``
+    is ``cum_prob`` behind a leading 0. The arrays are read-only copies of
+    the input, and ``pickle`` and ``copy.deepcopy`` rebuild through the
+    constructor, so a copy is read-only and checked too.
     """
 
     support: np.ndarray
-    cum_prob: np.ndarray
-    sample_count: int
+    counts: np.ndarray
+    cum_prob: np.ndarray = field(init=False)
+    sample_count: int = field(init=False)
+    cum0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.float64)
-        cum = np.asarray(self.cum_prob, dtype=np.float64)
-        if support.ndim != 1 or not support.size or cum.shape != support.shape:
-            raise InputError("an ECDF needs a non-empty 1-D support and one cum_prob per value")
+        support = np.array(self.support, dtype=np.float64)
+        counts = np.array(self.counts)
+        if support.ndim != 1 or not support.size or counts.shape != support.shape:
+            raise InputError("an ECDF needs a non-empty 1-D support and one count per value")
         # a NaN fails every comparison, so once the order holds only the ends can be infinite
         if not ((support[1:] > support[:-1]).all()
                 and math.isfinite(support[0]) and math.isfinite(support[-1])):
             raise InputError("an ECDF support must be finite and strictly increasing")
-        if not (cum[0] > 0 and cum[-1] == 1 and (cum[1:] >= cum[:-1]).all()):
-            raise InputError("an ECDF cum_prob must be non-decreasing in (0, 1] and end at 1")
-        try:
-            count = operator.index(self.sample_count)
-        except TypeError:
-            count = 0
-        if count < 1:
-            raise InputError(f"an ECDF sample_count must be an integer of at least 1, "
-                             f"not {self.sample_count!r}")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "cum_prob", cum)
-        object.__setattr__(self, "sample_count", count)
+        if counts.dtype.kind not in "iu" or counts.min() < 1:
+            raise InputError("an ECDF's counts must be integers of at least 1")
+        counts = counts.astype(np.intp, copy=False)
+        tally = np.cumsum(counts)  # below 2**53 each is a float64 cumsum's partial sum, bitwise
+        cum0 = np.zeros(counts.size + 1)
+        np.divide(tally, tally[-1], out=cum0[1:])
+        for name, array in [("support", support), ("counts", counts), ("cum0", cum0)]:
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "cum_prob", cum0[1:])
+        object.__setattr__(self, "sample_count", int(tally[-1]))
+
+    def __reduce__(self):
+        return Ecdf, (self.support, self.counts)
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate F at the points ``x`` (vectorized)."""
         idx = np.searchsorted(self.support, np.asarray(x, dtype=np.float64), side="right")
-        padded = np.concatenate(([0.0], self.cum_prob))
-        return padded[idx]
+        return self.cum0[idx]
 
 
 @dataclass
@@ -144,16 +147,14 @@ class Dataset:
 def build_ecdf(batch: TransactionBatch) -> Ecdf:
     """Build the ECDF of one batch.
 
-    The support is the sorted distinct amounts; cumulative probabilities
-    are tied-value counts accumulated and divided by the sample count.
+    The support is the sorted distinct amounts and the counts their ties.
     """
     return _ecdf_of(batch.amounts)
 
 
 def _ecdf_of(amounts: np.ndarray) -> Ecdf:
     """The ECDF of a non-empty 1-D float64 array, as :func:`build_ecdf` describes it."""
-    support, counts = np.unique(amounts, return_counts=True)
-    return Ecdf(support, np.cumsum(counts, dtype=np.float64) / amounts.size, amounts.size)
+    return Ecdf(*np.unique(amounts, return_counts=True))
 
 
 def cap_transactions(batch: TransactionBatch, cap: int = DEFAULT_TRANSACTION_CAP,
@@ -212,21 +213,12 @@ def wasserstein(a: Ecdf, b: Ecdf) -> float:
     are compared exactly; callers who want fuzzy matching must round
     beforehand.
     """
-    return _w1(a.support, _padded_cum(a), b.support, _padded_cum(b))
-
-
-def _padded_cum(e: Ecdf) -> np.ndarray:
-    # leading 0 so searchsorted indices can be used directly
-    return np.concatenate(([0.0], e.cum_prob))
-
-
-def _w1(support_a, cum0_a, support_b, cum0_b) -> float:
-    grid = np.union1d(support_a, support_b)
+    grid = np.union1d(a.support, b.support)
     if grid.size < 2:
         return 0.0
     left = grid[:-1]
-    fa = cum0_a[np.searchsorted(support_a, left, side="right")]
-    fb = cum0_b[np.searchsorted(support_b, left, side="right")]
+    fa = a.cum0[np.searchsorted(a.support, left, side="right")]
+    fb = b.cum0[np.searchsorted(b.support, left, side="right")]
     return float(np.sum(np.abs(fa - fb) * np.diff(grid)))
 
 

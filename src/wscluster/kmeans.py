@@ -108,12 +108,14 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
     Each restart seeds centers with k-means++ and iterates Lloyd updates
     until assignments stop changing. The best restart by (inertia, restart
     index) wins, making the result deterministic for a given seed. A ``k``
-    that is not an integer in [1, n], or a non-finite point, raises
-    :class:`ArgumentOutOfRange`.
+    that is not an integer in [1, n], a non-finite point, or ``points``
+    that are not a 1-D or 2-D array raise :class:`ArgumentOutOfRange`.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
+    if points.ndim != 2:
+        raise ArgumentOutOfRange(f"kmeans points must be a 1-D or 2-D array, not {points.ndim}-D")
     k = _integer_in("k", k, 1, points.shape[0])
     if not np.isfinite(points).all():
         raise ArgumentOutOfRange("kmeans points must be finite")
@@ -132,16 +134,19 @@ def silhouette_mean(distances, labels) -> float:
     """Mean silhouette coefficient over all points.
 
     ``distances`` is the n x n distance matrix of the points, as an array
-    or a DistanceMatrix. A point in a singleton cluster contributes 0, as
-    does a point whose intra- and inter-cluster distances are both 0.
+    or a DistanceMatrix, and one label per point; any other shape raises
+    :class:`ArgumentOutOfRange`. A point in a singleton cluster contributes
+    0, as does a point whose intra- and inter-cluster distances are both 0.
     """
-    distances = getattr(distances, "entries", distances)
+    distances = np.asarray(getattr(distances, "entries", distances), dtype=np.float64)
     uniq, own = np.unique(np.asarray(labels), return_inverse=True)
+    n, points = own.size, np.arange(own.size)
+    if distances.shape != (n, n):
+        raise ArgumentOutOfRange(f"{n} silhouette labels for distances of {distances.shape}")
     if uniq.size < 2:
         raise ArgumentOutOfRange("silhouette needs at least two occupied clusters")
-    n, points = own.size, np.arange(own.size)
     # each point's summed distance to each cluster, through a one-hot matrix
-    sums = np.asarray(distances, dtype=np.float64) @ np.eye(uniq.size)[own]
+    sums = distances @ np.eye(uniq.size)[own]
     sizes = np.bincount(own)
     own_size = sizes[own]
     a = sums[points, own] / np.maximum(own_size - 1, 1)  # its own cluster, less itself

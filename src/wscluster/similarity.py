@@ -8,13 +8,14 @@ weak edges while keeping the matrix symmetric.
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ecdf import Dataset, _padded_cum
+from .ecdf import Dataset
 from .errors import ArgumentOutOfRange, InputError, IsolatedEntity, NoVariation, _integer_in
 
 __all__ = [
@@ -96,11 +97,12 @@ class DistanceMatrix:
         n = len(self.entity_ids)
         if entries.shape != (n, n):
             raise InputError(f"distance entries of shape {entries.shape} for {n} entities")
-        finite = np.isfinite(entries)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise InputError(f"distance between {self.entity_ids[i]!r} and "
-                             f"{self.entity_ids[j]!r} is {entries[i, j]}")
+        for rows in _row_blocks(n):  # a block's mask, not an n x n one
+            finite = np.isfinite(entries[rows])
+            if not finite.all():
+                i, j = np.argwhere(~finite)[0] + (rows.start, 0)
+                raise InputError(f"distance between {self.entity_ids[i]!r} and "
+                                 f"{self.entity_ids[j]!r} is {entries[i, j]}")
         entries.flags.writeable = False
         self.entries = entries
 
@@ -149,12 +151,10 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     The quantile path's cost grows with the sample counts and the merge
     path's with the support sizes, so the quantile path runs when the
     transactions number at most QUANTILE_MAX_RATIO times the distinct
-    amounts, summed over the entities, and every ECDF's ``cum_prob`` is
-    its tie counts accumulated and divided by ``sample_count``, bitwise,
-    as :func:`wscluster.ecdf.build_ecdf` makes it. Any other ECDF takes the
-    merge path. Either way the result records its thread count as
-    ``workers``, and memory beyond the n x n result is
-    O(workers x BLOCK_ELEMENTS + total sample count).
+    amounts, summed over the entities, and the merge path runs otherwise.
+    Either way the result records its thread count as ``workers``, and
+    memory beyond the n x n result is O(workers x BLOCK_ELEMENTS + total
+    sample count).
     """
     n = dataset.n
     if n > MAX_DENSE_ENTITIES:
@@ -162,12 +162,13 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     if n < 2:  # no pairs, and np.concatenate below needs one entity
         return DistanceMatrix(list(dataset.entity_ids), np.zeros((n, n)))
     out = np.zeros((n, n), dtype=np.float64)
-    atoms = _sorted_atoms(dataset.ecdfs)
-    if atoms is None:
-        kernel, workers = "merge", _merge_distances(dataset.ecdfs, out)
-    else:
+    ecdfs = dataset.ecdfs
+    if (sum(e.sample_count for e in ecdfs)
+            <= QUANTILE_MAX_RATIO * sum(e.support.size for e in ecdfs)):
         kernel, workers = "quantile", 1
-        _quantile_distances(*atoms, out)
+        _quantile_distances(ecdfs, out)
+    else:
+        kernel, workers = "merge", _merge_distances(ecdfs, out)
     _mirror(out)
     return DistanceMatrix(list(dataset.entity_ids), out, workers, kernel)
 
@@ -183,38 +184,11 @@ def _mirror(out):
         out[rows, :lo] = out[:lo, rows].T
 
 
-def _sorted_atoms(ecdfs):
-    """Every entity's amounts sorted, laid end to end, and each one's count; or None.
-
-    None where the quantile path does not apply: the sample counts sum to
-    more than QUANTILE_MAX_RATIO times the support sizes, or some ECDF's
-    ``cum_prob`` is not its tie counts over ``sample_count``, bitwise, so
-    that amounts repeated by those counts would not be its own.
-    """
-    sizes = np.array([e.support.size for e in ecdfs], dtype=np.intp)
-    counts = np.array([e.sample_count for e in ecdfs], dtype=np.float64)
-    if not counts.sum() <= QUANTILE_MAX_RATIO * sizes.sum():
-        return None
-    per_value = np.repeat(counts, sizes)
-    cum = np.concatenate([e.cum_prob for e in ecdfs])
-    tally = np.rint(cum * per_value)  # ties at or below each value
-    if not np.array_equal(tally / per_value, cum):
-        return None
-    ends = np.cumsum(sizes)
-    ties = np.diff(tally, prepend=0.0)
-    ties[ends[:-1]] = tally[ends[:-1]]  # each entity's first value
-    # Ecdf checks cum_prob once, and the array can be changed in place after that
-    if not np.array_equal(tally[ends - 1], counts) or ties.min() < 0:
-        return None
-    support = np.concatenate([e.support for e in ecdfs])
-    return np.repeat(support, ties.astype(np.intp)), counts.astype(np.intp)
-
-
-def _quantile_distances(atoms, counts, out):
+def _quantile_distances(ecdfs, out):
     """Exact W1 of every pair as the L1 distance between quantile functions.
 
-    ``atoms`` holds each entity's amounts sorted, ``counts[e]`` of them for
-    entity e, end to end. W1(a, b) = integral over (0, 1) of
+    ``atoms`` holds each entity's amounts sorted, its support repeated by
+    its counts, end to end. W1(a, b) = integral over (0, 1) of
     |Q_a(u) - Q_b(u)| du, and Q_a is constant between the steps k/m_a. In
     units of 1/(m_a m_b) those steps are the multiples of m_b and Q_b's the
     multiples of m_a, so the merged steps depend only on the pair (m_a,
@@ -225,6 +199,9 @@ def _quantile_distances(atoms, counts, out):
     written to ``out`` once, in one of its two positions, and the other
     position is left 0; within a group only pairs i < j are written.
     """
+    atoms = np.repeat(np.concatenate([e.support for e in ecdfs]),
+                      np.concatenate([e.counts for e in ecdfs]))
+    counts = np.array([e.sample_count for e in ecdfs], dtype=np.intp)
     start = np.cumsum(counts) - counts
     order = np.argsort(counts, kind="stable")
     group_counts, first = np.unique(counts[order], return_index=True)
@@ -294,7 +271,7 @@ def _merge_distances(ecdfs, out) -> int:
     ecdfs = [ecdfs[k] for k in by_size]
     sizes = sizes[by_size]
     support = np.concatenate([e.support for e in ecdfs])
-    cum0 = np.concatenate([_padded_cum(e) for e in ecdfs])
+    cum0 = np.concatenate([e.cum0 for e in ecdfs])
     support_start = np.cumsum(sizes) - sizes
     cum_start = support_start + np.arange(n)
     block_rows = np.maximum(1, BLOCK_ELEMENTS // (2 * sizes[:-1]))  # for each row but the last
@@ -422,15 +399,16 @@ def build_similarity(d: DistanceMatrix, sigma: float | None = None) -> Similarit
     """Exponential-kernel similarities exp(-W / sigma).
 
     When ``sigma`` is omitted it defaults to the largest observed distance,
-    which maps the distance range onto [exp(-1), 1]. A sigma so small that
-    an entity has similarity 0 to every other raises :class:`IsolatedEntity`.
+    which maps the distance range onto [exp(-1), 1]. A sigma that is not a
+    positive number raises :class:`ArgumentOutOfRange`, and one so small
+    that an entity has similarity 0 to every other :class:`IsolatedEntity`.
     """
     if sigma is None:
         sigma = float(d.entries.max())
         if sigma <= 0:
             raise NoVariation("all pairwise distances are zero; supply sigma explicitly")
-    elif not sigma > 0:  # NaN too
-        raise ArgumentOutOfRange(f"sigma must be positive, not {sigma}")
+    elif not (isinstance(sigma, numbers.Real) and sigma > 0):  # NaN too
+        raise ArgumentOutOfRange(f"sigma must be positive, not {sigma!r}")
     with np.errstate(over="ignore"):  # W / sigma beyond the float range: exp gives 0
         # W / -sigma rounds as -W / sigma does, and exp runs in the same buffer
         entries = np.divide(d.entries, -sigma)

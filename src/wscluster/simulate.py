@@ -17,6 +17,7 @@ can be generated per entity in parallel.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -68,11 +69,13 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.example not in (1, 2):
+        if not (isinstance(self.example, numbers.Integral) and self.example in (1, 2)):
             raise ArgumentOutOfRange("example must be 1 (continuous) or 2 (discrete)")
         object.__setattr__(self, "cluster_sizes", tuple(
             _integer_in(f"cluster_sizes[{i}]", s, 1) for i, s in enumerate(self.cluster_sizes)))
-        if not 0 < self.beta < math.inf:
+        if not self.cluster_sizes:
+            raise ArgumentOutOfRange("cluster_sizes must name at least one cluster")
+        if not (isinstance(self.beta, numbers.Real) and 0 < self.beta < math.inf):
             raise ArgumentOutOfRange("beta must be positive and finite")
         if self.beta * self.n > MAX_SIM_AMOUNTS:
             raise ArgumentOutOfRange(
@@ -298,7 +301,9 @@ def _replicate(spec: SimSpec, runs, replications: int, seed: int,
 
 
 def _subwsc_kwargs(spec: SimSpec, fraction: float) -> dict:
-    """Keywords of ``subwsc`` on a ``fraction`` of the entities, never fewer than k."""
+    """Keywords of ``subwsc`` on a ``fraction`` in (0, 1] of the entities, never fewer than k."""
+    if not (isinstance(fraction, numbers.Real) and 0 < fraction <= 1):  # NaN too
+        raise ArgumentOutOfRange(f"a subsample fraction must lie in (0, 1], not {fraction!r}")
     return {"n_s": max(spec.k, round(fraction * spec.n))}
 
 
@@ -330,18 +335,13 @@ def run_benchmark(spec: SimSpec, methods=("wsc", "feature_kmeans", "hc"),
                   subsample_fraction: float = 0.3, setting: str = "custom") -> BenchmarkResult:
     """Replicate the simulation protocol and aggregate metric summaries.
 
-    ``"wsc"`` expands to a dense and a k0-sparsified variant; both are
-    recorded, and the variant with the better mean Rand index (dense on a
-    tie) is also reported under the plain ``wsc`` name, in ``rows`` and,
-    per replication, in ``raw``.
+    The runs are those of :func:`_bench_runs`, whose argument checks come
+    before any of them. The variant of ``"wsc"`` with the better mean Rand
+    index (dense on a tie) is also reported under the plain ``wsc`` name,
+    in ``rows`` and, per replication, in ``raw``.
     """
-    expanded = []
-    for m in methods:
-        expanded.extend(("wsc_dense", "wsc_knn") if m == "wsc" else (m,))
-    variants = {"wsc_dense": ("wsc", {}),
-                "wsc_knn": ("wsc", {"knn_k0": min(KNN_K0, spec.n - 1)}),
-                "subwsc": ("subwsc", _subwsc_kwargs(spec, subsample_fraction))}
-    runs = [(m, *variants.get(m, (m, {}))) for m in expanded]
+    runs = _bench_runs(spec, methods, subsample_fraction)
+    expanded = [name for name, _, _ in runs]
     result = _replicate(spec, runs, replications, seed, setting)
     if "wsc_dense" in expanded and "wsc_knn" in expanded:
         mean_ri = {m: np.mean(_series(result, m, "ri") or [-1]) for m in ("wsc_dense", "wsc_knn")}
@@ -352,13 +352,32 @@ def run_benchmark(spec: SimSpec, methods=("wsc", "feature_kmeans", "hc"),
     return _summarize(result, expanded)
 
 
+def _bench_runs(spec: SimSpec, methods, subsample_fraction: float) -> list:
+    """The ``(name, method, keywords)`` runs :func:`run_benchmark` makes of ``methods``.
+
+    ``"wsc"`` expands to a dense and a k0-sparsified variant. A name not in
+    BENCH_METHODS, and so a string for ``methods``, raises :class:`ArgumentOutOfRange`.
+    """
+    expanded = []
+    for m in methods:
+        expanded.extend(("wsc_dense", "wsc_knn") if m == "wsc" else (m,))
+    unknown = [m for m in expanded if m not in BENCH_METHODS]
+    if unknown:
+        raise ArgumentOutOfRange(
+            f"unknown method {unknown[0]!r}; choose from {', '.join(BENCH_METHODS)}")
+    variants = {"wsc_dense": ("wsc", {}),
+                "wsc_knn": ("wsc", {"knn_k0": min(KNN_K0, spec.n - 1)}),
+                "subwsc": ("subwsc", _subwsc_kwargs(spec, subsample_fraction))}
+    return [(m, *variants.get(m, (m, {}))) for m in expanded]
+
+
 def subsample_sweep(spec: SimSpec, fractions, replications: int = 5, seed: int = 0,
                     *, setting: str = "custom") -> BenchmarkResult:
     """Quality and wall-time of the subsampled pipeline across sample sizes.
 
     Shares one distance matrix per replication between the full pipeline
     and every sweep point, mirroring how the subsampled method is meant to
-    be deployed.
+    be deployed. A fraction outside (0, 1] raises before any run.
     """
     runs = [("wsc_dense", "wsc", {})]
     runs += [(f"subwsc@{float(f):g}", "subwsc", _subwsc_kwargs(spec, float(f))) for f in fractions]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -594,6 +595,18 @@ class TestBench:
     def test_bad_sweep_spec(self, tmp_path, spec):
         out = tmp_path / "sweepdir"
         assert main(["bench", "--subsample-sweep", spec, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--methods", "wsc,fkm"], "unknown method 'fkm'; choose from wsc, wsc_dense, wsc_knn, "
+                                   "subwsc, feature_kmeans, hc"),
+        (["--subsample-fraction", "0"], r"subsample fraction must lie in \(0, 1\], not 0.0"),
+    ], ids=["method", "fraction"])
+    def test_a_bad_run_is_refused_before_the_output_directory(self, tmp_path, capsys, flags,
+                                                              message):
+        out = tmp_path / "bench"
+        assert main(["bench", "--sizes", "4,4,4", *flags, "--out", str(out)]) == 1
+        assert re.search(message, capsys.readouterr().err)
         assert not out.exists()
 
     def test_m_zero_usage_error(self, tmp_path):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -58,47 +60,63 @@ class TestBuildEcdf:
 
 
 class TestEcdf:
-    @pytest.mark.parametrize("support, cum_prob, count", [
-        ([0.2, 0.6], [0.5, 1.0], 0),
-        ([0.2, 0.4, 0.6], [1.0, 0.5, 1.0], 2),
-        ([], [], 1),
-        ([[0.2, 0.6]], [[0.5, 1.0]], 2),
-        ([0.2, 0.6], [1.0], 1),
-        ([0.6, 0.2], [0.5, 1.0], 2),
-        ([0.2, 0.2], [0.5, 1.0], 2),
-        ([0.2, np.nan], [0.5, 1.0], 2),
-        ([0.2, np.inf], [0.5, 1.0], 2),
-        ([0.2, 0.6], [0.0, 1.0], 2),
-        ([0.2, 0.6], [0.5, 0.9], 2),
-        ([0.2, 0.6], [1.0, 1.5], 2),
-        ([0.2, 0.6], [np.nan, 1.0], 2),
-        ([0.2, 0.6], [0.5, 1.0], 2.0),
-        ([0.2, 0.6], [0.5, 1.0], None),
+    @pytest.mark.parametrize("support, counts", [
+        ([0.2, 0.6], [0, 0]),
+        ([0.2, 0.4, 0.6], [2, -1, 1]),  # cum_prob would fall
+        ([], []),
+        ([[0.2, 0.6]], [[1, 1]]),
+        ([0.2, 0.6], [2]),
+        ([0.6, 0.2], [1, 1]),
+        ([0.2, 0.2], [1, 1]),
+        ([0.2, np.nan], [1, 1]),
+        ([0.2, np.inf], [1, 1]),
+        ([0.2, 0.6], [0, 2]),
+        ([0.2, 0.6], [np.nan, 1]),
+        ([0.2, 0.6], [1.0, 2.0]),
+        ([0.2, 0.6], None),
     ], ids=["no-count", "decreasing", "empty", "two-d", "lengths-differ",
             "decreasing-support", "repeated-value", "nan-support", "infinite-support",
-            "zero-first-step", "short-of-one", "above-one", "nan-prob", "float-count",
-            "none-count"])
-    def test_a_malformed_ecdf_is_refused(self, support, cum_prob, count):
+            "zero-first-step", "nan-prob", "float-count", "none-count"])
+    def test_a_malformed_ecdf_is_refused(self, support, counts):
         with pytest.raises(InputError, match="an ECDF"):
-            Ecdf(np.array(support), np.array(cum_prob), sample_count=count)
+            Ecdf(np.array(support), np.array(counts))
 
     @settings(max_examples=200, deadline=None)
     @given(AMOUNTS)
     def test_build_ecdf_output_passes_the_checks_unchanged(self, amounts):
-        e = build_ecdf(TransactionBatch("a", amounts))
-        checked = Ecdf(e.support, e.cum_prob, e.sample_count)
-        assert checked.support is e.support and checked.cum_prob is e.cum_prob
-        assert type(e.sample_count) is int and checked.sample_count == e.sample_count
+        batch = TransactionBatch("a", amounts)
+        e = build_ecdf(batch)
+        assert np.repeat(e.support, e.counts).tobytes() == np.sort(batch.amounts).tobytes()
+        assert type(e.sample_count) is int and e.sample_count == batch.size
+        for twin in (Ecdf(e.support, e.counts), pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert twin.cum_prob.tobytes() == e.cum_prob.tobytes()
+            assert twin.sample_count == e.sample_count
+            for array in (twin.support, twin.counts, twin.cum_prob, twin.cum0):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda e: pickle.loads(pickle.dumps(e)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_a_copy_is_checked(self, duplicate):
+        e = Ecdf([0.2, 0.6], [1, 1])
+        # reassigning counts skips the constructor's checks
+        object.__setattr__(e, "counts", np.array([1, 0]))
+        with pytest.raises(InputError, match="counts must be integers of at least 1"):
+            duplicate(e)
 
     def test_lists_become_float_arrays(self):
-        e = Ecdf([1, 2], [0.5, 1], sample_count=np.int64(2))
-        assert e.support.dtype == e.cum_prob.dtype == np.float64
-        assert e.support.tolist() == [1.0, 2.0] and e.cum_prob.tolist() == [0.5, 1.0]
-        assert type(e.sample_count) is int and e.sample_count == 2
+        e = Ecdf([1, 2], np.array([1, 3], dtype=np.int32))
+        assert e.support.dtype == e.cum_prob.dtype == np.float64 and e.counts.dtype == np.intp
+        assert e.support.tolist() == [1.0, 2.0] and e.cum_prob.tolist() == [0.25, 1.0]
+        assert type(e.sample_count) is int and e.sample_count == 4
 
-    def test_cum_prob_need_not_count_in_steps_of_one_over_the_count(self):
-        # the distance kernel sends such an ECDF down the merge path instead
-        assert Ecdf(np.array([0.2, 0.6]), np.array([0.3, 1.0]), sample_count=2).sample_count == 2
+    def test_the_given_arrays_are_copied(self):
+        support, counts = np.array([0.2, 0.6]), np.array([1, 1])
+        e = Ecdf(support, counts)
+        support[0], counts[0] = 0.1, 5
+        assert support.flags.writeable and counts.flags.writeable
+        assert e.support.tolist() == [0.2, 0.6] and e.counts.tolist() == [1, 1]
 
 
 class TestCapTransactions:

@@ -135,6 +135,18 @@ class TestKmeans:
             kmeans(points, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: kmeans(np.zeros((4, 2, 2)), 2), "a 1-D or 2-D array, not 3-D"),
+    (lambda: kmeans(np.float64(1.0), 1), "a 1-D or 2-D array, not 0-D"),
+    (lambda: silhouette_mean(np.zeros((4, 4)), [0, 1, 0]),
+     r"3 silhouette labels for distances of \(4, 4\)"),
+], ids=["kmeans-3d", "kmeans-scalar", "silhouette-labels"])
+def test_an_array_of_the_wrong_shape_is_typed(call, message):
+    # typed, not numpy's own broadcast, index or matmul error
+    with pytest.raises(ArgumentOutOfRange, match=message):
+        call()
+
+
 def euclidean(points):
     return np.linalg.norm(points[:, None] - points[None, :], axis=2)
 

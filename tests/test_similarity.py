@@ -166,8 +166,9 @@ class TestPairwiseDistances:
         expected = [wasserstein(wide, e) for e in ds.ecdfs]
         np.testing.assert_allclose(d.entries[25], expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("ties, kernel", [(1, "quantile"), (4, "merge")])
-    def test_one_n_by_n_array(self, ties, kernel):
+    @pytest.mark.parametrize("ties, kernel, bound", [(1, "quantile", 1.5), (4, "merge", 1.1)],
+                             ids=["1-quantile", "4-merge"])
+    def test_one_n_by_n_array(self, ties, kernel, bound):
         # 800 entities of two amounts: the 5.1 MB result outweighs every block's scratch,
         # so a mirror through out.T, a second n x n array, would double the peak
         gen = np.random.default_rng(9)
@@ -179,7 +180,7 @@ class TestPairwiseDistances:
         finally:
             tracemalloc.stop()
         assert d.kernel == kernel
-        assert peak < 1.5 * d.entries.nbytes
+        assert peak < bound * d.entries.nbytes
 
     @pytest.mark.parametrize("rows", [similarity.ROW_BLOCK_VALUES, 20], ids=["default", "small"])
     @pytest.mark.parametrize("n", [2, 7, 300])
@@ -218,17 +219,6 @@ class TestPairwiseDistances:
         assert np.array_equal(d.entries, d.entries.T)
         assert np.all(np.diag(d.entries) == 0.0)
         assert np.all(d.entries[~np.eye(90, dtype=bool)] > 0)
-        np.testing.assert_allclose(d.entries, _oracle(ds), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("odd", [
-        Ecdf(np.array([0.2, 0.6]), np.array([0.3, 1.0]), sample_count=2),  # 0.3 is not k/2
-        Ecdf(np.array([0.2, 0.6]), np.array([0.5, 1.0]), sample_count=3),
-    ], ids=["not-k-over-m", "wrong-count"])
-    def test_a_hand_built_ecdf_takes_the_merge_path(self, odd):
-        ds = _dataset([[0.1, 0.5], [0.4, 0.7, 0.9]])
-        ds = Dataset(["e0", "e1", "odd"], ds.ecdfs + [odd], m0=1.0)
-        d = pairwise_distances(ds)
-        assert d.kernel == "merge"
         np.testing.assert_allclose(d.entries, _oracle(ds), rtol=0, atol=1e-12)
 
     def test_the_cheaper_path_by_transactions_per_value(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from wscluster import (
 from wscluster import simulate, spectral
 from wscluster.simulate import MAX_SIM_AMOUNTS, SETTING_SIZES, run_method, subsample_sweep
 from wscluster.spectral import subsample_plan, subwsc_run, sym_eig_topk, wsc_run
-from wscluster.errors import ArgumentOutOfRange
+from wscluster.errors import ArgumentOutOfRange, RankDeficientSample
 
 
 @pytest.mark.parametrize("sizes, beta, example, message", [
@@ -33,7 +34,11 @@ from wscluster.errors import ArgumentOutOfRange
     ((5, 5), 1e25, 1, r"amounts over 10 entities; at most 1e\+08 are drawn"),
     # beta * n just past MAX_SIM_AMOUNTS
     ((5, 5), MAX_SIM_AMOUNTS / 10 * 1.001, 2, r"amounts over 10 entities; at most 1e\+08"),
-], ids=["example", "size", "beta", "beta-inf", "beta-nan", "beta-huge", "beta-past-cap"])
+    ((5, 5), 10.0, 1.0, r"example must be 1 \(continuous\) or 2 \(discrete\)"),
+    ((), 10.0, 1, "cluster_sizes must name at least one cluster"),
+    ((5, 5), "10", 1, "beta must be positive and finite"),
+], ids=["example", "size", "beta", "beta-inf", "beta-nan", "beta-huge", "beta-past-cap",
+        "example-float", "no-cluster", "beta-str"])
 def test_invalid_sim_spec(sizes, beta, example, message):
     with pytest.raises(ArgumentOutOfRange, match=message) as info:
         SimSpec(sizes, beta, example)
@@ -312,11 +317,16 @@ class TestBenchmark:
             run_benchmark(spec, ["wsc"], replications=0, seed=0)
         assert isinstance(info.value, ValueError)
 
-    def test_failures_recorded_not_raised(self):
+    def test_failures_recorded_not_raised(self, monkeypatch):
+        def failing(batches, k, seed=0):
+            raise RankDeficientSample("a pipeline error, not a bug")
+
+        monkeypatch.setattr(simulate, "feature_kmeans_baseline", failing)
         spec = SimSpec((4, 4, 4), beta=15, example=1, seed=2)
-        result = run_benchmark(spec, ["no_such_method"], replications=2, seed=0)
-        assert len(result.failures) == 2
-        assert all("no_such_method" in f["method"] for f in result.failures)
+        result = run_benchmark(spec, ["feature_kmeans"], replications=2, seed=0)
+        assert [(f["method"], f["replication"]) for f in result.failures] == [
+            ("feature_kmeans", 0), ("feature_kmeans", 1)]
+        assert all(f["error"].startswith("RankDeficientSample") for f in result.failures)
         assert not result.rows
 
     def test_bug_in_a_method_is_raised(self, monkeypatch):
@@ -343,6 +353,19 @@ class TestBenchmark:
                     for r in result.raw if r["method"] == method]
         assert records("wsc") == records(winner)
         assert len({seed for _, seed, _, _ in records("wsc")}) == 2
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda spec: run_benchmark(spec, "wsc"), "unknown method 'w'"),
+        (lambda spec: run_benchmark(spec, ["bogus"]), "unknown method 'bogus'"),
+        (lambda spec: run_benchmark(spec, ["subwsc"], subsample_fraction=0.0), r"\(0, 1\]"),
+        (lambda spec: subsample_sweep(spec, [0.5, 1.5]), r"\(0, 1\], not 1\.5"),
+        (lambda spec: subsample_sweep(spec, [math.nan]), r"\(0, 1\], not nan"),
+    ], ids=["methods-str", "method-unknown", "fraction-zero", "sweep-above-one", "sweep-nan"])
+    def test_a_bad_run_is_refused_before_any_replication(self, monkeypatch, call, message):
+        # raised here, not recorded per replication or run at n_s = k
+        monkeypatch.setattr(simulate, "generate_dataset", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ArgumentOutOfRange, match=message):
+            call(SimSpec((3, 3), 10.0))
 
     def test_sweep_rows(self):
         spec = SimSpec((6, 6, 6), beta=20, example=1, seed=4)

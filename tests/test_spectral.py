@@ -479,7 +479,9 @@ def test_a_count_that_is_not_an_integer_is_argument_out_of_range(call):
 @pytest.mark.parametrize("call", [
     lambda: build_similarity(_groups_distances(6), sigma=math.nan),
     lambda: wsc_run(_small_dataset(), 2, sigma=math.nan, distances=_groups_distances(6)),
-], ids=["graph", "wsc"])
+    lambda: build_similarity(_groups_distances(6), sigma="1"),
+    lambda: wsc_run(_small_dataset(), 2, sigma="1", distances=_groups_distances(6)),
+], ids=["graph", "wsc", "graph-str", "wsc-str"])
 def test_a_nan_sigma_is_argument_out_of_range(call):
     # NaN <= 0 is false: a check written that way builds an all-NaN graph, and the solve
     # then fails with NoConvergence, which names the wrong cause
