@@ -309,6 +309,14 @@ def _usage() -> tuple[float, float]:
     return peak, usage.ru_utime + usage.ru_stime
 
 
+def _kmeans_counters(result):
+    """The chosen run's K-means counters for run.json; None for a run without K-means."""
+    if result is None:
+        return None
+    return {"restarts": result.restarts, "iterations": result.iterations,
+            "repairs": result.repairs, "exact_rows": result.exact_rows}
+
+
 def cmd_cluster(args) -> int:
     with _recorded_warnings() as caught:
         config = RunConfig(method=args.method, k=args.k, k_selection=args.k_selection,
@@ -340,6 +348,7 @@ def cmd_cluster(args) -> int:
             "distance_workers": distances.workers,
             "distance_kernel": distances.kernel,
             "blas_thread_timeout": _blas_thread_timeout,
+            "kmeans": _kmeans_counters(run.kmeans),
             "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                          for w in caught],
         }
@@ -394,8 +403,6 @@ def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods names no method")
-    if len(set(methods)) < len(methods):
-        raise UsageError(f"--methods repeats a method: {args.methods!r}")
     sizes = args.sizes or SETTING_SIZES[args.setting]
     setting = "custom" if args.sizes else args.setting
     try:

@@ -21,21 +21,23 @@ class ArgumentOutOfRange(WsclusterError, ValueError):
     silhouette over fewer than two occupied clusters or with labels that do
     not match the distances; for partitions of different lengths; for a
     simulation spec that cannot be drawn; for a subsample fraction outside
-    (0, 1]; and for a method name that the method table does not hold.
+    (0, 1]; and for a method name that the method table does not hold, or
+    one that a benchmark would run twice.
     """
 
 
-def _integer_in(name: str, value, low: int, high: int | None = None) -> int:
+def _integer_in(name: str, value, low: int | None, high: int | None = None) -> int:
     """``value`` as an int in [low, high], or at least ``low`` when ``high`` is None.
 
-    Anything :func:`operator.index` refuses, a float or a string say, and
-    any int out of range raises :class:`ArgumentOutOfRange`.
+    With both None any int is taken, as for a seed. Anything
+    :func:`operator.index` refuses, a float or a string say, and any int
+    out of range raises :class:`ArgumentOutOfRange`.
     """
     try:
         value = operator.index(value)
     except TypeError:
         raise ArgumentOutOfRange(f"{name}={value!r} is not an integer") from None
-    if high is None and value < low:
+    if low is not None and high is None and value < low:
         raise ArgumentOutOfRange(f"{name} must be at least {low} ({name}={value})")
     if high is not None and not low <= value <= high:
         raise ArgumentOutOfRange(f"{name}={value} outside [{low}, {high}]")

@@ -61,7 +61,11 @@ MAX_SIM_AMOUNTS = 10**8
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Configuration of one synthetic dataset; ``cluster_sizes`` is kept as a tuple of ints."""
+    """Configuration of one synthetic dataset.
+
+    ``cluster_sizes`` is kept as a tuple of ints and ``seed`` as an int,
+    which may be negative; anything else raises :class:`ArgumentOutOfRange`.
+    """
 
     cluster_sizes: tuple
     beta: float
@@ -71,8 +75,13 @@ class SimSpec:
     def __post_init__(self):
         if not (isinstance(self.example, numbers.Integral) and self.example in (1, 2)):
             raise ArgumentOutOfRange("example must be 1 (continuous) or 2 (discrete)")
+        try:
+            sizes = tuple(self.cluster_sizes)
+        except TypeError:
+            raise ArgumentOutOfRange(
+                f"cluster_sizes must be a sequence of sizes, not {self.cluster_sizes!r}") from None
         object.__setattr__(self, "cluster_sizes", tuple(
-            _integer_in(f"cluster_sizes[{i}]", s, 1) for i, s in enumerate(self.cluster_sizes)))
+            _integer_in(f"cluster_sizes[{i}]", s, 1) for i, s in enumerate(sizes)))
         if not self.cluster_sizes:
             raise ArgumentOutOfRange("cluster_sizes must name at least one cluster")
         if not (isinstance(self.beta, numbers.Real) and 0 < self.beta < math.inf):
@@ -81,6 +90,7 @@ class SimSpec:
             raise ArgumentOutOfRange(
                 f"beta={self.beta:g} asks for about {self.beta * self.n:.3g} amounts over "
                 f"{self.n} entities; at most {MAX_SIM_AMOUNTS:.0e} are drawn")
+        object.__setattr__(self, "seed", _integer_in("seed", self.seed, None))
 
     @property
     def n(self) -> int:
@@ -175,9 +185,14 @@ def feature_kmeans_baseline(batches, k: int, seed: int = 0) -> Partition:
     Features are deliberately left unscaled; the sd of a single-amount
     entity is 0.
     """
+    return _feature_kmeans_run(batches, k, seed).partition
+
+
+def _feature_kmeans_run(batches, k: int, seed: int) -> ClusteringRun:
     features = np.array([[b.amounts.mean(), b.amounts.std()] for b in batches])
     result = kmeans(features, k, seed=seed)
-    return Partition.from_labels(result.labels, entity_ids=[b.entity_id for b in batches])
+    part = Partition.from_labels(result.labels, entity_ids=[b.entity_id for b in batches])
+    return ClusteringRun(part, None, sigma=None, kmeans=result)
 
 
 def hc_complete_baseline(d: DistanceMatrix, k: int) -> Partition:
@@ -254,12 +269,10 @@ def run_method(method: str, dataset: Dataset, batches, distances: DistanceMatrix
         return subwsc_run(dataset, k, n_s=n_s, sigma=sigma, knn_k0=knn_k0, seed=seed,
                           distances=distances)
     if method == "feature_kmeans":
-        part = feature_kmeans_baseline(batches, k, seed=seed)
-    elif method == "hc":
-        part = hc_complete_baseline(distances, k)
-    else:
-        raise ArgumentOutOfRange(f"unknown method {method!r}")
-    return ClusteringRun(part, None, sigma=None)
+        return _feature_kmeans_run(batches, k, seed)
+    if method == "hc":
+        return ClusteringRun(hc_complete_baseline(distances, k), None, sigma=None)
+    raise ArgumentOutOfRange(f"unknown method {method!r}")
 
 
 def _replicate(spec: SimSpec, runs, replications: int, seed: int,
@@ -356,7 +369,8 @@ def _bench_runs(spec: SimSpec, methods, subsample_fraction: float) -> list:
     """The ``(name, method, keywords)`` runs :func:`run_benchmark` makes of ``methods``.
 
     ``"wsc"`` expands to a dense and a k0-sparsified variant. A name not in
-    BENCH_METHODS, and so a string for ``methods``, raises :class:`ArgumentOutOfRange`.
+    BENCH_METHODS, and so a string for ``methods``, and a run named twice
+    after that expansion raise :class:`ArgumentOutOfRange`.
     """
     expanded = []
     for m in methods:
@@ -365,6 +379,10 @@ def _bench_runs(spec: SimSpec, methods, subsample_fraction: float) -> list:
     if unknown:
         raise ArgumentOutOfRange(
             f"unknown method {unknown[0]!r}; choose from {', '.join(BENCH_METHODS)}")
+    repeated = [m for i, m in enumerate(expanded) if m in expanded[:i]]
+    if repeated:
+        raise ArgumentOutOfRange(
+            f"methods name {repeated[0]!r} twice (\"wsc\" runs wsc_dense and wsc_knn)")
     variants = {"wsc_dense": ("wsc", {}),
                 "wsc_knn": ("wsc", {"knn_k0": min(KNN_K0, spec.n - 1)}),
                 "subwsc": ("subwsc", _subwsc_kwargs(spec, subsample_fraction))}

@@ -44,7 +44,7 @@ from .errors import (
     RankDeficientSample,
     _integer_in,
 )
-from .kmeans import kmeans
+from .kmeans import KmeansResult, kmeans
 from .metrics import Partition
 from .rng import substream
 from .similarity import (
@@ -127,6 +127,7 @@ class ClusteringRun:
     sigma: float | None
     timings: dict = field(default_factory=dict)
     plan: SubsamplePlan | None = None
+    kmeans: KmeansResult | None = None
 
 
 def normalized_laplacian(s: SimilarityMatrix, *, out: np.ndarray | None = None) -> Laplacian:
@@ -417,7 +418,8 @@ def _clustered(dataset: Dataset, spectrum, seed: int, plan=None) -> ClusteringRu
     result = kmeans(embedding.rows, embedding.k, seed=seed)
     partition = Partition.from_labels(result.labels, entity_ids=dataset.entity_ids)
     timings["kmeans"] = time.perf_counter() - t0
-    return ClusteringRun(partition, embedding, sigma=sigma, timings=timings, plan=plan)
+    return ClusteringRun(partition, embedding, sigma=sigma, timings=timings, plan=plan,
+                         kmeans=result)
 
 
 def _wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,

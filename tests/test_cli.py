@@ -23,8 +23,9 @@ from wscluster import (
     standardize,
     sym_eig_topk,
 )
-from wscluster import similarity, spectral
+from wscluster import similarity, simulate, spectral
 from wscluster.cli import main
+from wscluster.kmeans import N_INIT
 from wscluster.simulate import SimSpec, generate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -167,6 +168,29 @@ class TestCluster:
             assert main(["cluster", str(csv_path), "--k", "3", "--out", str(out)]) == 0
         run = json.loads((out / "run.json").read_text())
         assert "memory" not in run and "cpu_s" not in run
+
+    @pytest.mark.parametrize("method", ["wsc", "subwsc", "feature_kmeans", "hc"])
+    def test_run_json_records_the_chosen_runs_kmeans(self, toy_csv, tmp_path, method):
+        def record(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        real, results = spectral.kmeans, []
+        csv_path, _ = toy_csv
+        out = tmp_path / "out"
+        with mock.patch.object(spectral, "kmeans", side_effect=record), \
+                mock.patch.object(simulate, "kmeans", side_effect=record):
+            assert main(["cluster", str(csv_path), "--method", method,
+                         "--k-selection", "silhouette", "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        if method == "hc":
+            assert run["kmeans"] is None and not results
+            return
+        # one K-means per candidate K; the block is the chosen K's
+        (chosen,) = [r for r in results if r.centers.shape[0] == run["k"]]
+        assert len(results) > 1
+        assert run["kmeans"] == {"restarts": N_INIT, "iterations": chosen.iterations,
+                                 "repairs": chosen.repairs, "exact_rows": chosen.exact_rows}
 
     def test_subwsc_default_n_s_echoed(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
@@ -601,7 +625,9 @@ class TestBench:
         (["--methods", "wsc,fkm"], "unknown method 'fkm'; choose from wsc, wsc_dense, wsc_knn, "
                                    "subwsc, feature_kmeans, hc"),
         (["--subsample-fraction", "0"], r"subsample fraction must lie in \(0, 1\], not 0.0"),
-    ], ids=["method", "fraction"])
+        (["--methods", "wsc,wsc_dense"], "methods name 'wsc_dense' twice"),
+        (["--methods", "hc,hc"], "methods name 'hc' twice"),
+    ], ids=["method", "fraction", "method-after-expansion", "method-repeated"])
     def test_a_bad_run_is_refused_before_the_output_directory(self, tmp_path, capsys, flags,
                                                               message):
         out = tmp_path / "bench"

@@ -3,6 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kmeans_reference
 
 from wscluster import DistanceMatrix, kmeans, select_k_silhouette, silhouette_mean
 from wscluster.errors import (
@@ -68,12 +72,13 @@ class TestKmeans:
         assert np.all(np.diff(path) <= 1e-9 * np.maximum(1.0, path[:-1]))
 
     def test_increasing_inertia_is_a_typed_error(self, monkeypatch):
-        # every distance evaluation adds 1 to all squared distances, so the
-        # second Lloyd iteration sees a larger inertia than the first
-        exact = kmeans_module._sq_distances
+        # every assigned-distance evaluation adds 1 to each point's squared
+        # distance, so the second Lloyd iteration sees a larger inertia than the first
+        exact = kmeans_module._assigned_sq_distances
         calls = iter(range(10**6))
-        monkeypatch.setattr(kmeans_module, "_sq_distances",
-                            lambda points, centers: exact(points, centers) + next(calls))
+        monkeypatch.setattr(kmeans_module, "_assigned_sq_distances",
+                            lambda points, centers, labels:
+                            exact(points, centers, labels) + next(calls))
         points = np.random.default_rng(2).standard_normal((20, 2))
         with pytest.raises(InertiaIncreased, match="increased inertia"):
             kmeans(points, 3, seed=0)
@@ -133,6 +138,83 @@ class TestKmeans:
         points[2, 1] = bad
         with pytest.raises(ArgumentOutOfRange, match="must be finite"):
             kmeans(points, 2)
+
+
+def _outcome(fn, points, k, seed):
+    """A result's fields as bytes, or the type and text of what it raised."""
+    try:
+        r = fn(points, k, seed=seed)
+    except Exception as exc:  # both versions must raise the same, where they raise
+        return type(exc).__name__, str(exc)
+    return (r.labels.tobytes(), r.centers.tobytes(), np.float64(r.inertia).tobytes(),
+            r.iterations, np.asarray(r.inertia_path, dtype=np.float64).tobytes())
+
+
+def _points(seed, n, d, kind, exponent):
+    gen = np.random.default_rng(seed)
+    if kind == "normal":
+        points = gen.standard_normal((n, d))
+    elif kind == "lattice":  # integer points: exact ties between centers
+        points = gen.integers(-2, 3, (n, d)).astype(np.float64)
+    elif kind == "offset":  # far from the origin, where the Gram form cancels
+        points = gen.standard_normal((n, d)) + gen.standard_normal(d) * 1e8
+    elif kind == "duplicated":
+        points = gen.standard_normal((max(1, n // 3), d))[gen.integers(0, max(1, n // 3), n)]
+    else:  # a few signed zeros and repeated coordinates
+        points = gen.choice([-0.0, 0.0, 1.0, -1.0, 0.5], size=(n, d))
+    return points * 10.0 ** exponent
+
+
+POINTS = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.builds(_points, seed=st.integers(0, 2**32 - 1), n=st.just(n), d=st.integers(1, 10),
+              kind=st.sampled_from(["normal", "offset", "lattice", "duplicated", "zeros"]),
+              exponent=st.integers(-150, 150)),
+    st.integers(1, n)))
+
+
+class TestAgainstTheReference:
+    """The certified Gram step against the difference-form K-means it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(POINTS, st.integers(0, 2**32 - 1))
+    def test_bitwise_the_reference(self, points_k, seed):
+        # duplicated points at large scales make both raise InertiaIncreased
+        # alike, so an exception is compared as well as a result
+        points, k = points_k
+        assert _outcome(kmeans, points, k, seed) == _outcome(kmeans_reference.kmeans,
+                                                             points, k, seed)
+
+    @pytest.mark.parametrize("points, k", [
+        # the middle point is equidistant from centers at either group
+        (np.array([[-1.0, 0.0]] * 5 + [[1.0, 0.0]] * 5 + [[0.0, 0.0]]), 2),
+        # the Gram product overflows to inf and NaN, silently in both versions
+        (np.random.default_rng(10).standard_normal((30, 3)) * 1e160, 3),
+        (np.random.default_rng(10).standard_normal((30, 3)) * 1e300, 3),
+        # 2 p.c overflows to -inf for the far center while |p|^2 and |c|^2 do
+        # not, so the Gram form puts 0.8e154 nearer to 1.2e154 than to itself
+        (np.array([0.8e154, 0.8e154, 1.2e154, 1.2e154]), 2),
+    ], ids=["exact-tie", "squares-overflow", "all-overflow", "product-overflows-alone"])
+    def test_what_no_margin_decides_goes_to_the_oracle(self, points, k):
+        assert kmeans(points, k).exact_rows > 0
+        assert _outcome(kmeans, points, k, 0) == _outcome(kmeans_reference.kmeans, points, k, 0)
+
+    def test_separated_groups_need_no_oracle_or_repair(self):
+        gen = np.random.default_rng(8)
+        points = np.repeat(gen.standard_normal((4, 3)) * 10, 50, axis=0)
+        points += gen.standard_normal(points.shape) * 0.1
+        result = kmeans(points, 4, seed=2)
+        assert (result.exact_rows, result.repairs, result.restarts) == (0, 0, kmeans_module.N_INIT)
+
+    def test_coincident_points_count_their_repairs(self):
+        # every row ties, so the oracle puts all in cluster 0 and two need repair
+        result = kmeans(np.zeros((12, 2)), 3)
+        assert result.repairs >= 2 * kmeans_module.N_INIT
+        assert result.exact_rows >= 12 * kmeans_module.N_INIT
+
+    def test_a_fortran_array_clusters_as_a_c_array(self):
+        points = np.random.default_rng(9).standard_normal((40, 3))
+        assert (_outcome(kmeans, np.asfortranarray(points), 4, 1)
+                == _outcome(kmeans_reference.kmeans, points, 4, 1))
 
 
 @pytest.mark.parametrize("call, message", [

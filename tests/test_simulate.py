@@ -25,24 +25,38 @@ from wscluster.spectral import subsample_plan, subwsc_run, sym_eig_topk, wsc_run
 from wscluster.errors import ArgumentOutOfRange, RankDeficientSample
 
 
-@pytest.mark.parametrize("sizes, beta, example, message", [
-    ((5, 5), 10.0, 3, r"example must be 1 \(continuous\) or 2 \(discrete\)"),
-    ((5, 0), 10.0, 1, r"cluster_sizes\[1\] must be at least 1"),
-    ((5, 5), 0.0, 2, "beta must be positive and finite"),
-    ((5, 5), math.inf, 1, "beta must be positive and finite"),
-    ((5, 5), math.nan, 1, "beta must be positive and finite"),
-    ((5, 5), 1e25, 1, r"amounts over 10 entities; at most 1e\+08 are drawn"),
+@pytest.mark.parametrize("sizes, beta, example, seed, message", [
+    ((5, 5), 10.0, 3, 0, r"example must be 1 \(continuous\) or 2 \(discrete\)"),
+    ((5, 0), 10.0, 1, 0, r"cluster_sizes\[1\] must be at least 1"),
+    ((5, 5), 0.0, 2, 0, "beta must be positive and finite"),
+    ((5, 5), math.inf, 1, 0, "beta must be positive and finite"),
+    ((5, 5), math.nan, 1, 0, "beta must be positive and finite"),
+    ((5, 5), 1e25, 1, 0, r"amounts over 10 entities; at most 1e\+08 are drawn"),
     # beta * n just past MAX_SIM_AMOUNTS
-    ((5, 5), MAX_SIM_AMOUNTS / 10 * 1.001, 2, r"amounts over 10 entities; at most 1e\+08"),
-    ((5, 5), 10.0, 1.0, r"example must be 1 \(continuous\) or 2 \(discrete\)"),
-    ((), 10.0, 1, "cluster_sizes must name at least one cluster"),
-    ((5, 5), "10", 1, "beta must be positive and finite"),
+    ((5, 5), MAX_SIM_AMOUNTS / 10 * 1.001, 2, 0, r"amounts over 10 entities; at most 1e\+08"),
+    ((5, 5), 10.0, 1.0, 0, r"example must be 1 \(continuous\) or 2 \(discrete\)"),
+    ((), 10.0, 1, 0, "cluster_sizes must name at least one cluster"),
+    ((5, 5), "10", 1, 0, "beta must be positive and finite"),
+    (5, 10.0, 1, 0, "cluster_sizes must be a sequence of sizes, not 5"),
+    ((3, 3), 10.0, 1, "x", "seed='x' is not an integer"),
+    ((3, 3), 10.0, 1, 1.5, "seed=1.5 is not an integer"),
 ], ids=["example", "size", "beta", "beta-inf", "beta-nan", "beta-huge", "beta-past-cap",
-        "example-float", "no-cluster", "beta-str"])
-def test_invalid_sim_spec(sizes, beta, example, message):
+        "example-float", "no-cluster", "beta-str", "sizes-int", "seed-str", "seed-float"])
+def test_invalid_sim_spec(sizes, beta, example, seed, message):
     with pytest.raises(ArgumentOutOfRange, match=message) as info:
-        SimSpec(sizes, beta, example)
+        SimSpec(sizes, beta, example, seed=seed)
     assert isinstance(info.value, ValueError)
+
+
+def test_a_negative_seed_draws_its_own_data():
+    # as the CLI's --seed, any int is a seed
+    spec = SimSpec((3, 3), 10.0, seed=-5)
+    assert spec.seed == -5
+    first, _ = generate(spec)
+    again, _ = generate(SimSpec((3, 3), 10.0, seed=np.int64(-5)))
+    other, _ = generate(SimSpec((3, 3), 10.0, seed=5))
+    assert all(np.array_equal(a.amounts, b.amounts) for a, b in zip(first, again))
+    assert not all(np.array_equal(a.amounts, b.amounts) for a, b in zip(first, other))
 
 
 def test_beta_at_the_amount_cap_is_accepted():
@@ -318,10 +332,10 @@ class TestBenchmark:
         assert isinstance(info.value, ValueError)
 
     def test_failures_recorded_not_raised(self, monkeypatch):
-        def failing(batches, k, seed=0):
+        def failing(points, k, seed=0):
             raise RankDeficientSample("a pipeline error, not a bug")
 
-        monkeypatch.setattr(simulate, "feature_kmeans_baseline", failing)
+        monkeypatch.setattr(simulate, "kmeans", failing)
         spec = SimSpec((4, 4, 4), beta=15, example=1, seed=2)
         result = run_benchmark(spec, ["feature_kmeans"], replications=2, seed=0)
         assert [(f["method"], f["replication"]) for f in result.failures] == [
@@ -330,10 +344,10 @@ class TestBenchmark:
         assert not result.rows
 
     def test_bug_in_a_method_is_raised(self, monkeypatch):
-        def broken(batches, k, seed=0):
+        def broken(points, k, seed=0):
             raise TypeError("a bug, not a pipeline error")
 
-        monkeypatch.setattr(simulate, "feature_kmeans_baseline", broken)
+        monkeypatch.setattr(simulate, "kmeans", broken)
         spec = SimSpec((4, 4, 4), beta=15, example=1, seed=2)
         with pytest.raises(TypeError, match="a bug"):
             run_benchmark(spec, ["feature_kmeans"], replications=1, seed=0)
@@ -360,7 +374,10 @@ class TestBenchmark:
         (lambda spec: run_benchmark(spec, ["subwsc"], subsample_fraction=0.0), r"\(0, 1\]"),
         (lambda spec: subsample_sweep(spec, [0.5, 1.5]), r"\(0, 1\], not 1\.5"),
         (lambda spec: subsample_sweep(spec, [math.nan]), r"\(0, 1\], not nan"),
-    ], ids=["methods-str", "method-unknown", "fraction-zero", "sweep-above-one", "sweep-nan"])
+        (lambda spec: run_benchmark(spec, ["wsc", "wsc_dense"]), "name 'wsc_dense' twice"),
+        (lambda spec: run_benchmark(spec, ["hc", "hc"]), "name 'hc' twice"),
+    ], ids=["methods-str", "method-unknown", "fraction-zero", "sweep-above-one", "sweep-nan",
+            "method-after-expansion", "method-repeated"])
     def test_a_bad_run_is_refused_before_any_replication(self, monkeypatch, call, message):
         # raised here, not recorded per replication or run at n_s = k
         monkeypatch.setattr(simulate, "generate_dataset", mock.Mock(side_effect=AssertionError))
