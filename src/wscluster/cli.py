@@ -349,6 +349,7 @@ def cmd_cluster(args) -> int:
             "distance_kernel": distances.kernel,
             "blas_thread_timeout": _blas_thread_timeout,
             "kmeans": _kmeans_counters(run.kmeans),
+            "eigensolve": run.embedding.solve if run.embedding else None,
             "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                          for w in caught],
         }

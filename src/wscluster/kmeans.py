@@ -35,6 +35,17 @@ The inertia is the difference form at each point's assigned center, and
 the new centers are sums from one weighted ``bincount``: the same
 in-order sums ``members.mean(axis=0)`` makes for d >= 2, so the same
 bits. 1-D points keep ``mean``, which sums a contiguous column pairwise.
+
+In exact arithmetic no Lloyd step raises the inertia. By the bound above
+each computed term lies within ``tau (P + C + tiny)`` of its exact value,
+and every center is a mean of points or a point, so ``C <= max P``. A
+step's inertia may then exceed the last by at most
+``2 tau (sum P + n max P + n tiny)`` (:func:`_inertia_allowance`), which
+also covers the centers' own rounding (at most ``n (n u)^2 max P``) and
+the pairwise sum over the points. Anything more raises
+:class:`InertiaIncreased`. A relative allowance fails where the inertia
+reaches 0: once every center sits on its duplicated points, the next
+means round off by an ulp of the points' scale.
 """
 
 from __future__ import annotations
@@ -66,6 +77,12 @@ _TINY = np.finfo(np.float64).tiny
 
 def _two_tau(d):
     return 2 * CERTIFICATE_FACTOR * (d + 2) * _U
+
+
+def _inertia_allowance(norms, d):
+    """How far rounding may raise one Lloyd step's inertia over the last, given each |p|^2."""
+    with np.errstate(over="ignore"):
+        return _two_tau(d) * (norms.sum() + norms.size * (norms.max() + _TINY))
 
 
 @dataclass
@@ -173,7 +190,7 @@ def _kmeanspp_init(points, k, gen):
     return centers
 
 
-def _lloyd(points, lifted, slack, k, gen) -> KmeansResult:
+def _lloyd(points, lifted, slack, allowance, k, gen) -> KmeansResult:
     n = points.shape[0]
     centers = _kmeanspp_init(points, k, gen)
     labels = np.full(n, -1, dtype=np.int64)
@@ -197,7 +214,7 @@ def _lloyd(points, lifted, slack, k, gen) -> KmeansResult:
             repairs += 1
         inertia = float(assigned.sum())
         path.append(inertia)
-        if len(path) > 1 and inertia > path[-2] + 1e-9 * max(1.0, path[-2]):
+        if len(path) > 1 and inertia > path[-2] + allowance:
             raise InertiaIncreased("Lloyd iteration increased inertia")
         if np.array_equal(new_labels, labels):
             break  # the centers are unchanged, so the last inertia stands
@@ -232,7 +249,9 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
     lifted[:d] = points.T
     lifted[d] = norms = _sq_norms(points)
     slack = _two_tau(d) * norms
-    runs = [_lloyd(points, lifted, slack, k, substream(seed, "kmeans-restart", restart))
+    allowance = _inertia_allowance(norms, d)
+    runs = [_lloyd(points, lifted, slack, allowance, k,
+                   substream(seed, "kmeans-restart", restart))
             for restart in range(N_INIT)]
     best = min(range(N_INIT), key=lambda restart: (runs[restart].inertia, restart))
     return dataclasses.replace(runs[best], restarts=N_INIT,

@@ -3,16 +3,18 @@
 The full pipeline embeds entities as rows of the K leading eigenvectors of
 L = D^{-1/2} S D^{-1/2} (degrees are full row sums of S, diagonal included)
 and K-means those rows directly, without row normalization. The eigenpairs
-come from one LAPACK call in :func:`sym_eig_topk`: numpy's ``eigh``
-(``dsyevd``, all n pairs) below :data:`PARTIAL_EIG_MIN_N` rows, and scipy's
-``eigh`` with ``driver="evr"`` (``dsyevr``, only the leading pairs, in
-whole blocks of :data:`EIG_BLOCK`) at or above it. Two slots, each with
+come from :func:`sym_eig_topk`: numpy's ``eigh`` (``dsyevd``, all n pairs)
+below :data:`PARTIAL_EIG_MIN_N` rows, and at or above it a
+Chebyshev-filtered block subspace iteration for only the leading pairs, in
+whole blocks of :data:`EIG_BLOCK`, with scipy's ``evr`` (``dsyevr``) as its
+fallback and oracle. On the n=1500 graphs of a K-selection session it
+takes 0.03-0.05 s where ``evr`` took 0.16-0.18 s. Two slots, each with
 one owner, keep a solve: :func:`sym_eig_topk` its last, so asking again for
 pairs of the same matrix does not solve it again, and :func:`wsc_run` its
 last block of a read-only distance matrix's graph, so asking again does
 not build that graph again.
-Either way every returned pair must satisfy ||L v - lambda v|| <=
-EIG_TOLERANCE * max |lambda| over the eigenvalues LAPACK returned.
+Every path's returned pairs must satisfy ||L v - lambda v|| <=
+EIG_TOLERANCE * max |lambda| over the eigenvalues the solve returned.
 
 The subsampled pipeline keeps only n_s columns of L, takes the K leading
 eigenpairs of the small Gram matrix L_s^T L_s, and recovers an embedding
@@ -20,10 +22,10 @@ for all n entities as U = L_s V Sigma^{-1/2}; its columns are orthonormal
 by construction. Both read L from :func:`graph_laplacian`, so degrees
 come from the full similarity matrix in either.
 
-The ``eigh`` and ``evr`` tables in :func:`sym_eig_topk` were measured under
-OpenBLAS's default idle spin of 2^28 cycles. Their wall times still hold
-under the shorter spin the package sets (:data:`wscluster.BLAS_THREAD_TIMEOUT`),
-which cuts the CPU time beside them, not the wall time.
+The cut-over figures in :func:`sym_eig_topk` were measured under
+OpenBLAS's default idle spin of 2^28 cycles, its iteration table under the
+shorter spin the package sets (:data:`wscluster.BLAS_THREAD_TIMEOUT`),
+which cuts the CPU time beside the solves, not their wall time.
 """
 
 from __future__ import annotations
@@ -80,11 +82,25 @@ RANK_TOLERANCE = 1e-10
 PARTIAL_EIG_MIN_N = 1450
 # eigenpairs are solved for in whole blocks of this many; see sym_eig_topk
 EIG_BLOCK = 16
+# the subspace iteration of sym_eig_topk: columns carried beyond the pairs it
+# returns, its largest Chebyshev degree and the largest gain of the block's
+# leading Ritz value over its pairs-th that a degree may reach, and the
+# largest fraction of nonzero entries at which it multiplies by a CSR copy
+EIG_OVERSAMPLE = 16
+CHEBYSHEV_MAX_DEGREE = 32
+CHEBYSHEV_MAX_GAIN = 1e8
+SPARSE_MAX_DENSITY = 0.05
+# its cost model, in the time of one multiply-add of a dense product: a CSR
+# product per stored entry and column, one step's Rayleigh-Ritz and QR per
+# n * width^2, and evr per n^3 (2 cores, OpenBLAS 0.3.31, n = 1500-6000)
+SPARSE_PRODUCT_COST = 5.5
+STEP_COST = 33.0
+EVR_COST = 0.75
 
-# (key, eigenvalues, vectors) of sym_eig_topk's last solve that passed its checks
+# (key, eigenvalues, vectors, record) of sym_eig_topk's last solve that passed its checks
 _last_solve = None
-# (weakref to D.entries, (sigma, knn_k0, pairs), eigenvalues, rows, sigma used)
-# of _wsc_spectrum's last block solved from a read-only D
+# (weakref to D.entries, (sigma, knn_k0, pairs), eigenvalues, rows, sigma used,
+# solve record) of _wsc_spectrum's last block solved from a read-only D
 _last_graph = None
 
 
@@ -96,10 +112,14 @@ class Laplacian:
 
 @dataclass
 class SpectralEmbedding:
-    """Rows to be clustered; eigenvalues sorted descending."""
+    """Rows to be clustered; eigenvalues sorted descending.
+
+    ``solve`` is the eigensolve's record from :func:`sym_eig_topk`.
+    """
 
     rows: np.ndarray
     eigenvalues: np.ndarray
+    solve: dict | None = None
 
     @property
     def k(self) -> int:
@@ -154,7 +174,8 @@ def normalized_laplacian(s: SimilarityMatrix, *, out: np.ndarray | None = None) 
     return Laplacian(entries=out, degrees=degrees)
 
 
-def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False):
+def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False,
+                 record: dict | None = None):
     """The k algebraically largest eigenpairs of a symmetric matrix.
 
     Returns ``(eigenvalues, vectors)`` with eigenvalues descending and
@@ -163,37 +184,53 @@ def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False):
 
     Below ``PARTIAL_EIG_MIN_N`` rows the solve is ``np.linalg.eigh``
     (LAPACK ``dsyevd``), which computes all n pairs. At or above it, it is
-    ``scipy.linalg.eigh(m, subset_by_index=(n - pairs, n - 1), driver="evr")``
-    (LAPACK ``dsyevr``, the MRRR algorithm of Dhillon, Parlett and Vomel,
-    ACM TOMS 2006). That is a direct solver for just the wanted pairs, to
-    full precision and with repeated eigenvalues kept. scipy is imported
-    only on that path. The cut-over is the smallest order at which one cold
-    call, scipy's import included, stops losing to ``eigh``. On a
-    Laplacian-like matrix with k=3 (medians of 9 fresh processes per run,
-    two runs for some orders, 2 cores, OpenBLAS 0.3.31)::
+    a block subspace iteration with a Chebyshev filter (Halko, Martinsson
+    and Tropp, SIAM Review 2011, Alg. 4.4/5.3; Zhou, Saad, Tiago and
+    Chelikowsky, J. Comput. Phys. 2006) on ``pairs + EIG_OVERSAMPLE``
+    columns, started from ``substream(0, "eigensolve")`` so a matrix always
+    gets the same result. Each step takes one Rayleigh-Ritz on Z = m Q and
+    stops once all ``pairs`` leading Ritz pairs pass the residual check
+    below. Otherwise it filters the Ritz block by T_d(m / u), u the least
+    |theta| of the block, and orthonormalizes it by QR. The degree d is the
+    highest up to ``CHEBYSHEV_MAX_DEGREE`` that keeps T_d(theta_1 / u) /
+    T_d(theta_pairs / u) within ``CHEBYSHEV_MAX_GAIN``: a fixed d=16 on the
+    dense graph amplified theta_1 over theta_16 by about 1e44 and lost the
+    16th vector. The iteration reads m and never writes it; it multiplies
+    by a CSR copy (scipy) when at most ``SPARSE_MAX_DENSITY`` of m's
+    entries are nonzero, as on a kNN graph. It hands over to ``evr``,
+    ``scipy.linalg.eigh(m, subset_by_index=(n - pairs, n - 1),
+    driver="evr")`` (LAPACK ``dsyevr``), when its predicted work passes
+    one ``evr`` solve under the cost model of ``EVR_COST`` (a flat top
+    spectrum), or when the ``pairs``-th Ritz value is not above u: the
+    filter keeps |theta|, so a large negative eigenvalue could have taken
+    the slot of a wanted one. Selection of K on ``select-k-cached`` inputs
+    (n=1500, seed 31, 2 cores, OpenBLAS 0.3.31, best of 5)::
 
-        n      eigh            import + evr
-        1300   0.35 s          0.40 s
-        1350   0.35 s          0.36 s
-        1400   0.39 / 0.38 s   0.43 / 0.41 s
-        1450   0.40 / 0.43 s   0.42 / 0.39 s
-        1500   0.47 / 0.51 s   0.44 / 0.46 s
+        graph            evr      subspace  steps  products  degrees
+        dense            0.18 s   0.05 s    7      14        3, then 2
+        union 10-NN, 1%  0.16 s   0.03 s    3      59        26, then 32
 
-    Once scipy is loaded, ``evr`` for 8 pairs takes 0.09 s against 0.18 s
-    for ``eigh`` at n=1000, and 0.23 s against 0.41 s at n=1500, so every
-    later call in the same process gains more.
+    Eigenvalues agreed with ``evr``'s within 1e-14. The leading k columns
+    span ``evr``'s subspace within a principal angle of 4e-11 for k <= 9
+    on the dense graph; at k=16, where the gap to the 17th eigenvalue is
+    1e-4, the angle is 3e-6, within the Davis-Kahan bound of the residual
+    over the gap. The products of a step go through BLAS ``dgemm``, whose
+    sums depend on its thread count, so the pairs may differ by rounding
+    between ``OPENBLAS_NUM_THREADS`` settings where ``evr``'s did not.
+    Below the cut-over the full ``eigh`` stays: at n=400 (example 2, seed
+    31, dense graph, best of 7) the iteration took 0.004 s against 0.020 s
+    for ``eigh``, but that is under 5% of a 0.4 s CLI job, below what this
+    host's run-to-run drift shows, and moving the cut-over would change the
+    path of every smaller run; 1450 is where one cold ``evr`` call, scipy's
+    import included, stopped losing to ``eigh`` (0.42 / 0.39 s against
+    0.40 / 0.43 s, 2 cores), and ``evr`` is still the fallback there.
 
     Pairs are solved for in whole blocks: ``pairs = min(n, EIG_BLOCK *
     ceil(k / EIG_BLOCK))``, and the first k of them are returned. A subset
     solve by ``dsyevr`` for k pairs is not bitwise a prefix of one for more
     pairs (about 1e-16 apart at n=1500), so the block makes every k within
-    it read a prefix of one and the same solve, on both paths. Selecting K
-    in 2..8 and the eigengap's 9 pairs all fall in the first block. The
-    Householder reduction dominates, so the block costs little. ``evr`` on
-    a three-group Laplacian at n=1500, best of 3, two runs, 2 cores::
-
-        pairs   3       9              16             32
-        evr     0.20 s  0.20 / 0.21 s  0.21 / 0.21 s  0.22 / 0.22 s
+    it read a prefix of one and the same solve, on every path. Selecting K
+    in 2..8 and the eigengap's 9 pairs all fall in the first block.
 
     The last solve is kept, keyed by a ``blake2b`` digest of the matrix's
     contiguous float64 bytes, its order and ``pairs``. A call on the same
@@ -213,8 +250,8 @@ def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False):
     :data:`wscluster.similarity.ROW_BLOCK_VALUES` values, and a NaN
     anywhere in m makes the maximum NaN, which passes on to LAPACK.
 
-    ``overwrite=True``, after scipy's ``overwrite_a``, lets the partial
-    path solve m in its own buffer, where LAPACK would otherwise copy all
+    ``overwrite=True``, after scipy's ``overwrite_a``, lets the ``evr``
+    fallback solve m in its own buffer, where LAPACK would otherwise copy all
     n x n of it; the caller gives up m's contents, which are undefined
     afterwards. m is hashed and its diagonal saved first. LAPACK reads the
     Fortran view ``m.T``, which for a symmetric m is the matrix the copy
@@ -227,13 +264,19 @@ def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False):
     works on a copy and m is left as it was.
 
     Every returned pair must satisfy ||m v - lambda v|| <= EIG_TOLERANCE *
-    max |lambda|, the maximum taken over the eigenvalues LAPACK returned.
-    On the partial path those are the leading ones, whose largest
+    max |lambda|, the maximum taken over the eigenvalues the solve returned.
+    At or above the cut-over those are the leading ones, whose largest
     magnitude is at most ||m||_2 and equals it for a normalized Laplacian
     (lambda_1 = 1) or a Gram matrix. A solve that fails this check, that
     LAPACK rejects, or that yields a non-finite value raises
     :class:`NoConvergence`. A k that is not an integer in [1, n] raises
     :class:`ArgumentOutOfRange`.
+
+    Given a dict as ``record``, the call writes into it how the kept solve
+    found its pairs: ``path`` (``eigh``, ``subspace`` or ``evr``), the
+    iteration's ``steps`` and ``products`` by m (those of an abandoned
+    iteration included on ``evr``; 0 on ``eigh``), and ``residual_ratio``,
+    the largest ||m v - lambda v|| / max |lambda| over the pairs.
     """
     global _last_solve
     m = np.ascontiguousarray(m, dtype=np.float64)
@@ -250,6 +293,8 @@ def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False):
             raise ArgumentOutOfRange(f"matrix is not symmetric (max asymmetry {asym:.3e})")
         last = (key, *_solve_top(m, pairs, overwrite))
         _last_solve = last
+    if record is not None:
+        record.update(last[3])
     return last[1][:k].copy(), last[2][:, :k].copy()
 
 
@@ -268,19 +313,34 @@ def _block_pairs(n: int, k: int) -> int:
 
 
 def _solve_top(m: np.ndarray, pairs: int, overwrite: bool):
-    """The checked, sign-fixed leading ``pairs`` eigenpairs of m; see :func:`sym_eig_topk`."""
+    """The checked, sign-fixed leading ``pairs`` eigenpairs of m and how they were found.
+
+    Returns ``(eigenvalues, vectors, record)``; see :func:`sym_eig_topk`.
+    """
     n = m.shape[0]
-    overwrite = overwrite and n >= PARTIAL_EIG_MIN_N and m.flags.writeable
+    record = {"path": "eigh", "steps": 0, "products": 0}
+    op = m
+    overwrite = overwrite and m.flags.writeable
     try:
-        if n >= PARTIAL_EIG_MIN_N:
-            from scipy.linalg import eigh
-            if overwrite:
-                diagonal = m.diagonal().copy()
-            # m.T is Fortran-ordered, so LAPACK may work in m's own buffer
-            eigenvalues, vectors = eigh(m.T if overwrite else m, driver="evr",
-                                        subset_by_index=(n - pairs, n - 1), overwrite_a=overwrite)
-        else:
+        if n < PARTIAL_EIG_MIN_N:
             eigenvalues, vectors = np.linalg.eigh(m)
+            overwrite = False
+        else:
+            op = _operator(m)
+            found = _subspace_top(op, pairs, record)
+            if found is None:
+                record["path"] = "evr"
+                from scipy.linalg import eigh
+                if overwrite:
+                    diagonal = m.diagonal().copy()
+                # m.T is Fortran-ordered, so LAPACK may work in m's own buffer
+                eigenvalues, vectors = eigh(m.T if overwrite else m, driver="evr",
+                                            subset_by_index=(n - pairs, n - 1),
+                                            overwrite_a=overwrite)
+            else:
+                record["path"] = "subspace"
+                eigenvalues, vectors = found
+                overwrite = False
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(eigenvalues)[::-1][:pairs]
@@ -298,13 +358,107 @@ def _solve_top(m: np.ndarray, pairs: int, overwrite: bool):
         # the triangle LAPACK left intact, the upper one of m.T
         product = dsymm(1.0, m.T, top_vecs, lower=0)
     else:
-        product = m @ top_vecs
+        product = op @ top_vecs
     residual = np.linalg.norm(product - top_vecs * top_vals, axis=0)
     # written so that a NaN residual or norm fails too
     if not (norm == 0 or np.all(residual <= EIG_TOLERANCE * norm)):
         raise NoConvergence(
             f"residual {residual.max():.3e} exceeds {EIG_TOLERANCE:.1e} * ||m||")
-    return top_vals, top_vecs
+    record["residual_ratio"] = float(residual.max() / norm) if norm else 0.0
+    return top_vals, top_vecs, record
+
+
+def _operator(m: np.ndarray):
+    """m itself, or a CSR copy of it when at most SPARSE_MAX_DENSITY of its entries are nonzero."""
+    n = m.shape[0]
+    if np.count_nonzero(m) > SPARSE_MAX_DENSITY * n * n:
+        return m
+    from scipy.sparse import csr_array
+    flat = np.flatnonzero(m != 0)
+    starts = np.searchsorted(flat, np.arange(0, n * n + 1, n))
+    return csr_array((m.ravel()[flat], flat % n, starts), shape=(n, n))
+
+
+def _subspace_top(op, pairs: int, record: dict):
+    """The leading ``pairs`` Ritz pairs of op by Chebyshev-filtered subspace iteration.
+
+    Returns ``(eigenvalues, vectors)``, or None where ``evr`` should solve
+    instead; ``record`` counts the steps and the products by op either way.
+    See :func:`sym_eig_topk`.
+    """
+    n = op.shape[0]
+    width = min(n, pairs + EIG_OVERSAMPLE)
+    product = width * (op.nnz * SPARSE_PRODUCT_COST if hasattr(op, "nnz") else n * n)
+    step = STEP_COST * n * width * width
+    budget = EVR_COST * n ** 3
+    if product + step > budget:
+        return None
+    q = np.linalg.qr(substream(0, "eigensolve").standard_normal((n, width)))[0]
+    work = 0.0
+    while True:
+        z = op @ q
+        record["steps"] += 1
+        record["products"] += 1
+        h = q.T @ z
+        if not np.isfinite(h).all():
+            raise NoConvergence("eigendecomposition failed: the matrix holds a non-finite value")
+        theta, w = np.linalg.eigh((h + h.T) / 2)
+        theta, w = theta[::-1], w[:, ::-1]
+        x, mx = q @ w, z @ w
+        work += product + step
+        norm = np.abs(theta[:pairs]).max()
+        residual = np.linalg.norm(mx[:, :pairs] - x[:, :pairs] * theta[:pairs], axis=0)
+        bound = max(np.abs(theta).min(), np.finfo(float).eps * np.abs(theta).max())
+        if np.all(residual <= EIG_TOLERANCE * norm):
+            # the filter damps |lambda| <= bound, so the block misses none above theta_pairs
+            # while theta_pairs > bound; else negative eigenvalues may hold its columns
+            return (theta[:pairs], x[:, :pairs]) if theta[pairs - 1] > bound or norm == 0 else None
+        scale = max(abs(theta[pairs - 1]) / bound, 1.0)
+        degree = _chebyshev_degree(np.abs(theta).max() / bound, scale)
+        # the pairs-th residual shrinks by about T_degree(scale) a step; the Ritz
+        # values of the first steps are too rough to predict from
+        gain = _log_chebyshev(degree, scale)
+        steps_left = 1 if record["steps"] < 3 else (
+            math.log(residual.max() / (EIG_TOLERANCE * norm)) / gain if gain and norm else math.inf)
+        if work + steps_left * (degree * product + step) > budget:
+            return None
+        work += (degree - 1) * product
+        q = np.linalg.qr(_chebyshev_filter(op, x, mx, degree, bound, scale, record))[0]
+
+
+def _log_chebyshev(degree: int, x: float) -> float:
+    """log T_degree(x) for x >= 1, without overflow."""
+    a = math.acosh(x)
+    return degree * a + math.log1p(math.exp(-2 * degree * a)) - math.log(2)
+
+
+def _chebyshev_degree(top: float, scale: float) -> int:
+    """The highest degree d up to CHEBYSHEV_MAX_DEGREE with T_d(top) / T_d(scale) in bounds.
+
+    The bound is CHEBYSHEV_MAX_GAIN; see :func:`sym_eig_topk`.
+    """
+    limit = math.log(CHEBYSHEV_MAX_GAIN)
+    for degree in range(CHEBYSHEV_MAX_DEGREE, 1, -1):
+        if _log_chebyshev(degree, top) - _log_chebyshev(degree, scale) <= limit:
+            return degree
+    return 1
+
+
+def _chebyshev_filter(op, x, mx, degree: int, bound: float, scale: float, record: dict):
+    """T_degree(op / bound) x / T_degree(scale), given mx = op x, by the three-term recurrence.
+
+    Each term is divided by T_k(scale) as it is formed, through the ratios
+    T_k(scale) / T_{k-1}(scale), so nothing overflows.
+    """
+    previous, current = x, mx / (bound * scale)
+    ratio = scale
+    for _ in range(1, degree):
+        following = 2 * scale - 1 / ratio
+        current, previous = ((op @ current) * (2 / (bound * following))
+                             - previous / (ratio * following)), current
+        ratio = following
+        record["products"] += 1
+    return current
 
 
 def eigengap_suggest_k(eigenvalues, k_max: int | None = None) -> int:
@@ -390,8 +544,9 @@ def _spectrum(dataset: Dataset, embed, *, sigma, knn_k0, distances):
 
     Returns ``(embedding, sigma used, timings)``. The graph is timed as
     ``similarity``; ``embed`` turns the entries of its Laplacian into
-    ``(eigenvalues, rows)`` and is timed as ``eigensolve``. The Laplacian is
-    released once the embedding exists.
+    ``(eigenvalues, rows)``, writes its solve's record into the dict it is
+    given, and is timed as ``eigensolve``. The Laplacian is released once
+    the embedding exists.
     """
     timings = {}
     if distances is None:
@@ -404,9 +559,10 @@ def _spectrum(dataset: Dataset, embed, *, sigma, knn_k0, distances):
     timings["similarity"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    eigenvalues, rows = embed(lap.entries)
+    record = {}
+    eigenvalues, rows = embed(lap.entries, record)
     del lap
-    embedding = SpectralEmbedding(rows=rows, eigenvalues=eigenvalues)
+    embedding = SpectralEmbedding(rows=rows, eigenvalues=eigenvalues, solve=record)
     timings["eigensolve"] = time.perf_counter() - t0
     return embedding, sigma, timings
 
@@ -447,19 +603,21 @@ def _wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
     last = _last_graph
     if keep and last is not None and last[0]() is entries and last[1] == (sigma, knn_k0, pairs):
         t1 = time.perf_counter()
-        embedding = SpectralEmbedding(rows=last[3][:, :k].copy(), eigenvalues=last[2][:k].copy())
+        embedding = SpectralEmbedding(rows=last[3][:, :k].copy(), eigenvalues=last[2][:k].copy(),
+                                      solve=dict(last[5]))
         timings = {"similarity": t1 - t0, "eigensolve": time.perf_counter() - t1}
         return embedding, last[4], timings
 
     # L is built here and dropped after the solve, so LAPACK may overwrite it
     block, sigma_used, timings = _spectrum(
-        dataset, lambda lap: sym_eig_topk(lap, pairs, overwrite=True),
+        dataset, lambda lap, record: sym_eig_topk(lap, pairs, overwrite=True, record=record),
         sigma=sigma, knn_k0=knn_k0, distances=distances)
     if keep:
         _last_graph = (weakref.ref(entries), (sigma, knn_k0, pairs), block.eigenvalues,
-                       block.rows, sigma_used)
+                       block.rows, sigma_used, block.solve)
     embedding = SpectralEmbedding(rows=block.rows[:, :k].copy(),
-                                  eigenvalues=block.eigenvalues[:k].copy())
+                                  eigenvalues=block.eigenvalues[:k].copy(),
+                                  solve=dict(block.solve))
     return embedding, sigma_used, timings
 
 
@@ -480,11 +638,11 @@ def wsc(dataset: Dataset, k: int, **kwargs) -> Partition:
     return wsc_run(dataset, k, **kwargs).partition
 
 
-def _gram_embedding(sub: np.ndarray, k: int):
+def _gram_embedding(sub: np.ndarray, k: int, record: dict):
     """Rows L_s V Sigma^{-1/2} from the K leading eigenpairs of L_s^T L_s."""
     gram = sub.T @ sub
     gram = (gram + gram.T) / 2.0
-    eigenvalues, vectors = sym_eig_topk(gram, k)
+    eigenvalues, vectors = sym_eig_topk(gram, k, record=record)
     if eigenvalues[0] <= 0 or eigenvalues[k - 1] <= RANK_TOLERANCE * eigenvalues[0]:
         raise RankDeficientSample(
             f"Gram eigenvalue {k} of {eigenvalues[k - 1]:.3e} is negligible "
@@ -515,7 +673,8 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
         raise ArgumentOutOfRange(f"plan is over {plan.n} entities, dataset has {n}")
     if k > plan.n_s:
         raise ArgumentOutOfRange(f"k={k} exceeds the subsample size {plan.n_s}")
-    spectrum = _spectrum(dataset, lambda lap: _gram_embedding(lap[:, plan.selected], k),
+    spectrum = _spectrum(dataset,
+                         lambda lap, record: _gram_embedding(lap[:, plan.selected], k, record),
                          sigma=sigma, knn_k0=knn_k0, distances=distances)
     return _clustered(dataset, spectrum, seed, plan)
 

@@ -1,15 +1,17 @@
 """The K-means of the package before its Lloyd step took the Gram product.
 
-Kept unchanged as the reference that ``tests/test_kmeans.py`` holds
+Kept as the reference that ``tests/test_kmeans.py`` holds
 ``wscluster.kmeans`` to, bitwise: every Lloyd step here computes all n x k
 squared distances in the difference form and takes their ``argmin``, and
-every center is ``members.mean(axis=0)``.
+every center is ``members.mean(axis=0)``. Only its guard against a rising
+inertia changed: it allows what the package allows, the rounding bound of
+``wscluster.kmeans._inertia_allowance``, so the two still raise alike.
 """
 
 import numpy as np
 
 from wscluster.errors import ArgumentOutOfRange, InertiaIncreased, _integer_in
-from wscluster.kmeans import MAX_ITER, N_INIT, KmeansResult
+from wscluster.kmeans import MAX_ITER, N_INIT, KmeansResult, _inertia_allowance
 from wscluster.rng import substream
 
 
@@ -44,7 +46,7 @@ def _kmeanspp_init(points, k, gen):
     return centers
 
 
-def _lloyd(points, k, gen):
+def _lloyd(points, k, gen, allowance):
     n = points.shape[0]
     centers = _kmeanspp_init(points, k, gen)
     labels = np.full(n, -1, dtype=np.int64)
@@ -66,7 +68,7 @@ def _lloyd(points, k, gen):
                 d2[:, c] = _sq_distances(points, centers[c:c + 1]).ravel()
         inertia = float(d2[np.arange(n), new_labels].sum())
         path.append(inertia)
-        if len(path) > 1 and inertia > path[-2] + 1e-9 * max(1.0, path[-2]):
+        if len(path) > 1 and inertia > path[-2] + allowance:
             raise InertiaIncreased("Lloyd iteration increased inertia")
         if np.array_equal(new_labels, labels):
             break
@@ -96,10 +98,11 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
     k = _integer_in("k", k, 1, points.shape[0])
     if not np.isfinite(points).all():
         raise ArgumentOutOfRange("kmeans points must be finite")
+    allowance = _inertia_allowance(np.einsum("ij,ij->i", points, points), points.shape[1])
     best = None
     for restart in range(N_INIT):
         gen = substream(seed, "kmeans-restart", restart)
-        labels, centers, inertia, iterations, path = _lloyd(points, k, gen)
+        labels, centers, inertia, iterations, path = _lloyd(points, k, gen, allowance)
         key = (inertia, restart)
         if best is None or key < best[0]:
             best = (key, KmeansResult(labels, centers, inertia, iterations,

@@ -54,6 +54,14 @@ def write_labels(path, pairs):
             writer.writerow([eid, label])
 
 
+def _simulated_csv(tmp_path, sizes):
+    """Example 2 (discrete amounts, 20 per entity) in groups of the given sizes, as a CSV."""
+    batches, _ = generate(SimSpec(sizes, beta=20, example=2, seed=5))
+    path = tmp_path / "simulated.csv"
+    write_transactions(path, [(b.entity_id, b.amounts.tolist()) for b in batches])
+    return path
+
+
 @pytest.fixture
 def toy_csv(tmp_path):
     """Three groups of duplicate ECDFs, ten entities each."""
@@ -191,6 +199,43 @@ class TestCluster:
         assert len(results) > 1
         assert run["kmeans"] == {"restarts": N_INIT, "iterations": chosen.iterations,
                                  "repairs": chosen.repairs, "exact_rows": chosen.exact_rows}
+
+    @pytest.mark.parametrize("sizes, path", [
+        ((130, 130, 140), "eigh"), ((480, 485, 485), "subspace")], ids=["n400", "n1450"])
+    def test_run_json_records_the_eigensolve(self, tmp_path, sizes, path):
+        csv_path = _simulated_csv(tmp_path, sizes)
+        out = tmp_path / "out"
+        assert main(["cluster", str(csv_path), "--k", "3", "--out", str(out)]) == 0
+        solve = json.loads((out / "run.json").read_text())["eigensolve"]
+        assert set(solve) == {"path", "steps", "products", "residual_ratio"}
+        assert solve["path"] == path
+        assert 0 <= solve["residual_ratio"] <= spectral.EIG_TOLERANCE
+        if path == "eigh":
+            assert solve["steps"] == solve["products"] == 0
+        else:
+            assert 1 <= solve["steps"] <= solve["products"]
+        assert main(["cluster", str(csv_path), "--method", "hc", "--k", "3",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["eigensolve"] is None
+
+    def test_labels_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the subspace iteration's products may round differently on 1 and 2
+        # threads; the pairs stay within 1e-12 and the labels stay the same
+        csv_path = _simulated_csv(tmp_path, (480, 485, 485))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "wscluster.cli", "cluster", str(csv_path),
+                 "--k-selection", "silhouette", "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            run = json.loads((out / "run.json").read_text())
+            assert run["eigensolve"]["path"] == "subspace"
+            runs.append(((out / "labels.csv").read_bytes(), np.array(run["eigenvalues"])))
+        assert runs[0][0] == runs[1][0]
+        assert np.abs(runs[0][1] - runs[1][1]).max() <= 1e-12
 
     def test_subwsc_default_n_s_echoed(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv

@@ -83,6 +83,20 @@ class TestKmeans:
         with pytest.raises(InertiaIncreased, match="increased inertia"):
             kmeans(points, 3, seed=0)
 
+    def test_duplicated_points_at_a_large_scale_converge(self):
+        # a restart reaches inertia 0 with every center on its duplicates; the next
+        # means round off by an ulp of 1e31, which no allowance relative to 0 admits
+        base = np.random.default_rng(3).standard_normal((4, 2)) * 1e31
+        groups = np.random.default_rng(0).integers(0, 4, 24)
+        points = base[groups]
+        result = kmeans(points, 4, seed=0)
+        assert min(result.inertia_path) == 0.0
+        # one cluster per group of duplicates
+        pairs = set(zip(groups.tolist(), result.labels.tolist()))
+        assert len(pairs) == len(set(groups.tolist())) == len(set(result.labels.tolist())) == 4
+        norms = np.einsum("ij,ij->i", points, points)
+        assert result.inertia <= kmeans_module._inertia_allowance(norms, 2)
+
     def test_inertia_invariant_to_relabeling(self):
         gen = np.random.default_rng(3)
         points = gen.standard_normal((30, 2))
@@ -178,8 +192,8 @@ class TestAgainstTheReference:
     @settings(max_examples=150, deadline=None)
     @given(POINTS, st.integers(0, 2**32 - 1))
     def test_bitwise_the_reference(self, points_k, seed):
-        # duplicated points at large scales make both raise InertiaIncreased
-        # alike, so an exception is compared as well as a result
+        # both guard the inertia with the same rounding allowance, so an
+        # exception, should either raise, is compared as well as a result
         points, k = points_k
         assert _outcome(kmeans, points, k, seed) == _outcome(kmeans_reference.kmeans,
                                                              points, k, seed)

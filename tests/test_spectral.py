@@ -230,28 +230,40 @@ def partial_size_laplacian():
 
 
 class TestPartialEigensolve:
-    """At n >= PARTIAL_EIG_MIN_N only the k wanted pairs are solved for (LAPACK dsyevr)."""
+    """At n >= PARTIAL_EIG_MIN_N only the wanted pairs are solved for.
+
+    Each test counts the calls of ``spectral._solve_top`` by the path each
+    took, ``"raised"`` for one that raised. Those that take ``force_evr``
+    replace the subspace iteration by its ``evr`` fallback.
+    """
 
     K = 4
 
     @pytest.fixture(autouse=True)
-    def count_lapack_calls(self, monkeypatch):
-        import scipy.linalg
+    def count_solves(self, monkeypatch):
         self.calls = []
         # each test starts cold, so its counts do not depend on the one before
         _forget_kept_solves()
-        for module, name in ((scipy.linalg, "evr"), (np.linalg, "eigh")):
-            solve = getattr(module, "eigh")
+        solve = spectral._solve_top
 
-            def counted(*args, _solve=solve, _name=name, **kwargs):
-                self.calls.append(_name)
-                return _solve(*args, **kwargs)
-            monkeypatch.setattr(module, "eigh", counted)
+        def counted(*args):
+            try:
+                result = solve(*args)
+            except Exception:
+                self.calls.append("raised")
+                raise
+            self.calls.append(result[2]["path"])
+            return result
+        monkeypatch.setattr(spectral, "_solve_top", counted)
+
+    @pytest.fixture
+    def force_evr(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_subspace_top", lambda *args: None)
 
     def test_eigenvalues_match_the_full_solve(self, partial_size_laplacian):
         m, full_values, _ = partial_size_laplacian
         values, _ = sym_eig_topk(m, self.K)
-        assert self.calls == ["evr"]
+        assert self.calls == ["subspace"]
         norm = np.abs(full_values).max()
         assert np.abs(values - full_values[:self.K]).max() <= 1e-12 * norm
 
@@ -278,7 +290,7 @@ class TestPartialEigensolve:
         m[:half, :half] = _laplacian_of_points(gen.normal(0.0, 1.0, half))
         m[half:, half:] = _laplacian_of_points(gen.normal(0.0, 1.0, n - half))
         values, vectors = sym_eig_topk(m, 3)
-        assert self.calls == ["evr"]
+        assert self.calls == ["subspace"]
         assert np.abs(values[:2] - 1.0).max() <= 1e-12
         assert values[2] < 1.0 - 1e-6
         _assert_sym_eig_contract(m, values, vectors)
@@ -299,7 +311,7 @@ class TestPartialEigensolve:
         for _ in range(2):
             with pytest.raises(NoConvergence):
                 sym_eig_topk(m, self.K)
-        assert self.calls == ["evr", "evr"]
+        assert self.calls == ["raised", "raised"]
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -308,7 +320,7 @@ class TestPartialEigensolve:
         m[0, 0] = bad
         with pytest.raises(NoConvergence):
             sym_eig_topk(m, 2)
-        assert self.calls == ["eigh"]
+        assert self.calls == ["raised"]
 
     def test_every_k_in_a_block_is_a_prefix_of_one_solve(self, partial_size_laplacian):
         m = partial_size_laplacian[0]
@@ -319,13 +331,13 @@ class TestPartialEigensolve:
             alone = sym_eig_topk(m, k)
             assert np.array_equal(alone[0], values[:k])
             assert np.array_equal(alone[1], vectors[:, :k])
-        assert self.calls == ["evr"] * (block + 1)
+        assert self.calls == ["subspace"] * (block + 1)
 
     def test_a_warm_call_equals_a_cold_call(self, partial_size_laplacian):
         m = partial_size_laplacian[0]
         cold = sym_eig_topk(m, 5)
         warm = sym_eig_topk(m.copy(), 5)
-        assert self.calls == ["evr"]
+        assert self.calls == ["subspace"]
         assert np.array_equal(cold[0], warm[0]) and np.array_equal(cold[1], warm[1])
 
     def test_selection_range_then_eigengap_solves_once(self, partial_size_laplacian):
@@ -333,7 +345,7 @@ class TestPartialEigensolve:
         for k in range(2, 9):
             sym_eig_topk(m, k)
         sym_eig_topk(m, 9)
-        assert self.calls == ["evr"]
+        assert self.calls == ["subspace"]
 
     def test_a_changed_matrix_misses(self, partial_size_laplacian):
         m = partial_size_laplacian[0].copy()
@@ -341,7 +353,7 @@ class TestPartialEigensolve:
         m[0, 1] += 1e-3
         m[1, 0] = m[0, 1]
         values, vectors = sym_eig_topk(m, self.K)
-        assert self.calls == ["evr", "evr"]
+        assert self.calls == ["subspace", "subspace"]
         assert not np.array_equal(values, before[0])
         full = np.linalg.eigvalsh(m)[::-1][:self.K]
         assert np.abs(values - full).max() <= 1e-12
@@ -356,7 +368,7 @@ class TestPartialEigensolve:
         with pytest.raises(ArgumentOutOfRange,
                            match=r"not symmetric \(max asymmetry 1.000e-06\)"):
             sym_eig_topk(skewed, self.K)
-        assert self.calls == ["evr"]
+        assert self.calls == ["subspace"]
 
     def test_mutating_a_result_leaves_later_calls_alone(self, partial_size_laplacian):
         m = partial_size_laplacian[0]
@@ -365,7 +377,7 @@ class TestPartialEigensolve:
         values[:] = 0.0
         vectors[:] = 0.0
         again = sym_eig_topk(m, self.K)
-        assert self.calls == ["evr"]
+        assert self.calls == ["subspace"]
         assert np.array_equal(again[0], expected[0]) and np.array_equal(again[1], expected[1])
 
     @pytest.mark.parametrize("n", [spectral.PARTIAL_EIG_MIN_N - 1, spectral.PARTIAL_EIG_MIN_N])
@@ -378,7 +390,7 @@ class TestPartialEigensolve:
         assert np.array_equal(m, before)
 
     @pytest.mark.parametrize("k0", [None, 10])
-    def test_overwrite_returns_the_same_pairs(self, k0):
+    def test_overwrite_returns_the_same_pairs(self, k0, force_evr):
         m = graph_laplacian(_groups_distances(spectral.PARTIAL_EIG_MIN_N), None, k0)[0].entries
         kept = sym_eig_topk(m, spectral.EIG_BLOCK)
         _forget_kept_solves()
@@ -390,7 +402,8 @@ class TestPartialEigensolve:
         # the diagonal and one triangle survive
         assert np.array_equal(np.tril(work), np.tril(m))
 
-    def test_overwrite_solves_in_the_matrix_s_own_buffer(self, partial_size_laplacian):
+    def test_overwrite_solves_in_the_matrix_s_own_buffer(self, partial_size_laplacian,
+                                                         force_evr):
         m = partial_size_laplacian[0]
         n = m.shape[0]
         sym_eig_topk(m.copy(), self.K, overwrite=True)  # loads scipy's wrappers
@@ -406,12 +419,24 @@ class TestPartialEigensolve:
         assert peak <= 0.2 * 8 * n * n
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_a_nan_with_overwrite_is_no_convergence(self, partial_size_laplacian):
+    def test_a_nan_with_overwrite_is_no_convergence(self, partial_size_laplacian, force_evr):
         m = partial_size_laplacian[0].copy()
         m[3, 5] = m[5, 3] = np.nan
         with pytest.raises(NoConvergence):
             sym_eig_topk(m, self.K, overwrite=True)
-        assert self.calls == ["evr"]
+        assert self.calls == ["raised"]
+
+    @pytest.mark.parametrize("k0", [None, 10])
+    def test_the_iteration_reads_the_matrix_and_ignores_overwrite(self, k0):
+        m = graph_laplacian(_groups_distances(spectral.PARTIAL_EIG_MIN_N), None, k0)[0].entries
+        kept = sym_eig_topk(m, spectral.EIG_BLOCK)
+        _forget_kept_solves()
+        work = m.copy()
+        overwritten = sym_eig_topk(work, spectral.EIG_BLOCK, overwrite=True)
+        assert self.calls == ["subspace", "subspace"]
+        assert np.array_equal(overwritten[0], kept[0])
+        assert np.array_equal(overwritten[1], kept[1])
+        assert np.array_equal(work, m)
 
     def test_partial_path_starts_at_the_cut_over(self):
         n = spectral.PARTIAL_EIG_MIN_N
@@ -419,7 +444,94 @@ class TestPartialEigensolve:
         sym_eig_topk(m[1:, 1:], 2)
         assert self.calls == ["eigh"]
         sym_eig_topk(m, 2)
-        assert self.calls == ["eigh", "evr"]
+        assert self.calls == ["eigh", "subspace"]
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["example-1", "example-2"])
+def example_distances(request):
+    """Distances of 1450 simulated entities in three groups, of either example."""
+    batches, _ = generate(SimSpec((480, 485, 485), beta=20, example=request.param, seed=5))
+    return pairwise_distances(standardize(batches))
+
+
+def _evr_top(m, count):
+    """The oracle: scipy's evr for the leading ``count`` pairs, descending."""
+    import scipy.linalg
+    n = m.shape[0]
+    values, vectors = scipy.linalg.eigh(m, driver="evr", subset_by_index=(n - count, n - 1))
+    return values[::-1], vectors[:, ::-1]
+
+
+def _sin_largest_angle(a, b):
+    """sin of the largest principal angle between the spans of orthonormal a and b."""
+    return np.linalg.norm(a - b @ (b.T @ a), 2)
+
+
+def _above(m, tau):
+    """Eigenvalues of m above tau, by Sylvester's inertia of m - tau I = L D L^T."""
+    import scipy.linalg
+    _, d, _ = scipy.linalg.ldl(m - tau * np.eye(m.shape[0]))
+    return int(np.count_nonzero(np.linalg.eigvalsh(d) > 0))
+
+
+class TestSubspaceIteration:
+    """The iteration against evr, its oracle, on both examples' graphs at the cut-over."""
+
+    @pytest.mark.parametrize("k0", [None, 10], ids=["dense", "knn"])
+    def test_agrees_with_evr_and_misses_no_eigenvalue(self, example_distances, k0):
+        _forget_kept_solves()
+        m = graph_laplacian(example_distances, None, k0)[0].entries
+        pairs = spectral.EIG_BLOCK
+        record = {}
+        values, vectors = sym_eig_topk(m, pairs, record=record)
+        assert record["path"] == "subspace" and record["residual_ratio"] <= spectral.EIG_TOLERANCE
+        expected, basis = _evr_top(m, pairs + 1)
+        assert np.abs(values - expected[:pairs]).max() <= 1e-12
+        residual = np.linalg.norm(m @ vectors - vectors * values, axis=0)
+        for k in range(1, pairs + 1):
+            gap = expected[k - 1] - expected[k]
+            if gap <= 1e-10:
+                continue  # a repeated eigenvalue: any basis of its eigenspace will do
+            sin = _sin_largest_angle(vectors[:, :k], basis[:, :k])
+            # Davis-Kahan: the residual over the gap to the rest of the spectrum
+            assert sin <= np.linalg.norm(residual[:k]) / (values[k - 1] - expected[k]) + 1e-12
+            if gap >= 1e-3:
+                assert sin <= 1e-8
+        # exactly `pairs` eigenvalues lie above a point between the pairs-th and the next
+        assert expected[pairs - 1] - expected[pairs] > 1e-10
+        assert _above(m, (values[-1] + expected[pairs]) / 2) == pairs
+
+    @staticmethod
+    def _with_spectrum(spectrum, seed):
+        """A dense symmetric matrix of the given eigenvalues, rotated by two reflections."""
+        gen = np.random.default_rng(seed)
+        m = np.diag(spectrum)
+        for _ in range(2):
+            v = gen.standard_normal(spectrum.size)
+            v /= np.linalg.norm(v)
+            m = m - 2 * np.outer(v, v @ m)
+            m = m - 2 * np.outer(m @ v, v)
+        return (m + m.T) / 2
+
+    @pytest.mark.parametrize("kind", ["flat-top", "negative-block"])
+    def test_the_fallback_is_taken_and_correct(self, kind):
+        _forget_kept_solves()
+        n = spectral.PARTIAL_EIG_MIN_N
+        gen = np.random.default_rng(21)
+        if kind == "flat-top":
+            # 40 eigenvalues within 1e-4 of 1: the filter cannot separate the 16th
+            spectrum = np.concatenate([1 - 1e-4 * gen.random(40), 0.5 * gen.random(n - 40)])
+        else:
+            # 20 eigenvalues near -1 outweigh all but 12 of the 16 wanted in the block
+            spectrum = np.concatenate([np.linspace(0.6, 0.9, 16), -1 + 1e-3 * gen.random(20),
+                                       0.4 * gen.random(n - 36) - 0.2])
+        m = self._with_spectrum(spectrum, 22)
+        record = {}
+        values, vectors = sym_eig_topk(m, spectral.EIG_BLOCK, record=record)
+        assert record["path"] == "evr"
+        expected = np.sort(spectrum)[::-1][:spectral.EIG_BLOCK]
+        assert np.abs(values - expected).max() <= 1e-12
+        _assert_sym_eig_contract(m, values, vectors)
 
 
 class TestEigengap:
