@@ -264,9 +264,8 @@ def _select(config, dataset, distances, cluster):
     read-only ``distances`` with the same arguments reads a prefix of the
     block :func:`spectral._wsc_spectrum` keeps and builds nothing.
     ``subwsc``'s Gram matrix changes with K, so each candidate solves its
-    own, in :func:`spectral.sym_eig_topk`'s separate slot. The stage
-    timings sum every candidate's run and the eigengap's own solve, so a
-    run that reused a solve does not hide its cost.
+    own. The stage timings sum every candidate's run and the eigengap's
+    own solve, so a run that reused a solve does not hide its cost.
     """
     if config.k_selection == "fixed":
         if config.k is None:

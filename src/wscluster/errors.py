@@ -12,17 +12,18 @@ class ArgumentOutOfRange(WsclusterError, ValueError):
 
     Raised through :func:`_integer_in` for a cluster count or size,
     neighbor threshold, eigenpair count, candidate K, subsample size or
-    plan, transaction cap or replication count that is not an integer in
-    range; for a kernel scale that is not a positive number; for a coverage
-    rule whose minimum cluster size is not below the population; for
-    eigengap selection over fewer than two eigenvalues or a non-finite one;
-    for K-means points that are non-finite or not a 1-D or 2-D array; for a
-    matrix the eigensolver cannot take (not square, or not symmetric); for a
-    silhouette over fewer than two occupied clusters or with labels that do
-    not match the distances; for partitions of different lengths; for a
-    simulation spec that cannot be drawn; for a subsample fraction outside
-    (0, 1]; and for a method name that the method table does not hold, or
-    one that a benchmark would run twice.
+    plan, transaction cap or replication count not an integer in range,
+    and a seed not an integer; for a kernel scale that is not a positive
+    number; for a coverage rule whose minimum cluster size is not below
+    the population; for eigengap selection over fewer than two eigenvalues,
+    a non-finite one, or ones not a 1-D real array; for K-means points that
+    are non-finite or not a 1-D or 2-D array; for a matrix the eigensolver
+    cannot take (not square, symmetric or real); for a silhouette over
+    fewer than two occupied clusters or with labels that do not match the
+    distances; for partitions of different lengths; for a simulation spec
+    that cannot be drawn; for a subsample fraction outside (0, 1]; and for
+    a method name that the method table does not hold, or one that a
+    benchmark would run twice.
     """
 
 

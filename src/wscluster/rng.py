@@ -17,6 +17,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import _integer_in
+
 __all__ = ["stream_key", "substream"]
 
 
@@ -24,10 +26,11 @@ def stream_key(seed: int, *labels) -> np.ndarray:
     """Hash a seed and a label path into a 2-word Philox key.
 
     Labels may be strings or integers; they are joined with ``/`` so that
-    ("a", 1) and ("a1",) produce different keys.
+    ("a", 1) and ("a1",) produce different keys. A seed that is not an
+    integer raises :class:`~wscluster.errors.ArgumentOutOfRange`.
     """
     h = hashlib.blake2b(digest_size=16)
-    h.update(str(int(seed)).encode())
+    h.update(str(_integer_in("seed", seed, None)).encode())
     for label in labels:
         h.update(b"/")
         h.update(str(label).encode())

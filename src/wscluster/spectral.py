@@ -8,11 +8,10 @@ below :data:`PARTIAL_EIG_MIN_N` rows, and at or above it a
 Chebyshev-filtered block subspace iteration for only the leading pairs, in
 whole blocks of :data:`EIG_BLOCK`, with scipy's ``evr`` (``dsyevr``) as its
 fallback and oracle. On the n=1500 graphs of a K-selection session it
-takes 0.03-0.05 s where ``evr`` took 0.16-0.18 s. Two slots, each with
-one owner, keep a solve: :func:`sym_eig_topk` its last, so asking again for
-pairs of the same matrix does not solve it again, and :func:`wsc_run` its
-last block of a read-only distance matrix's graph, so asking again does
-not build that graph again.
+takes 0.03-0.05 s where ``evr`` took 0.16-0.18 s. One slot keeps a
+solve: :func:`wsc_run` keeps its last block of a read-only distance
+matrix's graph, so asking again does not build or solve that graph again;
+:func:`sym_eig_topk` keeps nothing.
 Every path's returned pairs must satisfy ||L v - lambda v|| <=
 EIG_TOLERANCE * max |lambda| over the eigenvalues the solve returned.
 
@@ -30,7 +29,6 @@ which cuts the CPU time beside the solves, not their wall time.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 import weakref
@@ -97,8 +95,6 @@ SPARSE_PRODUCT_COST = 5.5
 STEP_COST = 33.0
 EVR_COST = 0.75
 
-# (key, eigenvalues, vectors, record) of sym_eig_topk's last solve that passed its checks
-_last_solve = None
 # (weakref to D.entries, (sigma, knn_k0, pairs), eigenvalues, rows, sigma used,
 # solve record) of _wsc_spectrum's last block solved from a read-only D
 _last_graph = None
@@ -232,31 +228,17 @@ def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False,
     it read a prefix of one and the same solve, on every path. Selecting K
     in 2..8 and the eigengap's 9 pairs all fall in the first block.
 
-    The last solve is kept, keyed by a ``blake2b`` digest of the matrix's
-    contiguous float64 bytes, its order and ``pairs``. A call on the same
-    bytes for any k in the same block returns copies of the kept prefix,
-    which are exactly what a cold call returns, so results never depend on
-    what ran before. Repeated K selection over one graph by one pipeline
-    run per K therefore solves once. This slot is written and read only
-    here. :func:`wsc_run` keeps its own block (see :func:`_wsc_spectrum`),
-    so a solve here of another matrix, a Gram matrix say, leaves that
-    block in place. ``blake2b`` is built into Python.
-    The OpenSSL digests (``sha1``, ``sha256``) hash an 18 MB matrix in
-    15 ms against 35 ms, but ``sha1`` raised a forked child's peak RSS
-    from 78.2 to 79.2 MB. Only a solve that passed every check below is
-    kept. The symmetry check runs only on a miss, since a hit's bytes are
-    those of a matrix that passed it. It takes max |m - m^T| over blocks
-    of rows, so its scratch is about
+    The symmetry check runs on every call. It takes max |m - m^T| over
+    blocks of rows, so its scratch is about
     :data:`wscluster.similarity.ROW_BLOCK_VALUES` values, and a NaN
     anywhere in m makes the maximum NaN, which passes on to LAPACK.
 
     ``overwrite=True``, after scipy's ``overwrite_a``, lets the ``evr``
     fallback solve m in its own buffer, where LAPACK would otherwise copy all
     n x n of it; the caller gives up m's contents, which are undefined
-    afterwards. m is hashed and its diagonal saved first. LAPACK reads the
-    Fortran view ``m.T``, which for a symmetric m is the matrix the copy
-    would hold, so the pairs are bitwise the same as without
-    ``overwrite``. It destroys one triangle and the diagonal of m; the
+    afterwards. Its diagonal is saved first. LAPACK reads the Fortran view
+    ``m.T``, which for a symmetric m is the matrix the copy would hold, so
+    the pairs are bitwise the same as without ``overwrite``. It destroys one triangle and the diagonal of m; the
     diagonal is put back, and the residual check reads the other triangle
     through BLAS ``dsymm``. Below ``PARTIAL_EIG_MIN_N`` ``dsyevd`` needs
     its own workspace anyway, so ``overwrite`` changes nothing there. On
@@ -269,33 +251,36 @@ def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False,
     magnitude is at most ||m||_2 and equals it for a normalized Laplacian
     (lambda_1 = 1) or a Gram matrix. A solve that fails this check, that
     LAPACK rejects, or that yields a non-finite value raises
-    :class:`NoConvergence`. A k that is not an integer in [1, n] raises
-    :class:`ArgumentOutOfRange`.
+    :class:`NoConvergence`. A k that is not an integer in [1, n], and an m
+    that is not a square array of real numbers (complex, say, or strings),
+    raise :class:`ArgumentOutOfRange`.
 
-    Given a dict as ``record``, the call writes into it how the kept solve
-    found its pairs: ``path`` (``eigh``, ``subspace`` or ``evr``), the
+    Given a dict as ``record``, the call writes into it how the solve found
+    its pairs: ``path`` (``eigh``, ``subspace`` or ``evr``), the
     iteration's ``steps`` and ``products`` by m (those of an abandoned
     iteration included on ``evr``; 0 on ``eigh``), and ``residual_ratio``,
     the largest ||m v - lambda v|| / max |lambda| over the pairs.
     """
-    global _last_solve
-    m = np.ascontiguousarray(m, dtype=np.float64)
+    m = np.ascontiguousarray(_real_array("matrix", m))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentOutOfRange("matrix must be square")
     n = m.shape[0]
     k = _integer_in("k", k, 1, n)
-    pairs = _block_pairs(n, k)
-    key = (hashlib.blake2b(m).digest(), n, pairs)
-    last = _last_solve
-    if last is None or last[0] != key:
-        asym = _asymmetry(m)
-        if asym > 1e-12:
-            raise ArgumentOutOfRange(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-        last = (key, *_solve_top(m, pairs, overwrite))
-        _last_solve = last
+    asym = _asymmetry(m)
+    if asym > 1e-12:
+        raise ArgumentOutOfRange(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    values, vectors, solve = _solve_top(m, _block_pairs(n, k), overwrite)
     if record is not None:
-        record.update(last[3])
-    return last[1][:k].copy(), last[2][:, :k].copy()
+        record.update(solve)
+    return values[:k].copy(), vectors[:, :k].copy()
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array; one of complex, string or object entries is ArgumentOutOfRange."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise ArgumentOutOfRange(f"{name} must hold real numbers, not {array.dtype}")
+    return array.astype(np.float64, copy=False)
 
 
 def _asymmetry(m: np.ndarray) -> float:
@@ -374,7 +359,9 @@ def _operator(m: np.ndarray):
     if np.count_nonzero(m) > SPARSE_MAX_DENSITY * n * n:
         return m
     from scipy.sparse import csr_array
-    flat = np.flatnonzero(m != 0)
+    # masked over blocks of rows: a mask of all of m would take n * n bytes
+    flat = np.concatenate([np.flatnonzero(m[rows] != 0) + rows.start * n
+                           for rows in _row_blocks(n)])
     starts = np.searchsorted(flat, np.arange(0, n * n + 1, n))
     return csr_array((m.ravel()[flat], flat % n, starts), shape=(n, n))
 
@@ -467,9 +454,12 @@ def eigengap_suggest_k(eigenvalues, k_max: int | None = None) -> int:
     Considers candidates K' with 1 <= K' < min(k_max, len(eigenvalues));
     ties go to the smallest K'. Fewer than two eigenvalues, or a ``k_max``
     below 2, leave no candidate and raise :class:`ArgumentOutOfRange`, as
-    do a ``k_max`` that is not an integer and a NaN or infinite eigenvalue.
+    do a ``k_max`` that is not an integer, eigenvalues that are not a 1-D
+    array of real numbers, and a NaN or infinite eigenvalue.
     """
-    values = np.asarray(eigenvalues, dtype=np.float64)
+    values = _real_array("eigenvalues", eigenvalues)
+    if values.ndim != 1:
+        raise ArgumentOutOfRange(f"eigenvalues must be a 1-D array, not {values.ndim}-D")
     if values.size < 2:
         raise ArgumentOutOfRange("need at least two eigenvalues")
     if not np.isfinite(values).all():
@@ -588,8 +578,8 @@ def _wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
     used are kept in a slot only this function writes and reads, under a
     weak reference to that array, ``sigma``, ``knn_k0`` and the block's
     size. A later call with the same array and arguments, for any k in the
-    block, returns copies of the kept prefix without building the graph or
-    hashing L, so K selection by one :func:`wsc_run` per K builds and
+    block, returns copies of the kept prefix without building or solving
+    the graph, so K selection by one :func:`wsc_run` per K builds and
     solves one graph, bitwise as a cold call would. The slot is replaced in
     one assignment, so a concurrent call reads the old block or the new,
     and the weak reference never keeps the array alive.

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import threading
 import tracemalloc
@@ -35,13 +36,14 @@ from wscluster import (
 )
 from wscluster import spectral
 from wscluster.errors import ArgumentOutOfRange, IsolatedEntity, NoConvergence, RankDeficientSample
+from wscluster.rng import stream_key
 from wscluster.similarity import build_similarity, knn_sparsify, nearest_neighbor_sets
 from wscluster.simulate import hc_complete_baseline, run_benchmark
 
 
 def _forget_kept_solves():
-    """Empty both slots that keep a solve, so the next call starts cold."""
-    spectral._last_solve = spectral._last_graph = None
+    """Empty the slot that keeps a solve, so the next wsc_run starts cold."""
+    spectral._last_graph = None
 
 
 def _groups_distances(n, seed=0):
@@ -190,6 +192,12 @@ class TestSymEigTopk:
             sym_eig_topk(np.zeros(shape), 1)
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("m", [np.eye(2) * (1 + 1j), np.array([["a", "b"], ["b", "a"]])],
+                             ids=["complex", "str"])
+    def test_rejects_a_matrix_not_of_real_numbers(self, m):
+        with pytest.raises(ArgumentOutOfRange, match="matrix must hold real numbers"):
+            sym_eig_topk(m, 1)
+
     def test_k_out_of_range(self):
         with pytest.raises(ArgumentOutOfRange):
             sym_eig_topk(np.eye(3), 4)
@@ -242,8 +250,6 @@ class TestPartialEigensolve:
     @pytest.fixture(autouse=True)
     def count_solves(self, monkeypatch):
         self.calls = []
-        # each test starts cold, so its counts do not depend on the one before
-        _forget_kept_solves()
         solve = spectral._solve_top
 
         def counted(*args):
@@ -307,7 +313,7 @@ class TestPartialEigensolve:
     def test_non_finite_matrix_is_no_convergence(self, partial_size_laplacian, bad):
         m = partial_size_laplacian[0].copy()
         m[0, 0] = bad
-        # a failed solve is never kept, so every call solves and fails again
+        # every call solves, and fails, again
         for _ in range(2):
             with pytest.raises(NoConvergence):
                 sym_eig_topk(m, self.K)
@@ -327,25 +333,18 @@ class TestPartialEigensolve:
         block = spectral.EIG_BLOCK
         values, vectors = sym_eig_topk(m, block)
         for k in range(1, block + 1):
-            _forget_kept_solves()
             alone = sym_eig_topk(m, k)
             assert np.array_equal(alone[0], values[:k])
             assert np.array_equal(alone[1], vectors[:, :k])
         assert self.calls == ["subspace"] * (block + 1)
 
     def test_a_warm_call_equals_a_cold_call(self, partial_size_laplacian):
+        # nothing is kept, so the second call on equal bytes solves again
         m = partial_size_laplacian[0]
         cold = sym_eig_topk(m, 5)
         warm = sym_eig_topk(m.copy(), 5)
-        assert self.calls == ["subspace"]
+        assert self.calls == ["subspace"] * 2
         assert np.array_equal(cold[0], warm[0]) and np.array_equal(cold[1], warm[1])
-
-    def test_selection_range_then_eigengap_solves_once(self, partial_size_laplacian):
-        m = partial_size_laplacian[0]
-        for k in range(2, 9):
-            sym_eig_topk(m, k)
-        sym_eig_topk(m, 9)
-        assert self.calls == ["subspace"]
 
     def test_a_changed_matrix_misses(self, partial_size_laplacian):
         m = partial_size_laplacian[0].copy()
@@ -360,7 +359,7 @@ class TestPartialEigensolve:
         _assert_sym_eig_contract(m, values, vectors)
 
     def test_an_asymmetric_matrix_after_a_kept_solve_raises(self, partial_size_laplacian):
-        # symmetry is checked only on a miss, and a matrix of other bytes always misses
+        # symmetry is checked on every call, before the solve
         m = partial_size_laplacian[0]
         sym_eig_topk(m, self.K)
         skewed = m.copy()
@@ -377,7 +376,7 @@ class TestPartialEigensolve:
         values[:] = 0.0
         vectors[:] = 0.0
         again = sym_eig_topk(m, self.K)
-        assert self.calls == ["subspace"]
+        assert self.calls == ["subspace"] * 2
         assert np.array_equal(again[0], expected[0]) and np.array_equal(again[1], expected[1])
 
     @pytest.mark.parametrize("n", [spectral.PARTIAL_EIG_MIN_N - 1, spectral.PARTIAL_EIG_MIN_N])
@@ -385,7 +384,6 @@ class TestPartialEigensolve:
         m = _laplacian_of_points(np.random.default_rng(13).normal(0.0, 1.0, n))
         before = m.copy()
         sym_eig_topk(m, self.K)
-        _forget_kept_solves()
         sym_eig_topk(m, self.K, overwrite=False)
         assert np.array_equal(m, before)
 
@@ -393,7 +391,6 @@ class TestPartialEigensolve:
     def test_overwrite_returns_the_same_pairs(self, k0, force_evr):
         m = graph_laplacian(_groups_distances(spectral.PARTIAL_EIG_MIN_N), None, k0)[0].entries
         kept = sym_eig_topk(m, spectral.EIG_BLOCK)
-        _forget_kept_solves()
         work = m.copy()
         overwritten = sym_eig_topk(work, spectral.EIG_BLOCK, overwrite=True)
         assert self.calls == ["evr", "evr"]
@@ -407,7 +404,6 @@ class TestPartialEigensolve:
         m = partial_size_laplacian[0]
         n = m.shape[0]
         sym_eig_topk(m.copy(), self.K, overwrite=True)  # loads scipy's wrappers
-        _forget_kept_solves()
         work = m.copy()
         tracemalloc.start()
         try:
@@ -430,7 +426,6 @@ class TestPartialEigensolve:
     def test_the_iteration_reads_the_matrix_and_ignores_overwrite(self, k0):
         m = graph_laplacian(_groups_distances(spectral.PARTIAL_EIG_MIN_N), None, k0)[0].entries
         kept = sym_eig_topk(m, spectral.EIG_BLOCK)
-        _forget_kept_solves()
         work = m.copy()
         overwritten = sym_eig_topk(work, spectral.EIG_BLOCK, overwrite=True)
         assert self.calls == ["subspace", "subspace"]
@@ -479,7 +474,6 @@ class TestSubspaceIteration:
 
     @pytest.mark.parametrize("k0", [None, 10], ids=["dense", "knn"])
     def test_agrees_with_evr_and_misses_no_eigenvalue(self, example_distances, k0):
-        _forget_kept_solves()
         m = graph_laplacian(example_distances, None, k0)[0].entries
         pairs = spectral.EIG_BLOCK
         record = {}
@@ -501,6 +495,24 @@ class TestSubspaceIteration:
         assert expected[pairs - 1] - expected[pairs] > 1e-10
         assert _above(m, (values[-1] + expected[pairs]) / 2) == pairs
 
+    def test_the_csr_copy_matches_a_dense_mask_and_needs_no_n_by_n_scratch(self):
+        from scipy.sparse import csr_array
+        n = spectral.PARTIAL_EIG_MIN_N
+        m = graph_laplacian(_groups_distances(n), None, 10)[0].entries
+        flat = np.flatnonzero(m != 0)
+        expected = csr_array((m.ravel()[flat], flat % n,
+                              np.searchsorted(flat, np.arange(0, n * n + 1, n))), shape=(n, n))
+        tracemalloc.start()
+        try:
+            op = spectral._operator(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a boolean mask of m alone would take n * n bytes
+        assert peak < n * n
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(op, name), getattr(expected, name))
+
     @staticmethod
     def _with_spectrum(spectrum, seed):
         """A dense symmetric matrix of the given eigenvalues, rotated by two reflections."""
@@ -515,7 +527,6 @@ class TestSubspaceIteration:
 
     @pytest.mark.parametrize("kind", ["flat-top", "negative-block"])
     def test_the_fallback_is_taken_and_correct(self, kind):
-        _forget_kept_solves()
         n = spectral.PARTIAL_EIG_MIN_N
         gen = np.random.default_rng(21)
         if kind == "flat-top":
@@ -554,6 +565,15 @@ class TestEigengap:
         with pytest.raises(ArgumentOutOfRange, match="eigenvalues must be finite"):
             eigengap_suggest_k([1.0, bad, 0.5])
 
+    @pytest.mark.parametrize("values, message", [
+        ([[1.0, 0.5], [0.2, 0.1]], "must be a 1-D array, not 2-D"),
+        (["a", "b"], "must hold real numbers"),
+        ([1.0, 0.5j], "must hold real numbers"),
+    ], ids=["rows", "str", "complex"])
+    def test_eigenvalues_not_a_real_vector_are_typed(self, values, message):
+        with pytest.raises(ArgumentOutOfRange, match=f"^eigenvalues {message}"):
+            eigengap_suggest_k(values)
+
     @pytest.mark.parametrize("k_max", [1, 0, -3])
     def test_k_max_below_two(self, k_max):
         with pytest.raises(ArgumentOutOfRange, match=f"k_max={k_max}") as info:
@@ -586,6 +606,25 @@ class TestEigengap:
 def test_a_count_that_is_not_an_integer_is_argument_out_of_range(call):
     with pytest.raises(ArgumentOutOfRange, match="is not an integer"):
         call()
+
+
+@pytest.mark.parametrize("seed", [1.5, "x"])
+@pytest.mark.parametrize("call", [
+    lambda seed: kmeans(np.arange(6.0), 2, seed=seed),
+    lambda seed: subsample_plan(30, 5, seed=seed),
+    lambda seed: wsc_run(_small_dataset(), 2, seed=seed, distances=_groups_distances(6)),
+    lambda seed: cap_transactions(TransactionBatch("a", [1.0, 2.0, 3.0]), 2, seed=seed),
+], ids=["kmeans", "plan", "wsc", "cap"])
+def test_a_seed_that_is_not_an_integer_is_argument_out_of_range(call, seed):
+    # every seeded call keys its streams through rng.stream_key, which checks the seed
+    with pytest.raises(ArgumentOutOfRange, match=f"^seed={seed!r} is not an integer"):
+        call(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, np.int64(-3), np.uint32(7)])
+def test_an_integer_seed_keys_its_stream_by_its_decimal_digits(seed):
+    h = hashlib.blake2b(f"{int(seed)}/kmeans-restart/2".encode(), digest_size=16)
+    assert stream_key(seed, "kmeans-restart", 2).tobytes() == h.digest()
 
 
 @pytest.mark.parametrize("call", [
@@ -847,17 +886,19 @@ class TestGraphKey:
         select_k_silhouette(cluster, range(2, 9), distances, seed=3)
         for run in runs.values():
             assert set(run.timings) == {"similarity", "eigensolve", "kmeans"}
-        lap = normalized_laplacian(build_similarity(distances))
-        eigengap_suggest_k(sym_eig_topk(lap.entries, 9)[0], k_max=9)
+        # eigengap reads the block the silhouette steps kept, as the CLI's does
+        gap, _, _ = spectral._wsc_spectrum(dataset, 9, distances=distances)
+        eigengap_suggest_k(gap.eigenvalues, k_max=9)
         wsc_run(dataset, 3, knn_k0=10, seed=3, distances=distances)
         for n_s in (6, 18):
             subwsc_run(dataset, 3, n_s=n_s, seed=3, distances=distances)
         assert self.graphs == [(None, None), (None, 10), (None, None), (None, None)]
         assert self.calls == ["eigh"] * 4
-        # the Gram solves took sym_eig_topk's slot and left the last graph's block
+        # the Gram solves left the last graph's block
         graph = spectral._last_graph
         assert graph[0]() is distances.entries and graph[1] == (None, 10, spectral.EIG_BLOCK)
-        assert spectral._last_solve[0][1] == 18
+        lap = normalized_laplacian(build_similarity(distances))
+        assert np.array_equal(gap.eigenvalues, sym_eig_topk(lap.entries, 9)[0])
         for k, run in runs.items():
             assert _same_run(run, self._cold(dataset, k, seed=3, distances=distances))
 
@@ -925,21 +966,22 @@ class TestGraphKey:
             assert len(runs) == 5 * len(ks)
             assert all(_same_run(run, cold[i][k]) for k, run in runs)
 
-    def test_the_default_sigma_given_misses_the_key_but_hits_the_laplacian(self,
-                                                                          selection_input):
+    def test_the_default_sigma_given_misses_the_key_and_builds_the_same_graph(self,
+                                                                            selection_input):
         dataset, distances = selection_input
         sigma = float(distances.entries.max())
-        wsc_run(dataset, 3, distances=distances)
-        wsc_run(dataset, 3, sigma=sigma, distances=distances)
+        first = wsc_run(dataset, 3, seed=1, distances=distances)
+        second = wsc_run(dataset, 3, seed=1, sigma=sigma, distances=distances)
         assert self.graphs == [(None, None), (sigma, None)]
-        assert self.calls == ["eigh"]
+        assert self.calls == ["eigh"] * 2
+        assert _same_run(first, second)
 
-    def test_an_equal_copy_misses_the_key_but_hits_the_laplacian(self, selection_input):
+    def test_an_equal_copy_misses_the_key_and_builds_the_same_graph(self, selection_input):
         dataset, distances = selection_input
         copy = DistanceMatrix(list(distances.entity_ids), distances.entries.copy())
         first = wsc_run(dataset, 3, seed=1, distances=distances)
         second = wsc_run(dataset, 3, seed=1, distances=copy)
-        assert len(self.graphs) == 2 and self.calls == ["eigh"]
+        assert len(self.graphs) == 2 and self.calls == ["eigh"] * 2
         assert _same_run(first, second)
 
     def test_the_key_does_not_keep_the_matrix_alive(self, selection_input):
@@ -952,7 +994,7 @@ class TestGraphKey:
         gc.collect()
         assert ref() is None
         wsc_run(dataset, 3, distances=distances)
-        assert len(self.graphs) == 2 and self.calls == ["eigh"]
+        assert len(self.graphs) == 2 and self.calls == ["eigh"] * 2
 
     def test_writable_or_reassigned_entries_never_hit(self, selection_input):
         dataset, distances = selection_input
@@ -964,10 +1006,10 @@ class TestGraphKey:
         assert len(self.graphs) == 2 and self.calls == ["eigh"] * 2
         # nothing is kept under a writable array
         wsc_run(dataset, 3, distances=own)
-        assert len(self.graphs) == 3
+        assert len(self.graphs) == 3 and self.calls == ["eigh"] * 3
         own.entries = distances.entries
         wsc_run(dataset, 3, distances=own)
-        assert len(self.graphs) == 4 and self.calls == ["eigh"] * 3
+        assert len(self.graphs) == 4 and self.calls == ["eigh"] * 4
         fixed = DistanceMatrix(list(own.entity_ids), own.entries.copy())
         assert not _same_run(changed, self._cold(dataset, 3, seed=1, distances=fixed))
 
