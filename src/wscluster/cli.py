@@ -82,8 +82,7 @@ class RunConfig:
     def resolved_threads(self) -> int:
         """Always 1: a stub kept for wscbench's environment line until the benchmark drops it.
 
-        The distance stage sizes its own threads; run.json records them as
-        ``distance_workers``.
+        The distance stage runs on one thread.
         """
         return 1
 
@@ -344,7 +343,6 @@ def cmd_cluster(args) -> int:
             "n_s": run.plan.n_s if run.plan is not None else None,
             "eigenvalues": run.embedding.eigenvalues.tolist() if run.embedding else None,
             "timings": timings,
-            "distance_workers": distances.workers,
             "distance_kernel": distances.kernel,
             "blas_thread_timeout": _blas_thread_timeout,
             "kmeans": _kmeans_counters(run.kmeans),

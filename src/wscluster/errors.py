@@ -1,6 +1,8 @@
-"""Exception and warning types raised across the package, and the integer check they share."""
+"""Exception and warning types raised across the package, and the argument checks they share."""
 
 import operator
+
+import numpy as np
 
 
 class WsclusterError(Exception):
@@ -17,7 +19,9 @@ class ArgumentOutOfRange(WsclusterError, ValueError):
     number; for a coverage rule whose minimum cluster size is not below
     the population; for eigengap selection over fewer than two eigenvalues,
     a non-finite one, or ones not a 1-D real array; for K-means points that
-    are non-finite or not a 1-D or 2-D array; for a matrix the eigensolver
+    are non-finite or not a 1-D or 2-D real array; through
+    :func:`_real_array` for eigenvalues, points or a matrix that are ragged
+    or hold complex, string or object entries; for a matrix the eigensolver
     cannot take (not square, symmetric or real); for a silhouette over
     fewer than two occupied clusters or with labels that do not match the
     distances; for partitions of different lengths; for a simulation spec
@@ -43,6 +47,21 @@ def _integer_in(name: str, value, low: int | None, high: int | None = None) -> i
     if high is not None and not low <= value <= high:
         raise ArgumentOutOfRange(f"{name}={value} outside [{low}, {high}]")
     return value
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array.
+
+    Ragged nesting, which numpy refuses with a ``ValueError``, and complex,
+    string or object entries raise :class:`ArgumentOutOfRange`.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise ArgumentOutOfRange(f"{name} must be a rectangular array, not ragged") from None
+    if array.dtype.kind not in "biuf":
+        raise ArgumentOutOfRange(f"{name} must hold real numbers, not {array.dtype}")
+    return array.astype(np.float64, copy=False)
 
 
 # --- input validation -------------------------------------------------------

@@ -62,6 +62,7 @@ from .errors import (
     InertiaIncreased,
     RankDeficientSample,
     _integer_in,
+    _real_array,
 )
 from .rng import substream
 
@@ -233,9 +234,10 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
     until assignments stop changing. The best restart by (inertia, restart
     index) wins, making the result deterministic for a given seed. A ``k``
     that is not an integer in [1, n], a non-finite point, or ``points``
-    that are not a 1-D or 2-D array raise :class:`ArgumentOutOfRange`.
+    that are not a 1-D or 2-D array of real numbers raise
+    :class:`ArgumentOutOfRange`.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = _real_array("kmeans points", points)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2:

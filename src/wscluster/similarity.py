@@ -9,8 +9,6 @@ weak edges while keeping the matrix symmetric.
 from __future__ import annotations
 
 import numbers
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,32 +28,23 @@ __all__ = [
 MAX_DENSE_ENTITIES = 20_000
 
 # values per block in pairwise_distances: merged supports sorted at once on
-# the merge path, |Q_a - Q_b| differences summed at once on the quantile path.
-# numpy's sort, take and cumsum release the GIL on merge blocks this large,
-# so worker threads overlap. Tied input (example 1 at n=400 with every
-# amount four times, so the merge path sees its continuous supports), 2
-# cores, merge path alone, median of 5: 0.44-0.45 s on two threads against
-# 0.52-0.54 s on one; at 8192 a second thread lost (0.87 s against 0.71-0.75)
+# the merge path, |F_a - F_b| or |Q_a - Q_b| differences summed at once on
+# the grid and the quantile path. Each block pays a fixed amount of Python
+# work, which larger blocks spread over more values, while the scratch of a
+# block grows with it. One thread, best of 5, at 8192 / 32768 / 131072:
+# quantile path (example 1, n=400) 0.135 / 0.088 / 0.078 s; merge path
+# (the same amounts four times each) 0.396 / 0.399 / 0.427 s; grid path
+# (example 2, n=2000) 0.291 / 0.241 / 0.239 s
 BLOCK_ELEMENTS = 32768
 
-# fewest merged values per block, on average, for which the merge path runs
-# more than one thread: below it the Python work of each block, which holds
-# the GIL, outweighs numpy's GIL-free work. Two threads over one, 2 cores,
-# merge path alone, median of 5: 2.2x at a mean block of 1,933 and 3,905
-# values (discrete amounts, n=200 and 400), 1.33x at 5,345 (discrete, beta
-# 2000), 1.2x at 6,991 (the tied input above in blocks of 8192), 0.67x at
-# 15,339 (example 1 rounded to 0.1) and 0.84x at 21,830 (the tied input)
-THREADS_MIN_BLOCK = 8192
-
-# most transactions per distinct amount, over the whole dataset, at which
-# pairwise_distances takes the quantile path: its cost grows with the sample
-# counts and the merge path's with the support sizes. Example 1 at n=400,
-# amounts rounded to coarser steps, 2 cores, best of 3, quantile against
-# merge: at beta 100, 0.09 against 0.18 s at 2.3 transactions per value,
-# 0.10 against 0.12 s at 4.2, 0.12 against 0.11 s at 5.2 and 0.10 against
-# 0.07 s at 7.0; at beta 300, 0.28 against 0.35 s at 3.0 and 0.28 against
-# 0.21 s at 4.9
-QUANTILE_MAX_RATIO = 3
+# the merge path's work per distinct amount, against one per transaction on
+# the quantile path and one per grid value on the grid path (_kernel).
+# Example 1 at n=400 with every amount repeated k times, one thread, best of
+# 5, quantile against merge: at beta 100, 0.17-0.21 against 0.36 s at k=4,
+# 0.25 against 0.36 s at 6, 0.32-0.42 against 0.35-0.37 s at 8, 0.38-0.45
+# against 0.36-0.39 s at 10 and 0.49-0.55 against 0.37 s at 12; at beta
+# 300, 1.01 against 1.05 s at 8 and 1.27 against 1.15 s at 10
+QUANTILE_MAX_RATIO = 8
 
 # values per block of rows in the passes over an n x n matrix that need
 # scratch of their own: the neighbor search here, and in wscluster.spectral
@@ -79,14 +68,13 @@ class DistanceMatrix:
     ``copy.deepcopy`` rebuild a copy through the constructor, so a copy is
     read-only and checked too.
 
-    ``workers`` records the threads :func:`pairwise_distances` computed it
-    on, and ``kernel`` the path it took, ``"quantile"`` or ``"merge"``;
-    they are 0 and None where no pair was computed there.
+    ``kernel`` records the path :func:`pairwise_distances` took,
+    ``"grid"``, ``"quantile"`` or ``"merge"``; it is None where no pair was
+    computed there.
     """
 
     entity_ids: list[str]
     entries: np.ndarray
-    workers: int = 0
     kernel: str | None = None
 
     def __post_init__(self):
@@ -107,7 +95,7 @@ class DistanceMatrix:
         self.entries = entries
 
     def __reduce__(self):
-        return DistanceMatrix, (self.entity_ids, self.entries, self.workers, self.kernel)
+        return DistanceMatrix, (self.entity_ids, self.entries, self.kernel)
 
     @property
     def n(self) -> int:
@@ -139,22 +127,22 @@ class SimilarityMatrix:
 def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
     """Compute all pairwise Wasserstein distances of a dataset, exactly.
 
-    Two exact paths compute each pair once and mirror it; the result
-    records the one taken as ``kernel``:
+    Three exact paths compute each pair once and mirror it, all on one
+    thread; the result records the one taken as ``kernel``:
 
+    - ``"grid"`` integrates |F_a - F_b| over the G distinct amounts of the
+      whole dataset, from an n x G table of cumulative probabilities
+      (:func:`_grid_distances`).
     - ``"quantile"`` integrates |Q_a - Q_b| over the steps of the two
       quantile functions, which depend only on the two sample counts
-      (:func:`_quantile_distances`). It runs on one thread.
+      (:func:`_quantile_distances`).
     - ``"merge"`` merges the two supports and integrates |F_a - F_b|
       between the merged values (:func:`_merge_distances`).
 
-    The quantile path's cost grows with the sample counts and the merge
-    path's with the support sizes, so the quantile path runs when the
-    transactions number at most QUANTILE_MAX_RATIO times the distinct
-    amounts, summed over the entities, and the merge path runs otherwise.
-    Either way the result records its thread count as ``workers``, and
-    memory beyond the n x n result is O(workers x BLOCK_ELEMENTS + total
-    sample count).
+    The path is the one of least work per pair (:func:`_kernel`). Memory
+    beyond the n x n result is O(BLOCK_ELEMENTS + total sample count): the
+    grid path's table holds fewer values than twice the transactions,
+    since it runs only when G is below twice the mean sample count.
     """
     n = dataset.n
     if n > MAX_DENSE_ENTITIES:
@@ -163,14 +151,30 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
         return DistanceMatrix(list(dataset.entity_ids), np.zeros((n, n)))
     out = np.zeros((n, n), dtype=np.float64)
     ecdfs = dataset.ecdfs
-    if (sum(e.sample_count for e in ecdfs)
-            <= QUANTILE_MAX_RATIO * sum(e.support.size for e in ecdfs)):
-        kernel, workers = "quantile", 1
+    grid = np.unique(np.concatenate([e.support for e in ecdfs]))
+    kernel = _kernel(ecdfs, grid.size)
+    if kernel == "grid":
+        _grid_distances(ecdfs, grid, out)
+    elif kernel == "quantile":
         _quantile_distances(ecdfs, out)
     else:
-        kernel, workers = "merge", _merge_distances(ecdfs, out)
+        _merge_distances(ecdfs, out)
     _mirror(out)
-    return DistanceMatrix(list(dataset.entity_ids), out, workers, kernel)
+    return DistanceMatrix(list(dataset.entity_ids), out, kernel)
+
+
+def _kernel(ecdfs, grid_size: int) -> str:
+    """The path of least work per pair, the quantile path on a tie.
+
+    Per pair, n times over: the grid path takes the G values of the union
+    grid, the quantile path m_a + m_b transactions, and the merge path
+    QUANTILE_MAX_RATIO x (s_a + s_b) distinct amounts, with the sample
+    counts m and the support sizes s averaged over the dataset.
+    """
+    work = {"quantile": 2 * sum(e.sample_count for e in ecdfs),
+            "grid": len(ecdfs) * grid_size,
+            "merge": 2 * QUANTILE_MAX_RATIO * sum(e.support.size for e in ecdfs)}
+    return min(work, key=work.get)  # the first of equal ones
 
 
 def _mirror(out):
@@ -184,6 +188,29 @@ def _mirror(out):
         out[rows, :lo] = out[:lo, rows].T
 
 
+def _grid_distances(ecdfs, grid, out):
+    """Exact W1 of every pair as the Delta x-weighted L1 distance between cumulative tables.
+
+    ``grid`` holds the dataset's G distinct amounts, sorted. Row a of the
+    n x G table is F_a at each of them: the entity's counts put at its
+    amounts' grid positions, summed along the row in float64, exact for
+    integers below 2**53, and divided by its sample count, so every value is
+    bitwise one of its ``cum0``. The rows are then one group of
+    :func:`_integrate` over the G - 1 intervals between the amounts, weighted
+    by their widths; the last column, 1 in every row, is never read.
+    """
+    n = len(ecdfs)
+    table = np.zeros((n, grid.size))
+    rows = np.arange(n)
+    table[np.repeat(rows, [e.support.size for e in ecdfs]),
+          np.searchsorted(grid, np.concatenate([e.support for e in ecdfs]))] = \
+        np.concatenate([e.counts for e in ecdfs])
+    np.cumsum(table, axis=1, out=table)
+    table /= np.array([e.sample_count for e in ecdfs], dtype=np.float64)[:, None]
+    cells = np.arange(grid.size - 1)
+    _integrate(table.ravel(), rows * grid.size, rows, rows, cells, cells, np.diff(grid), out)
+
+
 def _quantile_distances(ecdfs, out):
     """Exact W1 of every pair as the L1 distance between quantile functions.
 
@@ -193,11 +220,8 @@ def _quantile_distances(ecdfs, out):
     units of 1/(m_a m_b) those steps are the multiples of m_b and Q_b's the
     multiples of m_a, so the merged steps depend only on the pair (m_a,
     m_b): entities are grouped by sample count, and each pair of groups
-    builds them once (:func:`_step_pattern`). Then each block of pairs is
-    one gather of both sides' atoms, one subtraction, one ``abs`` and one
-    weighted sum, about BLOCK_ELEMENTS values each. Each unordered pair is
-    written to ``out`` once, in one of its two positions, and the other
-    position is left 0; within a group only pairs i < j are written.
+    builds them once (:func:`_step_pattern`) and integrates them
+    (:func:`_integrate`).
     """
     atoms = np.repeat(np.concatenate([e.support for e in ecdfs]),
                       np.concatenate([e.counts for e in ecdfs]))
@@ -208,23 +232,35 @@ def _quantile_distances(ecdfs, out):
     groups = np.split(order, first[1:])
     for a, rows_a in enumerate(groups):
         for b in range(a, len(groups)):
-            rows_b = groups[b]
             take_a, take_b, weight = _step_pattern(int(group_counts[a]), int(group_counts[b]))
-            pairs = max(1, BLOCK_ELEMENTS // weight.size)
-            step_b = min(rows_b.size, pairs)
-            step_a = max(1, pairs // step_b)
-            for lo_b in range(0, rows_b.size, step_b):
-                hi_b = min(lo_b + step_b, rows_b.size)
-                q_b = np.take(atoms, start[rows_b[lo_b:hi_b], None] + take_b)
-                stop_a = hi_b - 1 if a == b else rows_a.size  # i < j within a group
-                for lo_a in range(0, stop_a, step_a):
-                    hi_a = min(lo_a + step_a, stop_a)
-                    gap = np.take(atoms, start[rows_a[lo_a:hi_a], None] + take_a)[:, None] - q_b
-                    np.abs(gap, out=gap)
-                    block = np.einsum("ijk,k->ij", gap, weight)
-                    if a == b:
-                        block = np.triu(block, lo_a - lo_b + 1)
-                    out[rows_a[lo_a:hi_a, None], rows_b[lo_b:hi_b]] = block
+            _integrate(atoms, start, rows_a, groups[b], take_a, take_b, weight, out)
+
+
+def _integrate(values, start, rows_a, rows_b, take_a, take_b, weight, out):
+    """sum_k weight[k] |values[start[i] + take_a[k]] - values[start[j] + take_b[k]]| into out[i, j].
+
+    For every i in ``rows_a`` and j in ``rows_b``, or only i before j when
+    the two are the same array. Each block of pairs is one gather of both
+    sides, one subtraction, one ``abs`` and one weighted sum, about
+    BLOCK_ELEMENTS values each. Each pair is written to ``out`` once, and
+    the other position is left as it was.
+    """
+    same = rows_a is rows_b
+    pairs = max(1, BLOCK_ELEMENTS // max(1, weight.size))  # no weights on a one-value grid
+    step_b = min(rows_b.size, pairs)
+    step_a = max(1, pairs // step_b)
+    for lo_b in range(0, rows_b.size, step_b):
+        hi_b = min(lo_b + step_b, rows_b.size)
+        q_b = np.take(values, start[rows_b[lo_b:hi_b], None] + take_b)
+        stop_a = hi_b - 1 if same else rows_a.size  # i < j within a group
+        for lo_a in range(0, stop_a, step_a):
+            hi_a = min(lo_a + step_a, stop_a)
+            gap = np.take(values, start[rows_a[lo_a:hi_a], None] + take_a)[:, None] - q_b
+            np.abs(gap, out=gap)
+            block = np.einsum("ijk,k->ij", gap, weight)
+            if same:
+                block = np.triu(block, lo_a - lo_b + 1)
+            out[rows_a[lo_a:hi_a, None], rows_b[lo_b:hi_b]] = block
 
 
 def _step_pattern(m_a: int, m_b: int):
@@ -247,21 +283,15 @@ def _step_pattern(m_a: int, m_b: int):
     return steps // m_b, steps // m_a, width[keep] / total
 
 
-def _merge_distances(ecdfs, out) -> int:
-    """Exact W1 of every pair by merging supports; returns the threads it ran on.
+def _merge_distances(ecdfs, out):
+    """Exact W1 of every pair by merging supports.
 
     Entities are taken widest support first, and each is paired with
     blocks of the later ones; a block is one stable sort of its support
     merged with every other's (:func:`_w1_block`), at most BLOCK_ELEMENTS
     values unless one pair alone is wider. Each unordered pair is written
-    to ``out`` once, in one of its two positions.
-
-    The rows run on one thread per CPU this process may run on, but no
-    more than the n - 1 rows there are to share, and on one thread alone
-    when the blocks average fewer than THREADS_MIN_BLOCK merged values.
-    Row i runs on worker i mod workers. A block does not depend on the
-    worker count, so the result is bitwise the same for any count. Each
-    block allocates its own arrays and frees them when it ends.
+    to ``out`` once, in one of its two positions. Each block allocates its
+    own arrays and frees them when it ends.
     """
     n = len(ecdfs)
     sizes = np.array([e.support.size for e in ecdfs], dtype=np.intp)
@@ -275,85 +305,31 @@ def _merge_distances(ecdfs, out) -> int:
     support_start = np.cumsum(sizes) - sizes
     cum_start = support_start + np.arange(n)
     block_rows = np.maximum(1, BLOCK_ELEMENTS // (2 * sizes[:-1]))  # for each row but the last
-    partners = np.arange(n - 1, 0, -1)
     # a row's first block is its largest, as the entities after it are no wider
-    first_block = np.minimum(block_rows, partners) * (sizes[:-1] + sizes[1:])
-    # the blocks of all rows merge each pair's supports once: (n - 1) x total support
-    blocks = -(-partners // block_rows)  # per row, ceil(partners / rows)
-    if (n - 1) * int(sizes.sum()) < THREADS_MIN_BLOCK * int(blocks.sum()):
-        workers = 1
-    else:
-        workers = min(_allowed_cpus(), n - 1)
-
-    def rows(w):
-        # worker w writes only rows i = w, w + workers, ... of out
-        for i in range(w, n - 1, workers):
-            m = int(sizes[i])
-            support_i = support[support_start[i]:support_start[i] + m]
-            cum0_i = cum0[cum_start[i]:cum_start[i] + m + 1]
-            step = int(block_rows[i])
-            for lo in range(i + 1, n, step):
-                hi = min(lo + step, n)
-                out[by_size[i], by_size[lo:hi]] = _w1_block(
-                    support_i, cum0_i, support, cum0, sizes[lo:hi], support_start[lo:hi],
-                    cum_start[lo:hi])
-            yield
-
+    first_block = np.minimum(block_rows, np.arange(n - 1, 0, -1)) * (sizes[:-1] + sizes[1:])
     # freeing a chunk that malloc mapped raises glibc's mmap threshold to its
-    # size and its trim threshold to twice that, for the whole process, so one
-    # serves every worker. Past this one the heap keeps the arrays each block
-    # allocates and frees, where it would trim and fault them in again on
-    # every block. Tied input of BLOCK_ELEMENTS' note, first call: 1.6k minor
-    # faults on two CPUs and 1.0k on one; without this allocation, 187k
+    # size and its trim threshold to twice that, for the whole process. Past
+    # this one the heap keeps the arrays each block allocates and frees,
+    # where it would trim and fault them in again on every block. Example 2
+    # at n=2000 sent down this path, first call: 0.87-0.97 s with this
+    # allocation against 1.54-1.63 s without, about 1k minor faults against 565k
     np.empty(8 * int(first_block.max()), dtype=np.intp)
-    _run_workers(rows, workers)
-    return workers
+    for i in range(n - 1):
+        m = int(sizes[i])
+        support_i = support[support_start[i]:support_start[i] + m]
+        cum0_i = cum0[cum_start[i]:cum_start[i] + m + 1]
+        step = int(block_rows[i])
+        for lo in range(i + 1, n, step):
+            hi = min(lo + step, n)
+            out[by_size[i], by_size[lo:hi]] = _w1_block(
+                support_i, cum0_i, support, cum0, sizes[lo:hi], support_start[lo:hi],
+                cum_start[lo:hi])
 
 
 def _row_blocks(n: int) -> list[slice]:
     """Consecutive row ranges of an n x n matrix, about ROW_BLOCK_VALUES values each."""
     step = max(1, ROW_BLOCK_VALUES // max(n, 1))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def _allowed_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_workers(work, workers):
-    """Run ``work(w)`` for every w in range(workers), and w = 0 on this thread.
-
-    ``work(w)`` is an iterator, and each worker stops at its next step once
-    another has raised. Every thread has joined when this returns or raises;
-    the first exception raised in any worker is raised here.
-    """
-    failures = []
-
-    def run(w):
-        try:
-            for _ in work(w):
-                if failures:
-                    return
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            failures.append(exc)
-
-    threads = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=run, args=(w,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    except BaseException as exc:  # a thread that could not start
-        failures.append(exc)
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
 
 
 def _w1_block(support_i, cum0_i, support, cum0, sizes, support_start, cum_start):

@@ -43,6 +43,7 @@ from .errors import (
     NoConvergence,
     RankDeficientSample,
     _integer_in,
+    _real_array,
 )
 from .kmeans import KmeansResult, kmeans
 from .metrics import Partition
@@ -273,14 +274,6 @@ def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False,
     if record is not None:
         record.update(solve)
     return values[:k].copy(), vectors[:, :k].copy()
-
-
-def _real_array(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array; one of complex, string or object entries is ArgumentOutOfRange."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "biuf":
-        raise ArgumentOutOfRange(f"{name} must hold real numbers, not {array.dtype}")
-    return array.astype(np.float64, copy=False)
 
 
 def _asymmetry(m: np.ndarray) -> float:

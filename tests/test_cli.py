@@ -4,15 +4,12 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-
-from test_similarity import _workers
 
 from wscluster import (
     build_similarity,
@@ -120,26 +117,19 @@ class TestCluster:
         assert run["sigma"] > 0
         assert len(run["eigenvalues"]) == 3
         assert "timings" in run and "config" in run
-        assert run["distance_workers"] >= 1
         assert run["distance_kernel"] == "quantile"  # 40 distinct amounts per entity
 
-    def test_run_json_records_the_threads_that_ran(self, tmp_path):
-        def record(*args):
-            threads.add(threading.current_thread())
-            return real(*args)
-
-        real, threads = similarity._w1_block, set()
+    def test_run_json_records_the_grid_path_on_integer_prices(self, tmp_path):
         gen = np.random.default_rng(11)
         csv_path = tmp_path / "tx.csv"
-        # each amount four times, so the threaded merge path runs
-        write_transactions(csv_path, [(f"e{i}", np.repeat(gen.random(30), 4).tolist())
+        # 60 transactions each at 10 integer prices: 10 grid values per pair
+        write_transactions(csv_path, [(f"e{i}", gen.integers(1, 11, 60).tolist())
                                       for i in range(40)])
         out = tmp_path / "out"
-        with _workers(3), mock.patch.object(similarity, "_w1_block", side_effect=record):
-            assert main(["cluster", str(csv_path), "--k", "3", "--out", str(out)]) == 0
+        assert main(["cluster", str(csv_path), "--k", "3", "--out", str(out)]) == 0
         run = json.loads((out / "run.json").read_text())
-        assert run["distance_workers"] == len(threads) == 3
-        assert run["distance_kernel"] == "merge"
+        assert run["distance_kernel"] == "grid"
+        assert "distance_workers" not in run
 
     @pytest.mark.skipif(sys.platform == "win32", reason="no resource module")
     def test_run_json_records_the_peak_rss(self, toy_csv, tmp_path):

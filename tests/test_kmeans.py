@@ -153,6 +153,15 @@ class TestKmeans:
         with pytest.raises(ArgumentOutOfRange, match="must be finite"):
             kmeans(points, 2)
 
+    @pytest.mark.parametrize("points, message", [
+        ([["a", "b"], ["c", "d"]], "must hold real numbers, not <U1"),
+        ([[1j, 2.0], [3.0, 4.0]], "must hold real numbers, not complex128"),
+        ([[1.0, 0.5], [0.2]], "must be a rectangular array, not ragged"),
+    ], ids=["str", "complex", "ragged"])
+    def test_points_not_a_real_array_are_typed(self, points, message):
+        with pytest.raises(ArgumentOutOfRange, match=f"^kmeans points {message}"):
+            kmeans(points, 1)
+
 
 def _outcome(fn, points, k, seed):
     """A result's fields as bytes, or the type and text of what it raised."""

@@ -4,7 +4,6 @@ import os
 import pickle
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -54,20 +53,17 @@ def _amount_lists(draw):
     return lists + [lists[c] for c in copies]
 
 
-def _workers(count):
-    """Run pairwise_distances' merge path on ``count`` threads, whatever the host and the input."""
-    return mock.patch.multiple(similarity, _allowed_cpus=lambda: count, THREADS_MIN_BLOCK=0)
+KERNELS = ("grid", "quantile", "merge")
 
 
 def _tied(values, ties=4):
-    """Each amount ``ties`` times: ``ties`` transactions per distinct amount take the merge path."""
+    """Each amount ``ties`` times."""
     return np.repeat(values, ties)
 
 
 def _path(kernel):
-    """Force pairwise_distances onto ``kernel`` through its transactions-per-value bound."""
-    return mock.patch.object(similarity, "QUANTILE_MAX_RATIO",
-                             math.inf if kernel == "quantile" else 0)
+    """Force pairwise_distances onto ``kernel``, whatever the input."""
+    return mock.patch.object(similarity, "_kernel", return_value=kernel)
 
 
 def _oracle(ds):
@@ -102,30 +98,32 @@ class TestPairwiseDistances:
     def test_exact_symmetry(self):
         gen = np.random.default_rng(0)
         ds = _dataset([gen.random(gen.integers(1, 20)) for _ in range(12)])
-        d = pairwise_distances(ds)
-        assert np.array_equal(d.entries, d.entries.T)
-        assert np.all(np.diag(d.entries) == 0.0)
+        for kernel in KERNELS:
+            with _path(kernel):
+                d = pairwise_distances(ds)
+            assert d.kernel == kernel
+            assert np.array_equal(d.entries, d.entries.T)
+            assert np.all(np.diag(d.entries) == 0.0)
 
-    # BLOCK_ELEMENTS=1 puts every pair in a block of its own; 3 workers
-    # run the merge path's threads on any host. Each example takes each path
+    # BLOCK_ELEMENTS=1 puts every pair in a block of its own. Each example takes each path
     @pytest.mark.parametrize("block", [similarity.BLOCK_ELEMENTS, 1],
                              ids=["default", "one-pair-blocks"])
     @settings(max_examples=150, deadline=None)
     @given(amount_lists=_amount_lists())
     @example(amount_lists=[[0.5]])
     @example(amount_lists=[[0.5], [0.5, 1.0]])
+    @example(amount_lists=[[0.5], [0.5]])  # a grid of one value, no intervals
     @example(amount_lists=[[0.0, 1.0], [0.0, 1.0]])
     @example(amount_lists=[[k / 7 for k in range(7)], [k / 22 for k in range(11)]])  # 7 and 11
     @example(amount_lists=[[0.1, 0.7, 0.2], [0.9, 0.3, 0.3], [0.5, 0.4, 0.8]])  # equal counts
     def test_every_entry_matches_the_oracle(self, block, amount_lists):
         ds = standardize([TransactionBatch(f"e{i}", a) for i, a in enumerate(amount_lists)])
         oracle = _oracle(ds)
-        for kernel, workers in [("quantile", 1), ("merge", 1), ("merge", 3)]:
-            with mock.patch.object(similarity, "BLOCK_ELEMENTS", block), _path(kernel), \
-                    _workers(workers):
+        for kernel in KERNELS:
+            with mock.patch.object(similarity, "BLOCK_ELEMENTS", block), _path(kernel):
                 d = pairwise_distances(ds)
             if ds.n >= 2:
-                assert (d.kernel, d.workers) == (kernel, min(workers, ds.n - 1))
+                assert d.kernel == kernel
             np.testing.assert_allclose(d.entries, oracle, rtol=0, atol=1e-12)
 
     def test_one_wide_entity_among_narrow_ones(self):
@@ -135,8 +133,8 @@ class TestPairwiseDistances:
         ds = standardize([TransactionBatch(f"e{i}", a) for i, a in enumerate(amounts)])
         tracemalloc.start()
         try:
-            with mock.patch.object(similarity, "_w1_block",
-                                   wraps=similarity._w1_block) as block:
+            with _path("merge"), mock.patch.object(similarity, "_w1_block",
+                                                   wraps=similarity._w1_block) as block:
                 d = pairwise_distances(ds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -166,16 +164,20 @@ class TestPairwiseDistances:
         expected = [wasserstein(wide, e) for e in ds.ecdfs]
         np.testing.assert_allclose(d.entries[25], expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("ties, kernel, bound", [(1, "quantile", 1.5), (4, "merge", 1.1)],
-                             ids=["1-quantile", "4-merge"])
+    @pytest.mark.parametrize("ties, kernel, bound",
+                             [(1, "quantile", 1.5), (4, "merge", 1.1), (2, "grid", 1.5)],
+                             ids=["1-quantile", "4-merge", "2-grid"])
     def test_one_n_by_n_array(self, ties, kernel, bound):
-        # 800 entities of two amounts: the 5.1 MB result outweighs every block's scratch,
-        # so a mirror through out.T, a second n x n array, would double the peak
+        # 800 entities of two amounts out of 20: the 5.1 MB result outweighs every
+        # block's scratch and the grid's 800 x 20 table, so a mirror through out.T,
+        # a second n x n array, would double the peak
         gen = np.random.default_rng(9)
-        ds = _dataset([_tied(gen.random(2), ties) for _ in range(800)])
+        values = gen.random(20)
+        ds = _dataset([_tied(gen.choice(values, 2, replace=False), ties) for _ in range(800)])
         tracemalloc.start()
         try:
-            d = pairwise_distances(ds)
+            with _path(kernel):
+                d = pairwise_distances(ds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -201,7 +203,7 @@ class TestPairwiseDistances:
         gen = np.random.default_rng(7)
         ds = standardize([TransactionBatch(f"e{i}", _tied(gen.random(size)))
                           for i, size in enumerate([3000, 3000, 2000, 2000, 2000])])
-        with mock.patch.object(similarity, "BLOCK_ELEMENTS", 8192):
+        with mock.patch.object(similarity, "BLOCK_ELEMENTS", 8192), _path("merge"):
             d = pairwise_distances(ds)
         assert d.kernel == "merge"
         np.testing.assert_allclose(d.entries, _oracle(ds), rtol=0, atol=1e-12)
@@ -221,67 +223,23 @@ class TestPairwiseDistances:
         assert np.all(d.entries[~np.eye(90, dtype=bool)] > 0)
         np.testing.assert_allclose(d.entries, _oracle(ds), rtol=0, atol=1e-12)
 
-    def test_the_cheaper_path_by_transactions_per_value(self):
-        # 3 transactions per distinct amount is the bound; 4 takes the merge path
-        values = [np.array([0.1, 0.5]), np.array([0.4, 0.7, 0.9])]
-        for ties, kernel in [(1, "quantile"), (3, "quantile"), (4, "merge")]:
-            ds = _dataset([_tied(v, ties) for v in values])
-            assert pairwise_distances(ds).kernel == kernel
-
-    def test_any_worker_count_gives_the_same_bits(self):
-        # more workers than cores, switching threads as often as the
-        # interpreter allows: a lost or misplaced row would change the bits
-        gen = np.random.default_rng(8)
-        ds = standardize([TransactionBatch(f"e{i}", _tied(gen.random(size)))
-                          for i, size in enumerate(gen.integers(1, 300, 60))])
-        interval = sys.getswitchinterval()
-        results = []
-        try:
-            sys.setswitchinterval(1e-6)
-            for workers in (1, 2, 3, 8):
-                with _workers(workers):
-                    results.append(pairwise_distances(ds).entries)
-        finally:
-            sys.setswitchinterval(interval)
-        for d in results[1:]:
-            assert np.array_equal(d, results[0])
-
-    @pytest.mark.parametrize("n, support, cpus, expected", [
-        (60, 20, 4, 1),  # blocks of 1,200 values on average: one thread
-        (60, 200, 4, 4),  # 12,000 values: one thread per CPU
-        (60, 200, 1, 1),
-        (3, 5000, 8, 2),  # no more threads than rows
-    ])
-    def test_threads_follow_the_cpus_and_the_block_size(self, n, support, cpus, expected):
-        def record(*args):
-            threads.add(threading.current_thread())
-            return real(*args)
-
-        real, threads = similarity._w1_block, set()
-        gen = np.random.default_rng(10)
-        ds = standardize([TransactionBatch(f"e{i}", _tied(gen.random(support)))
-                          for i in range(n)])
-        with mock.patch.object(similarity, "_allowed_cpus", return_value=cpus), \
-                mock.patch.object(similarity, "_w1_block", side_effect=record):
-            assert pairwise_distances(ds).workers == expected
-        assert len(threads) == expected
-
-    def test_a_failing_worker_reaches_the_caller(self):
-        # worker 0 runs on the calling thread; every other worker fails
-        def fail_off_the_main_thread(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("worker failed")
-            return real(*args)
-
-        real = similarity._w1_block
-        gen = np.random.default_rng(9)
-        ds = standardize([TransactionBatch(f"e{i}", _tied(gen.random(20))) for i in range(12)])
-        threads = threading.active_count()
-        with _workers(3), \
-                mock.patch.object(similarity, "_w1_block", side_effect=fail_off_the_main_thread):
-            with pytest.raises(RuntimeError, match="worker failed"):
-                pairwise_distances(ds)
-        assert threading.active_count() == threads
+    def test_the_path_of_least_work(self):
+        gen = np.random.default_rng(4)
+        # tie-free amounts: a pair's own grid is its m_a + m_b transactions, a tie
+        # that keeps the quantile path even at n=2
+        for n in (2, 50):
+            assert pairwise_distances(_dataset([gen.random(30) for _ in range(n)])).kernel \
+                == "quantile"
+        # integer prices, 40 transactions each: 10 grid values per pair against 80
+        # transactions and 8 x 20 distinct amounts
+        prices = _dataset([gen.integers(1, 11, 40).astype(float) for _ in range(50)])
+        assert pairwise_distances(prices).kernel == "grid"
+        # 5 private prices each out of a catalogue of 5000, 1000 transactions each:
+        # 8 x 10 distinct amounts per pair against about 250 grid values and 2000
+        # transactions
+        own = [gen.choice(np.arange(1.0, 5001.0), 5, replace=False) for _ in range(50)]
+        shops = _dataset([_tied(p, 200) for p in own])
+        assert pairwise_distances(shops).kernel == "merge"
 
     @pytest.mark.parametrize("extra_vars", [0, 24, 48])
     def test_first_call_on_a_cold_heap(self, extra_vars):
@@ -292,26 +250,29 @@ class TestPairwiseDistances:
         # extra environment variables vary what the interpreter allocated
         # before the call, which the bound must not depend on. Each path
         # runs in an interpreter of its own: the continuous amounts take the
-        # quantile path, and the same amounts four times each the merge path
+        # quantile path, and the same amounts four times each are sent down
+        # the merge path
         probe = """
 import resource, sys
+from unittest import mock
 import numpy as np
-from wscluster import TransactionBatch, pairwise_distances, standardize
+from wscluster import TransactionBatch, pairwise_distances, similarity, standardize
 from wscluster.simulate import SimSpec, generate
 batches, _ = generate(SimSpec((130, 130, 140), beta=100, example=1, seed=1))
 ties = int(sys.argv[1])
 dataset = standardize([TransactionBatch(b.entity_id, np.repeat(b.amounts, ties))
                        for b in batches])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-kernel = pairwise_distances(dataset).kernel
+with mock.patch.object(similarity, "_kernel", return_value=sys.argv[2]):
+    kernel = pairwise_distances(dataset).kernel
 print(kernel, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         env.update({f"WSCLUSTER_TEST_PAD_{k}": "x" * 16 for k in range(extra_vars)})
         for ties, kernel in [(1, "quantile"), (4, "merge")]:
-            proc = subprocess.run([sys.executable, "-c", probe, str(ties)], capture_output=True,
-                                  text=True, env=env, timeout=300)
+            proc = subprocess.run([sys.executable, "-c", probe, str(ties), kernel],
+                                  capture_output=True, text=True, env=env, timeout=300)
             assert proc.returncode == 0, proc.stderr
             ran, faults = proc.stdout.split()
             assert ran == kernel
@@ -374,13 +335,12 @@ class TestDistanceMatrix:
         lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy,
     ], ids=["pickle", "deepcopy"])
     def test_a_copy_is_read_only(self, duplicate):
-        d = DistanceMatrix(["a", "b"], np.array([[0.0, 1.5], [1.5, 0.0]]), workers=2,
-                           kernel="merge")
+        d = DistanceMatrix(["a", "b"], np.array([[0.0, 1.5], [1.5, 0.0]]), kernel="merge")
         twin = duplicate(d)
         assert twin.entries is not d.entries
         assert not twin.entries.flags.writeable
         assert twin.entity_ids == d.entity_ids
-        assert (twin.workers, twin.kernel) == (2, "merge")
+        assert twin.kernel == "merge"
         assert np.array_equal(twin.entries, d.entries)
 
     @pytest.mark.parametrize("duplicate", [

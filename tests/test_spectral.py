@@ -198,6 +198,10 @@ class TestSymEigTopk:
         with pytest.raises(ArgumentOutOfRange, match="matrix must hold real numbers"):
             sym_eig_topk(m, 1)
 
+    def test_rejects_a_ragged_matrix(self):
+        with pytest.raises(ArgumentOutOfRange, match="^matrix must be a rectangular array"):
+            sym_eig_topk([[1.0, 0.5], [0.2]], 1)
+
     def test_k_out_of_range(self):
         with pytest.raises(ArgumentOutOfRange):
             sym_eig_topk(np.eye(3), 4)
@@ -569,7 +573,8 @@ class TestEigengap:
         ([[1.0, 0.5], [0.2, 0.1]], "must be a 1-D array, not 2-D"),
         (["a", "b"], "must hold real numbers"),
         ([1.0, 0.5j], "must hold real numbers"),
-    ], ids=["rows", "str", "complex"])
+        ([[1.0, 0.5], [0.2]], "must be a rectangular array, not ragged"),
+    ], ids=["rows", "str", "complex", "ragged"])
     def test_eigenvalues_not_a_real_vector_are_typed(self, values, message):
         with pytest.raises(ArgumentOutOfRange, match=f"^eigenvalues {message}"):
             eigengap_suggest_k(values)
