@@ -216,11 +216,17 @@ def sym_eig_topk(m: np.ndarray, k: int, *, overwrite: bool = False,
     between ``OPENBLAS_NUM_THREADS`` settings where ``evr``'s did not.
     Below the cut-over the full ``eigh`` stays: at n=400 (example 2, seed
     31, dense graph, best of 7) the iteration took 0.004 s against 0.020 s
-    for ``eigh``, but that is under 5% of a 0.4 s CLI job, below what this
-    host's run-to-run drift shows, and moving the cut-over would change the
-    path of every smaller run; 1450 is where one cold ``evr`` call, scipy's
-    import included, stopped losing to ``eigh`` (0.42 / 0.39 s against
-    0.40 / 0.43 s, 2 cores), and ``evr`` is still the fallback there.
+    for ``eigh``. That ``eigh`` time is not a bound, though: on the
+    ``cli-wsc-continuous`` input (n=400) the CLI's ``eigh`` took
+    0.165-0.214 s on two OpenBLAS threads in some stretches of a shared
+    2-core host, against 0.013-0.018 s with ``OPENBLAS_NUM_THREADS=1``
+    (25 alternating pairs, equal labels) and 0.013-0.020 s on two threads
+    in other stretches. The iteration did not help there: its cost model
+    gave up after 2 steps on that graph and fell back to ``eigh``. Moving
+    the cut-over would also change the path of every smaller run; 1450 is
+    where one cold ``evr`` call, scipy's import included, stopped losing to
+    ``eigh`` (0.42 / 0.39 s against 0.40 / 0.43 s, 2 cores), and ``evr`` is
+    still the fallback there.
 
     Pairs are solved for in whole blocks: ``pairs = min(n, EIG_BLOCK *
     ceil(k / EIG_BLOCK))``, and the first k of them are returned. A subset

@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import AMOUNTS, grid_wasserstein, random_amounts
 
@@ -279,8 +280,8 @@ class TestCsvIngestion:
 
     def test_interleaved_entities_across_many_chunks(self, tmp_path, monkeypatch):
         # rows of five entities interleave as in a time-ordered log; chunks of
-        # 16 characters split every entity's rows over many chunks
-        monkeypatch.setattr(ecdf, "READ_CHUNK_CHARS", 16)
+        # 16 bytes split every entity's rows over many chunks
+        monkeypatch.setattr(ecdf, "READ_CHUNK_BYTES", 16)
         order = ["m3", "m1", "m4", "m0", "m2"]
         rows = [(order[(i * 3 + i // 7) % 5], f"{i * 0.7:.3f}") for i in range(300)]
         path = tmp_path / "t.csv"
@@ -328,3 +329,49 @@ class TestCsvIngestion:
         path.write_bytes(b"entity_id,amount\n\ra,1\n")
         assert [(b.entity_id, b.amounts.tolist()) for b in read_transactions_csv(path)] == \
             [("a", [1.0])]
+
+    @pytest.mark.parametrize("variant", ["crlf", "bom", "blank lines", "interleaved"])
+    def test_fast_path_takes_crlf_bom_blank_and_interleaved_files(self, tmp_path, variant):
+        # the two merchant ids share their first 8 bytes; m1's rows interleave with others
+        rows = [("m1", "10"), ("merchant_0001", "5.5"), ("m1", "0.30000000000000004"),
+                ("merchant_0002", "7"), ("caf\u00e9-\u20ac", "1e3"), ("merchant_0002", "12.25")]
+        lines = [f"{e},{a}\n".encode() for e, a in rows]
+        body = {"crlf": b"".join(lines).replace(b"\n", b"\r\n"),
+                "bom": b"".join(lines),
+                "blank lines": b"\n".join(lines) + b" \r\n\t\n" + "\u2028\n".encode(),
+                "interleaved": b"".join(lines[i] for i in (0, 3, 1, 2, 5, 4))}[variant]
+        path = tmp_path / "t.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if variant == "bom" else b"")
+                         + b"entity_id,amount\n" + body)
+        fast = ecdf._read_quote_free(path)
+        assert fast is not None
+        assert [(b.entity_id, b.amounts.tobytes()) for b in fast] == \
+            [(b.entity_id, b.amounts.tobytes()) for b in ecdf._read_with_csv(path)]
+
+
+def _short_decimals(texts):
+    """``ecdf._short_decimals`` of ``texts``, laid out one a line as in a chunk."""
+    data = bytes(16) + b"".join(t.encode() + b"\n" for t in texts) + bytes(16)
+    width = np.array([len(t.encode()) for t in texts])
+    return ecdf._short_decimals(data, 16 + np.cumsum(width + 1) - 1, width)
+
+
+class TestShortDecimals:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text("0123456789", min_size=1, max_size=15),
+                              st.integers(0, 15), st.booleans()), min_size=1, max_size=20))
+    def test_equal_float_bitwise(self, fields):
+        # 1-15 digits, with or without a "." anywhere among them
+        texts = [d[:at] + "." + d[at:] if dotted else d for d, at, dotted in fields]
+        values, exact = _short_decimals(texts)
+        assert exact.all()
+        assert values.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+    @pytest.mark.parametrize("text", ["1234567890123456", "9007199254740993", "1.2.3", "..5",
+                                      ".", "", "-1", "+1", "1e5", " 1", "1 ", "1_0", "nan",
+                                      "\u0661", "0x1", "12345678901234567.0"])
+    def test_other_fields_are_left_to_float(self, text):
+        # beside a field it takes, so that neighbouring bytes cannot mask the difference
+        values, exact = _short_decimals(["12.5", text, "7"])
+        assert exact.tolist() == [True, False, True]
+        assert values[[0, 2]].tolist() == [12.5, 7.0]

@@ -41,14 +41,20 @@ BODIES = st.one_of(
     st.lists(st.sampled_from(TOKENS), max_size=60).map(b"".join),
 )
 
-# "entity,amount" lines, mostly well formed, so that the fast reader takes some of them
+# "entity,amount" lines, mostly well formed, so that the fast reader takes some of them;
+# ids longer than 8 bytes share their first 8, and amounts lie on both sides of the
+# 15-digit exact parse
 SPACES = st.sampled_from([b"", b"", b" ", b"\t", b"\x0b", "\u2028".encode()])
 ROWS = st.lists(st.tuples(
     st.sampled_from([b"a", b"b", b" a", b"b\t", b"", b"\xc3\xa9", "\x85".encode(), b"\r",
-                     b'"a"']),
-    SPACES, st.sampled_from([b"1", b"2.5", b"-3", b"nan", b"1e999", b"1_0", b"1,2", b"x"]), SPACES,
+                     b'"a"', b"merchant_01", b"merchant_02", b"merchant_0123456789",
+                     b"merchant_0123456788", "caf\u00e9-\u20ac".encode(), "\u65e5\u672c".encode()]),
+    SPACES, st.sampled_from([b"1", b"2.5", b"-3", b"nan", b"1e999", b"1_0", b"1,2", b"x",
+                             b"5.", b".5", b".", b"007", b"1.2.3", b"123456789012345",
+                             b"1234567.12345678", b"1234567890123456", b"12345678901234567",
+                             b"9007199254740993", b"0.30000000000000004"]), SPACES,
     st.sampled_from([b"\n", b"\n", b"\r\n", b"\n\n", b"\r", b""]),
-).map(lambda row: row[0] + b"," + b"".join(row[1:])), max_size=6).map(b"".join)
+).map(lambda row: row[0] + b"," + b"".join(row[1:])), max_size=8).map(b"".join)
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -81,10 +87,10 @@ def _outcome(read, path):
                                b"\rentity_id,amount\n",
                                b"\xef\xbb\xbfentity_id,amount\n",
                                b'"entity_id",amount\n', b"entity_id,amount,x\n"]),
-       body=BODIES | ROWS, chunk=st.sampled_from([1, 5, ecdf.READ_CHUNK_CHARS]))
+       body=BODIES | ROWS, chunk=st.sampled_from([1, 5, ecdf.READ_CHUNK_BYTES]))
 def test_fast_reader_declines_or_agrees_with_the_csv_reader(tmp_path, monkeypatch, header,
                                                             body, chunk):
-    monkeypatch.setattr(ecdf, "READ_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(ecdf, "READ_CHUNK_BYTES", chunk)
     path = tmp_path / "t.csv"
     path.write_bytes(header + body)
     fast = _outcome(ecdf._read_quote_free, path)
