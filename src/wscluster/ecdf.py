@@ -27,6 +27,7 @@ import codecs
 import csv
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,13 +195,17 @@ def standardize(batches) -> Dataset:
     The divisor ``m0`` is the global maximum amount. A dataset in which
     every amount is zero keeps its zeros and records ``m0 = 1``. The
     batches checked their amounts, and m0 keeps them finite and in [0, 1].
+    Two batches of one entity id raise :class:`InputError`.
     """
     batches = list(batches)
     if not batches:
         raise InputError("no batches supplied")
+    ids = [b.entity_id for b in batches]
+    if len(set(ids)) < len(ids):
+        repeated = next(eid for eid, count in Counter(ids).items() if count > 1)
+        raise InputError(f"entity {repeated!r} has more than one batch")
     m0 = max(float(b.amounts.max()) for b in batches) or 1.0
     _warn_small_samples(batches)
-    ids = [b.entity_id for b in batches]
     ecdfs = [_ecdf_of(b.amounts / m0) for b in batches]
     return Dataset(ids, ecdfs, m0=m0)
 

@@ -25,9 +25,13 @@ class ArgumentOutOfRange(WsclusterError, ValueError):
     cannot take (not square, symmetric or real); for a silhouette over
     fewer than two occupied clusters or with labels that do not match the
     distances; for partitions of different lengths; for a simulation spec
-    that cannot be drawn; for a subsample fraction outside (0, 1]; and for
-    a method name that the method table does not hold, or one that a
-    benchmark would run twice.
+    that cannot be drawn; for a subsample fraction outside (0, 1]; for a
+    subsample plan whose indices are not a non-empty 1-D integer array of
+    distinct entities in range; for distances given to a pipeline over
+    other entities than the dataset's or in another order, and
+    similarities and distances given to the kNN cut over different
+    entities; and for a method name that the method table does not hold,
+    or one that a benchmark would run twice.
     """
 
 
@@ -70,8 +74,9 @@ class InputError(WsclusterError, ValueError):
     """The input data itself is unusable; the CLI exits with code 2.
 
     Raised for an empty batch, an amount that is NaN, infinite or negative,
-    a CSV that does not parse (the message carries the row), and more
-    entities than the dense distance matrix holds.
+    a CSV that does not parse (the message carries the row), two batches
+    of one entity id, and more entities than the dense distance matrix
+    holds.
     """
 
 

@@ -151,19 +151,24 @@ def pairwise_distances(dataset: Dataset) -> DistanceMatrix:
         return DistanceMatrix(list(dataset.entity_ids), np.zeros((n, n)))
     out = np.zeros((n, n), dtype=np.float64)
     ecdfs = dataset.ecdfs
-    grid = np.unique(np.concatenate([e.support for e in ecdfs]))
-    kernel = _kernel(ecdfs, grid.size)
-    if kernel == "grid":
-        _grid_distances(ecdfs, grid, out)
-    elif kernel == "quantile":
-        _quantile_distances(ecdfs, out)
+    support = np.concatenate([e.support for e in ecdfs])  # every support, end to end
+    sizes = np.array([e.support.size for e in ecdfs], dtype=np.intp)
+    samples = np.array([e.sample_count for e in ecdfs], dtype=np.intp)
+    grid = np.unique(support)
+    kernel = _kernel(sizes, samples, grid.size)
+    if kernel == "merge":
+        _merge_distances(support, sizes, np.concatenate([e.cum0 for e in ecdfs]), out)
     else:
-        _merge_distances(ecdfs, out)
+        counts = np.concatenate([e.counts for e in ecdfs])
+        if kernel == "grid":
+            _grid_distances(support, sizes, counts, samples, grid, out)
+        else:
+            _quantile_distances(support, counts, samples, out)
     _mirror(out)
     return DistanceMatrix(list(dataset.entity_ids), out, kernel)
 
 
-def _kernel(ecdfs, grid_size: int) -> str:
+def _kernel(sizes, samples, grid_size: int) -> str:
     """The path of least work per pair, the quantile path on a tie.
 
     Per pair, n times over: the grid path takes the G values of the union
@@ -171,9 +176,9 @@ def _kernel(ecdfs, grid_size: int) -> str:
     QUANTILE_MAX_RATIO x (s_a + s_b) distinct amounts, with the sample
     counts m and the support sizes s averaged over the dataset.
     """
-    work = {"quantile": 2 * sum(e.sample_count for e in ecdfs),
-            "grid": len(ecdfs) * grid_size,
-            "merge": 2 * QUANTILE_MAX_RATIO * sum(e.support.size for e in ecdfs)}
+    work = {"quantile": 2 * int(samples.sum()),
+            "grid": sizes.size * grid_size,
+            "merge": 2 * QUANTILE_MAX_RATIO * int(sizes.sum())}
     return min(work, key=work.get)  # the first of equal ones
 
 
@@ -188,7 +193,7 @@ def _mirror(out):
         out[rows, :lo] = out[:lo, rows].T
 
 
-def _grid_distances(ecdfs, grid, out):
+def _grid_distances(support, sizes, counts, samples, grid, out):
     """Exact W1 of every pair as the Delta x-weighted L1 distance between cumulative tables.
 
     ``grid`` holds the dataset's G distinct amounts, sorted. Row a of the
@@ -199,19 +204,16 @@ def _grid_distances(ecdfs, grid, out):
     :func:`_integrate` over the G - 1 intervals between the amounts, weighted
     by their widths; the last column, 1 in every row, is never read.
     """
-    n = len(ecdfs)
-    table = np.zeros((n, grid.size))
-    rows = np.arange(n)
-    table[np.repeat(rows, [e.support.size for e in ecdfs]),
-          np.searchsorted(grid, np.concatenate([e.support for e in ecdfs]))] = \
-        np.concatenate([e.counts for e in ecdfs])
+    rows = np.arange(sizes.size)
+    table = np.zeros((rows.size, grid.size))
+    table[np.repeat(rows, sizes), np.searchsorted(grid, support)] = counts
     np.cumsum(table, axis=1, out=table)
-    table /= np.array([e.sample_count for e in ecdfs], dtype=np.float64)[:, None]
+    table /= samples.astype(np.float64)[:, None]
     cells = np.arange(grid.size - 1)
     _integrate(table.ravel(), rows * grid.size, rows, rows, cells, cells, np.diff(grid), out)
 
 
-def _quantile_distances(ecdfs, out):
+def _quantile_distances(support, counts, samples, out):
     """Exact W1 of every pair as the L1 distance between quantile functions.
 
     ``atoms`` holds each entity's amounts sorted, its support repeated by
@@ -223,12 +225,10 @@ def _quantile_distances(ecdfs, out):
     builds them once (:func:`_step_pattern`) and integrates them
     (:func:`_integrate`).
     """
-    atoms = np.repeat(np.concatenate([e.support for e in ecdfs]),
-                      np.concatenate([e.counts for e in ecdfs]))
-    counts = np.array([e.sample_count for e in ecdfs], dtype=np.intp)
-    start = np.cumsum(counts) - counts
-    order = np.argsort(counts, kind="stable")
-    group_counts, first = np.unique(counts[order], return_index=True)
+    atoms = np.repeat(support, counts)
+    start = np.cumsum(samples) - samples
+    order = np.argsort(samples, kind="stable")
+    group_counts, first = np.unique(samples[order], return_index=True)
     groups = np.split(order, first[1:])
     for a, rows_a in enumerate(groups):
         for b in range(a, len(groups)):
@@ -283,7 +283,7 @@ def _step_pattern(m_a: int, m_b: int):
     return steps // m_b, steps // m_a, width[keep] / total
 
 
-def _merge_distances(ecdfs, out):
+def _merge_distances(support, sizes, cum0, out):
     """Exact W1 of every pair by merging supports.
 
     Entities are taken widest support first, and each is paired with
@@ -293,26 +293,22 @@ def _merge_distances(ecdfs, out):
     to ``out`` once, in one of its two positions. Each block allocates its
     own arrays and frees them when it ends.
     """
-    n = len(ecdfs)
-    sizes = np.array([e.support.size for e in ecdfs], dtype=np.intp)
+    n = sizes.size
     # widest support first, so no later entity is wider than row i: one wide
     # entity then cannot shrink the blocks of all the narrow ones
     by_size = np.argsort(-sizes, kind="stable")
-    ecdfs = [ecdfs[k] for k in by_size]
+    support_start = (np.cumsum(sizes) - sizes)[by_size]
+    cum_start = support_start + by_size  # cum0 has one more value per entity before
     sizes = sizes[by_size]
-    support = np.concatenate([e.support for e in ecdfs])
-    cum0 = np.concatenate([e.cum0 for e in ecdfs])
-    support_start = np.cumsum(sizes) - sizes
-    cum_start = support_start + np.arange(n)
     block_rows = np.maximum(1, BLOCK_ELEMENTS // (2 * sizes[:-1]))  # for each row but the last
     # a row's first block is its largest, as the entities after it are no wider
     first_block = np.minimum(block_rows, np.arange(n - 1, 0, -1)) * (sizes[:-1] + sizes[1:])
     # freeing a chunk that malloc mapped raises glibc's mmap threshold to its
     # size and its trim threshold to twice that, for the whole process. Past
     # this one the heap keeps the arrays each block allocates and frees,
-    # where it would trim and fault them in again on every block. Example 2
-    # at n=2000 sent down this path, first call: 0.87-0.97 s with this
-    # allocation against 1.54-1.63 s without, about 1k minor faults against 565k
+    # where it would trim and fault them in again on every block. Example 1
+    # (130/130/140, beta 100, seed 1) with every amount 10 times, first call in 3
+    # fresh processes: 0.48-0.58 s with it against 0.80-1.04 s, 0.8k minor faults against 203k
     np.empty(8 * int(first_block.max()), dtype=np.intp)
     for i in range(n - 1):
         m = int(sizes[i])
@@ -447,8 +443,11 @@ def knn_sparsify(s: SimilarityMatrix, d: DistanceMatrix, k0: int, *,
     ``s.entries`` itself: :func:`wscluster.spectral.graph_laplacian` cuts
     its own S that way. Without ``out`` the result gets a new array and S
     is left as it was. The surviving entries are gathered before ``out``
-    is zeroed and put back, so memory beyond ``out`` is O(n x k0).
+    is zeroed and put back, so memory beyond ``out`` is O(n x k0). S and D
+    over other entities, or in another order, raise :class:`ArgumentOutOfRange`.
     """
+    if list(s.entity_ids) != list(d.entity_ids):
+        raise ArgumentOutOfRange("similarities and distances are not over the same entities")
     neighbors = nearest_neighbor_sets(d, k0)  # row j lists the i that keep (i, j)
     n = s.n
     rows = np.arange(n)[:, None]

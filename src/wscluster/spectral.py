@@ -125,10 +125,26 @@ class SpectralEmbedding:
 
 @dataclass
 class SubsamplePlan:
-    """An ordered simple random sample of entity indices."""
+    """An ordered simple random sample of entity indices.
+
+    ``selected`` must be a non-empty 1-D integer array of distinct indices
+    in [0, n); other input raises :class:`ArgumentOutOfRange`.
+    """
 
     n: int
     selected: np.ndarray
+
+    def __post_init__(self):
+        n = _integer_in("n", self.n, 1)
+        selected = np.asarray(self.selected)
+        if selected.ndim != 1 or selected.dtype.kind not in "iu" or not selected.size:
+            raise ArgumentOutOfRange("a plan selects a non-empty 1-D array of integer indices")
+        if selected.min() < 0 or selected.max() >= n:
+            raise ArgumentOutOfRange(f"a plan's indices must lie in [0, {n}), not "
+                                     f"[{selected.min()}, {selected.max()}]")
+        if np.unique(selected).size < selected.size:
+            raise ArgumentOutOfRange("a plan selects an entity more than once")
+        self.n, self.selected = n, selected
 
     @property
     def n_s(self) -> int:
@@ -327,6 +343,8 @@ def _solve_top(m: np.ndarray, pairs: int, overwrite: bool):
                 overwrite = False
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
+    if eigenvalues.size < pairs:  # evr can come up short where the top eigenvalue repeats
+        raise NoConvergence(f"eigendecomposition returned {eigenvalues.size} of {pairs} pairs")
     order = np.argsort(eigenvalues)[::-1][:pairs]
     top_vals = eigenvalues[order]
     top_vecs = vectors[:, order].copy()
@@ -556,6 +574,13 @@ def _spectrum(dataset: Dataset, embed, *, sigma, knn_k0, distances):
     return embedding, sigma, timings
 
 
+def _check_entities(dataset: Dataset, distances: DistanceMatrix | None):
+    """Refuse distances over other entities than the dataset's, or over them in another order."""
+    if distances is not None and list(distances.entity_ids) != list(dataset.entity_ids):
+        raise ArgumentOutOfRange(f"distances over {distances.n} entities do not match the "
+                                 f"dataset's {dataset.n} entities in order")
+
+
 def _clustered(dataset: Dataset, spectrum, seed: int, plan=None) -> ClusteringRun:
     """K-means of a :func:`_spectrum` result, one cluster per column; timed as ``kmeans``."""
     embedding, sigma, timings = spectrum
@@ -585,29 +610,28 @@ def _wsc_spectrum(dataset: Dataset, k: int, *, sigma: float | None = None,
     """
     global _last_graph
     k = _integer_in("k", k, 1, dataset.n)
+    _check_entities(dataset, distances)
     pairs = _block_pairs(dataset.n, k)
     t0 = time.perf_counter()
     entries = distances.entries if distances is not None else None
     keep = entries is not None and not entries.flags.writeable
     last = _last_graph
-    if keep and last is not None and last[0]() is entries and last[1] == (sigma, knn_k0, pairs):
-        t1 = time.perf_counter()
-        embedding = SpectralEmbedding(rows=last[3][:, :k].copy(), eigenvalues=last[2][:k].copy(),
-                                      solve=dict(last[5]))
+    kept = keep and last is not None and last[0]() is entries and last[1] == (sigma, knn_k0, pairs)
+    if not kept:
+        # L is built here and dropped after the solve, so LAPACK may overwrite it
+        block, sigma_used, timings = _spectrum(
+            dataset, lambda lap, record: sym_eig_topk(lap, pairs, overwrite=True, record=record),
+            sigma=sigma, knn_k0=knn_k0, distances=distances)
+        last = (weakref.ref(entries) if keep else None, (sigma, knn_k0, pairs),
+                block.eigenvalues, block.rows, sigma_used, block.solve)
+        if keep:
+            _last_graph = last
+    t1 = time.perf_counter()
+    embedding = SpectralEmbedding(rows=last[3][:, :k].copy(), eigenvalues=last[2][:k].copy(),
+                                  solve=dict(last[5]))
+    if kept:
         timings = {"similarity": t1 - t0, "eigensolve": time.perf_counter() - t1}
-        return embedding, last[4], timings
-
-    # L is built here and dropped after the solve, so LAPACK may overwrite it
-    block, sigma_used, timings = _spectrum(
-        dataset, lambda lap, record: sym_eig_topk(lap, pairs, overwrite=True, record=record),
-        sigma=sigma, knn_k0=knn_k0, distances=distances)
-    if keep:
-        _last_graph = (weakref.ref(entries), (sigma, knn_k0, pairs), block.eigenvalues,
-                       block.rows, sigma_used, block.solve)
-    embedding = SpectralEmbedding(rows=block.rows[:, :k].copy(),
-                                  eigenvalues=block.eigenvalues[:k].copy(),
-                                  solve=dict(block.solve))
-    return embedding, sigma_used, timings
+    return embedding, last[4], timings
 
 
 def wsc_run(dataset: Dataset, k: int, *, sigma: float | None = None,
@@ -654,6 +678,7 @@ def subwsc_run(dataset: Dataset, k: int, plan: SubsamplePlan | None = None, *,
     """
     n = dataset.n
     k = _integer_in("k", k, 1, n)
+    _check_entities(dataset, distances)
     if plan is None:
         if n_s is None:
             n_s = default_subsample_size(n, k)

@@ -322,6 +322,18 @@ class TestCluster:
         assert main(["cluster", str(six_csv), *flags, "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_a_repeated_top_eigenvalue_is_no_traceback(self, tmp_path, capsys):
+        # at sigma = max D / 1000 the kNN graph falls apart into more than 16
+        # components, and evr returned 7 of its 16 pairs
+        batches, _ = generate(SimSpec((500, 500, 500), 100.0, 2, seed=3))
+        path = tmp_path / "in.csv"
+        write_transactions(path, [(b.entity_id, b.amounts.tolist()) for b in batches])
+        sigma = float(pairwise_distances(standardize(batches)).entries.max()) / 1000
+        code = main(["cluster", str(path), "--k", "3", "--sigma", repr(sigma),
+                     "--knn-k0", "10", "--out", str(tmp_path / "out")])
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("sigma", ["1e-6", "1e-320"])
     def test_sigma_too_small_for_an_edge_is_pipeline_error(self, six_csv, tmp_path, capsys,
                                                            sigma):

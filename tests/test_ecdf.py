@@ -161,6 +161,11 @@ class TestStandardize:
         assert ds.m0 == 1.0
         assert ds.ecdfs[0].support.tolist() == [0.0]
 
+    def test_two_batches_of_one_entity_are_an_input_error(self):
+        batches = [TransactionBatch(e, [1.0, 2.0]) for e in ["a", "b", "a"]]
+        with pytest.raises(InputError, match="entity 'a' has more than one batch"):
+            standardize(batches)
+
     def test_small_sample_warning(self):
         batches = [TransactionBatch(f"e{i}", [1.0]) for i in range(10)]
         with pytest.warns(SmallSampleWarning):

@@ -431,6 +431,16 @@ def _check_neighbor_sets(data, n, symmetric):
 
 
 class TestKnnSparsify:
+    @pytest.mark.parametrize("other", [
+        lambda d: _dmatrix(np.pad(d.entries, (0, 1), constant_values=1.0) * (1 - np.eye(7))),
+        lambda d: DistanceMatrix(d.entity_ids[::-1], d.entries[::-1, ::-1]),
+    ], ids=["more", "reversed"])
+    def test_distances_over_other_entities_are_argument_out_of_range(self, other):
+        raw = np.random.default_rng(3).random((6, 6))
+        d = _dmatrix(np.triu(raw, 1) + np.triu(raw, 1).T)
+        with pytest.raises(ArgumentOutOfRange, match="not over the same entities"):
+            knn_sparsify(build_similarity(d), other(d), k0=2)
+
     def test_full_neighborhood_keeps_everything(self):
         gen = np.random.default_rng(3)
         raw = gen.random((6, 6))

@@ -426,6 +426,20 @@ class TestPartialEigensolve:
             sym_eig_topk(m, self.K, overwrite=True)
         assert self.calls == ["raised"]
 
+    def test_a_short_evr_return_is_no_convergence(self, partial_size_laplacian, force_evr,
+                                                  monkeypatch):
+        # dsyevr can return fewer pairs than asked where the top eigenvalue repeats
+        import scipy.linalg
+        full = scipy.linalg.eigh
+
+        def short(m, **kwargs):
+            values, vectors = full(m, **kwargs)
+            return values[-7:], vectors[:, -7:]
+        monkeypatch.setattr(scipy.linalg, "eigh", short)
+        with pytest.raises(NoConvergence, match=f"returned 7 of {spectral.EIG_BLOCK} pairs"):
+            sym_eig_topk(partial_size_laplacian[0], self.K)
+        assert self.calls == ["raised"]
+
     @pytest.mark.parametrize("k0", [None, 10])
     def test_the_iteration_reads_the_matrix_and_ignores_overwrite(self, k0):
         m = graph_laplacian(_groups_distances(spectral.PARTIAL_EIG_MIN_N), None, k0)[0].entries
@@ -692,6 +706,18 @@ class TestSubsamplePlan:
         with pytest.raises(ArgumentOutOfRange):
             subsample_plan(10, 11)
 
+    @pytest.mark.parametrize("selected", [
+        np.array([3, 40]), np.array([1.0, 2.0]), np.array([-1, 2]), np.array([1, 2, 2, 3, 1]),
+        np.array([], dtype=np.intp), np.array([[1, 2]]), np.array([True, False]),
+    ], ids=["beyond-n", "float", "negative", "repeated", "empty", "2-d", "bool"])
+    def test_a_bad_selection_is_argument_out_of_range(self, selected):
+        with pytest.raises(ArgumentOutOfRange, match="plan"):
+            spectral.SubsamplePlan(n=30, selected=selected)
+
+    def test_a_drawn_plan_passes_its_own_check(self):
+        plan = subsample_plan(30, 30, seed=2)
+        assert spectral.SubsamplePlan(plan.n, plan.selected).n_s == 30
+
     def test_uniform_inclusion(self):
         counts = np.zeros(10)
         draws = 100_000
@@ -707,6 +733,27 @@ def duplicate_dataset():
     base = [1.0 + gen.random(100), 4.6 + gen.random(100), 7.9 + 0.1 * gen.random(100)]
     batches, labels = duplicate_group_batches(base, copies=10)
     return standardize(batches), labels
+
+
+@pytest.mark.parametrize("run", [wsc_run, subwsc_run], ids=["wsc", "subwsc"])
+class TestDistancesOverOtherEntities:
+    """A pipeline refuses distances that are not over the dataset's entities in its order."""
+
+    def test_more_entities_than_the_dataset(self, run):
+        with pytest.raises(ArgumentOutOfRange, match="over 32 entities"):
+            run(_small_dataset(30), 3, distances=_groups_distances(32))
+
+    def test_the_same_entities_in_reverse_before_any_graph(self, run, monkeypatch):
+        _forget_kept_solves()
+        dataset, distances = _small_dataset(30), _groups_distances(30)
+        wsc_run(dataset, 3, distances=distances)  # keeps a solve under the entries array
+        reverse = DistanceMatrix(distances.entity_ids[::-1], distances.entries)
+        assert reverse.entries is distances.entries
+        built = []
+        monkeypatch.setattr(spectral, "graph_laplacian", lambda *args: built.append(args))
+        with pytest.raises(ArgumentOutOfRange, match="in order"):
+            run(dataset, 3, distances=reverse)
+        assert not built
 
 
 class TestWsc:
