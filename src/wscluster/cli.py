@@ -48,7 +48,6 @@ from .simulate import (
     run_method,
     subsample_sweep,
 )
-from .spectral import _wsc_spectrum, eigengap_suggest_k
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +70,6 @@ class RunConfig:
 
     method: str = "wsc"
     k: int | None = None
-    k_selection: str = "fixed"
     k_max: int = 8
     sigma: float | None = None
     knn_k0: int | None = None
@@ -114,13 +112,10 @@ def build_parser():
     p.add_argument("input", help="CSV with header entity_id,amount")
     p.add_argument("--method", choices=["wsc", "subwsc", "feature_kmeans", "hc"],
                    default="wsc")
-    p.add_argument("--k", type=_positive(int), default=None)
-    p.add_argument("--k-selection", choices=["fixed", "silhouette", "eigengap"],
-                   default="fixed",
-                   help="eigengap reads the wsc graph; on the dense graph it tends to "
-                        "return K=1")
+    p.add_argument("--k", type=_positive(int), default=None,
+                   help="number of clusters (default: chosen by mean silhouette)")
     p.add_argument("--k-max", type=_positive(int), default=8,
-                   help="largest K considered by automatic selection")
+                   help="largest K considered when --k is not given")
     p.add_argument("--sigma", type=_positive(float), default=None)
     p.add_argument("--knn-k0", type=_positive(int), default=None,
                    help="keep a similarity only where one end is among the other's "
@@ -252,40 +247,39 @@ def _recorded_warnings():
             print(f"{w.category.__name__}: {w.message}", file=sys.stderr)
 
 
+def _refuse_unread_flags(args):
+    """A flag ``args.method`` never reads is a usage error, raised before any input is read."""
+    graph = args.method in ("wsc", "subwsc")
+    for flag, value, read in (("--sigma", args.sigma, graph),
+                              ("--knn-k0", args.knn_k0, graph),
+                              ("--n-s", args.n_s, args.method == "subwsc")):
+        if value is not None and not read:
+            raise UsageError(f"{flag} has no effect with --method {args.method}")
+
+
 def _select(config, dataset, distances, cluster):
     """The given or selected K, its run, what the selection saw, and the stage timings.
 
-    Every candidate K runs ``cluster(k)``, whatever the method, and the
-    chosen K's run is returned. Eigengap selection reads the leading
-    eigenvalues of the ``wsc`` graph of the same ``distances``. For
-    ``wsc`` one graph and one solve serve every candidate K in a block of
-    ``EIG_BLOCK`` pairs: a later :func:`spectral.wsc_run` on the same
-    read-only ``distances`` with the same arguments reads a prefix of the
-    block :func:`spectral._wsc_spectrum` keeps and builds nothing.
-    ``subwsc``'s Gram matrix changes with K, so each candidate solves its
-    own. The stage timings sum every candidate's run and the eigengap's
-    own solve, so a run that reused a solve does not hide its cost.
+    With ``config.k`` that K is run. Without it, every K in 2..min(k_max,
+    n_s, n - 1) runs ``cluster(k)``, whatever the method, and the run of
+    the K with the best mean silhouette is returned. For ``wsc`` one graph
+    and one solve serve every candidate K in a block of ``EIG_BLOCK``
+    pairs: a later :func:`spectral.wsc_run` on the same read-only
+    ``distances`` with the same arguments reads a prefix of the block it
+    keeps and builds nothing. ``subwsc``'s Gram matrix changes with K, so
+    each candidate solves its own. The stage timings sum every candidate's
+    run, so a run that reused a solve does not hide its cost.
     """
-    if config.k_selection == "fixed":
-        if config.k is None:
-            raise UsageError("--k is required with --k-selection fixed")
+    if config.k is not None:
         run = cluster(config.k)
         return config.k, run, None, [run.timings]
-    if config.k is not None:
-        raise UsageError("--k conflicts with automatic --k-selection")
-    n = dataset.n
-    if config.k_selection == "eigengap":
-        embedding, _, timings = _wsc_spectrum(dataset, min(n, config.k_max + 1),
-                                              sigma=config.sigma, knn_k0=config.knn_k0,
-                                              distances=distances)
-        eigenvalues = embedding.eigenvalues
-        k = eigengap_suggest_k(eigenvalues, k_max=config.k_max + 1)
-        run = cluster(k)
-        return k, run, {"eigengap_eigenvalues": eigenvalues.tolist()}, [timings, run.timings]
-    if config.k_max < 2:
-        raise UsageError(f"--k-max {config.k_max} leaves no candidate K; "
+    k_max, flag = config.k_max, "--k-max"
+    if config.n_s is not None and config.n_s < k_max:  # subwsc embeds at most n_s clusters
+        k_max, flag = config.n_s, "--n-s"
+    if k_max < 2:
+        raise UsageError(f"{flag} {k_max} leaves no candidate K; "
                          "silhouette selection needs at least 2")
-    k_range = range(2, min(config.k_max, n - 1) + 1)
+    k_range = range(2, min(k_max, dataset.n - 1) + 1)
     if not len(k_range):
         raise UsageError("dataset too small for silhouette selection")
     runs = {}
@@ -316,10 +310,10 @@ def _kmeans_counters(result):
 
 
 def cmd_cluster(args) -> int:
+    _refuse_unread_flags(args)
     with _recorded_warnings() as caught:
-        config = RunConfig(method=args.method, k=args.k, k_selection=args.k_selection,
-                           k_max=args.k_max, sigma=args.sigma, knn_k0=args.knn_k0,
-                           n_s=args.n_s, cap=args.cap, seed=args.seed)
+        config = RunConfig(method=args.method, k=args.k, k_max=args.k_max, sigma=args.sigma,
+                           knn_k0=args.knn_k0, n_s=args.n_s, cap=args.cap, seed=args.seed)
         timings = {}
         dataset, batches, distances = _load(args.input, timings, config.cap, config.seed)
         cluster = functools.partial(run_method, config.method, dataset, batches, distances,
@@ -493,6 +487,7 @@ def cmd_distances(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    _refuse_unread_flags(args)
     dataset, batches, distances = _load(args.input, {})
     run = run_method(args.method, dataset, batches, distances, args.k, seed=args.seed,
                      sigma=args.sigma, knn_k0=args.knn_k0, n_s=args.n_s)

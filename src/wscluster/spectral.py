@@ -177,8 +177,7 @@ def normalized_laplacian(s: SimilarityMatrix, *, out: np.ndarray | None = None) 
     bad = np.flatnonzero(degrees <= 0)
     if bad.size:
         raise IsolatedEntity(
-            f"entity {s.entity_ids[bad[0]]!r} has zero degree; "
-            "increase k0 or disable sparsification")
+            f"entity {s.entity_ids[bad[0]]!r} has zero degree: its similarity row sums to zero")
     scale = 1.0 / np.sqrt(degrees)
     if out is None:
         out = np.empty(s.entries.shape)
@@ -344,7 +343,10 @@ def _solve_top(m: np.ndarray, pairs: int, overwrite: bool):
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
     if eigenvalues.size < pairs:  # evr can come up short where the top eigenvalue repeats
-        raise NoConvergence(f"eigendecomposition returned {eigenvalues.size} of {pairs} pairs")
+        raise NoConvergence(
+            f"eigendecomposition returned {eigenvalues.size} of {pairs} pairs: the top "
+            "eigenvalue repeats past them, as when the graph falls apart into numerical "
+            "components; raise sigma or k0")
     order = np.argsort(eigenvalues)[::-1][:pairs]
     top_vals = eigenvalues[order]
     top_vecs = vectors[:, order].copy()

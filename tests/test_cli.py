@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -13,19 +14,17 @@ import pytest
 
 from wscluster import (
     build_similarity,
-    knn_sparsify,
-    normalized_laplacian,
     pairwise_distances,
     read_transactions_csv,
     standardize,
-    sym_eig_topk,
 )
 from wscluster import similarity, simulate, spectral
-from wscluster.cli import main
+from wscluster.cli import UsageError, build_parser, main
 from wscluster.kmeans import N_INIT
 from wscluster.simulate import SimSpec, generate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def run_cli(argv):
@@ -179,7 +178,7 @@ class TestCluster:
         with mock.patch.object(spectral, "kmeans", side_effect=record), \
                 mock.patch.object(simulate, "kmeans", side_effect=record):
             assert main(["cluster", str(csv_path), "--method", method,
-                         "--k-selection", "silhouette", "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
         run = json.loads((out / "run.json").read_text())
         if method == "hc":
             assert run["kmeans"] is None and not results
@@ -217,7 +216,7 @@ class TestCluster:
             out = tmp_path / f"out{threads}"
             proc = subprocess.run(
                 [sys.executable, "-m", "wscluster.cli", "cluster", str(csv_path),
-                 "--k-selection", "silhouette", "--out", str(out)],
+                 "--out", str(out)],
                 env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads),
                 capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
@@ -240,10 +239,6 @@ class TestCluster:
         csv_path, _ = toy_csv
         assert main(["cluster", str(csv_path), "--k", "0",
                      "--out", str(tmp_path / "o")]) == 1
-
-    def test_missing_k_is_usage_error(self, toy_csv, tmp_path):
-        csv_path, _ = toy_csv
-        assert main(["cluster", str(csv_path), "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize("row, message", [
         ("b,oops", "row 3"),
@@ -332,7 +327,10 @@ class TestCluster:
         code = main(["cluster", str(path), "--k", "3", "--sigma", repr(sigma),
                      "--knn-k0", "10", "--out", str(tmp_path / "out")])
         assert code in (0, 3)
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 3:
+            assert "falls apart into numerical components; raise sigma or k0" in err
 
     @pytest.mark.parametrize("sigma", ["1e-6", "1e-320"])
     def test_sigma_too_small_for_an_edge_is_pipeline_error(self, six_csv, tmp_path, capsys,
@@ -348,8 +346,8 @@ class TestCluster:
     def test_silhouette_selection(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
         out = tmp_path / "out"
-        assert main(["cluster", str(csv_path), "--k-selection", "silhouette",
-                     "--k-max", "5", "--seed", "3", "--out", str(out)]) == 0
+        assert main(["cluster", str(csv_path), "--k-max", "5", "--seed", "3",
+                     "--out", str(out)]) == 0
         run = json.loads((out / "run.json").read_text())
         assert run["k"] == 3
         assert "silhouette_scores" in run["k_selection"]
@@ -357,8 +355,7 @@ class TestCluster:
     def test_silhouette_with_k_max_below_two_is_usage_error(self, toy_csv, tmp_path, capsys):
         csv_path, _ = toy_csv
         out = tmp_path / "out"
-        assert main(["cluster", str(csv_path), "--k-selection", "silhouette",
-                     "--k-max", "1", "--out", str(out)]) == 1
+        assert main(["cluster", str(csv_path), "--k-max", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == ("usage error: --k-max 1 leaves no candidate K; "
                                            "silhouette selection needs at least 2\n")
         assert not out.exists()
@@ -367,8 +364,7 @@ class TestCluster:
         path = tmp_path / "two.csv"
         write_transactions(path, [("a", [1, 2]), ("b", [5, 6])])
         out = tmp_path / "out"
-        assert main(["cluster", str(path), "--k-selection", "silhouette",
-                     "--out", str(out)]) == 1
+        assert main(["cluster", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == ("usage error: dataset too small for "
                                            "silhouette selection\n")
         assert not out.exists()
@@ -378,65 +374,72 @@ class TestCluster:
         # so K=4 cannot be embedded, and selection goes on without it
         csv_path, _ = toy_csv
         out = tmp_path / "out"
-        assert main(["cluster", str(csv_path), "--method", "subwsc", "--k-selection",
-                     "silhouette", "--k-max", "5", "--knn-k0", "9", "--out", str(out)]) == 0
+        assert main(["cluster", str(csv_path), "--method", "subwsc", "--k-max", "5",
+                     "--knn-k0", "9", "--out", str(out)]) == 0
         run = json.loads((out / "run.json").read_text())
         assert run["k"] in (2, 3)
         assert "4" not in run["k_selection"]["silhouette_scores"]
         assert any(w["category"] == "CandidateSkippedWarning" and "K=4" in w["message"]
                    for w in run["warnings"])
 
-    def test_eigengap_selection(self, toy_csv, tmp_path):
-        # the toy groups hold 10 entities each, so k0=9 is about one group:
-        # the kNN graph then falls apart into the groups, with the gap at the
-        # true K. On the dense graph eigengap tends to return K=1
+    def test_silhouette_tries_no_k_above_the_subsample_size(self, toy_csv, tmp_path):
         csv_path, _ = toy_csv
         out = tmp_path / "out"
-        assert main(["cluster", str(csv_path), "--k-selection", "eigengap",
-                     "--k-max", "5", "--knn-k0", "9", "--seed", "3",
+        assert main(["cluster", str(csv_path), "--method", "subwsc", "--n-s", "2",
                      "--out", str(out)]) == 0
         run = json.loads((out / "run.json").read_text())
-        assert run["k"] == 3
+        assert run["k"] == 2 and run["n_s"] == 2
+        assert list(run["k_selection"]["silhouette_scores"]) == ["2"]
 
-    def test_eigengap_uses_the_wsc_graph(self, toy_csv, tmp_path):
-        # the eigenvalues behind the gap come from the same graph that
-        # wsc_run clusters: union k0-NN sparsified kernel, full Laplacian
+    def test_silhouette_with_n_s_below_two_is_usage_error(self, toy_csv, tmp_path, capsys):
         csv_path, _ = toy_csv
         out = tmp_path / "out"
-        assert main(["cluster", str(csv_path), "--k-selection", "eigengap",
-                     "--k-max", "5", "--knn-k0", "9", "--seed", "3",
-                     "--out", str(out)]) == 0
-        run = json.loads((out / "run.json").read_text())
-        d = pairwise_distances(standardize(read_transactions_csv(csv_path)))
-        lap = normalized_laplacian(knn_sparsify(build_similarity(d), d, 9))
-        expected, _ = sym_eig_topk(lap.entries, 6)
-        assert run["k_selection"]["eigengap_eigenvalues"] == expected.tolist()
+        assert main(["cluster", str(csv_path), "--method", "subwsc", "--n-s", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("usage error: --n-s 1 leaves no candidate K; "
+                                           "silhouette selection needs at least 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, method, flag", [
+        ("cluster", "hc", "--sigma"), ("cluster", "hc", "--knn-k0"), ("cluster", "hc", "--n-s"),
+        ("cluster", "feature_kmeans", "--sigma"), ("cluster", "feature_kmeans", "--knn-k0"),
+        ("cluster", "feature_kmeans", "--n-s"), ("cluster", "wsc", "--n-s"),
+        ("embed", "wsc", "--n-s"),
+    ])
+    def test_a_flag_the_method_never_reads_is_usage_error(self, tmp_path, capsys, command,
+                                                          method, flag):
+        # the input does not exist: the flag is refused before it is read
+        out = tmp_path / "out"
+        assert main([command, str(tmp_path / "missing.csv"), "--method", method, "--k", "3",
+                     flag, "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"usage error: {flag} has no effect with "
+                                           f"--method {method}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["wsc", "subwsc"])
-    @pytest.mark.parametrize("selection, k_max, solves", [
-        # wsc clusters every candidate K from one graph and one solve of its
+    @pytest.mark.parametrize("selection, k, solves", [
+        # wsc clusters every K it runs from one graph and one solve of its
         # whole block of 16 pairs; subwsc's Gram embedding depends on K, so
-        # it solves once per candidate, after the eigengap's own solve of
-        # the wsc graph's block
+        # it solves once per K it runs
         ("silhouette", 3, {"wsc": [16], "subwsc": [2, 3]}),
-        ("eigengap", 5, {"wsc": [16], "subwsc": [16, 3]}),
+        ("fixed", 3, {"wsc": [16], "subwsc": [3]}),
     ])
     def test_selection_solves_once_for_wsc(self, toy_csv, tmp_path, monkeypatch, method,
-                                           selection, k_max, solves):
+                                           selection, k, solves):
         calls = []
         solve = spectral.sym_eig_topk
         monkeypatch.setattr(spectral, "sym_eig_topk",
                             lambda m, k, **kw: calls.append(k) or solve(m, k, **kw))
         csv_path, _ = toy_csv
         out = tmp_path / "out"
-        assert main(["cluster", str(csv_path), "--method", method, "--k-selection", selection,
-                     "--k-max", str(k_max), "--knn-k0", "9", "--seed", "3",
-                     "--out", str(out)]) == 0
+        assert main(["cluster", str(csv_path), "--method", method,
+                     "--k" if selection == "fixed" else "--k-max", str(k),
+                     "--knn-k0", "9", "--seed", "3", "--out", str(out)]) == 0
         assert json.loads((out / "run.json").read_text())["k"] == 3
         assert calls == solves[method]
 
     @pytest.mark.parametrize("method", ["wsc", "subwsc", "hc"])
-    @pytest.mark.parametrize("selection", ["silhouette", "eigengap"])
+    @pytest.mark.parametrize("selection", ["silhouette", "fixed"])
     def test_stage_timings_sum_every_candidate(self, toy_csv, tmp_path, monkeypatch, method,
                                                selection):
         # wsc's later candidates reuse the first one's solve, so the chosen
@@ -451,16 +454,17 @@ class TestCluster:
         monkeypatch.setattr(spectral, "kmeans", slow_kmeans)
         csv_path, _ = toy_csv
         out = tmp_path / "out"
-        assert main(["cluster", str(csv_path), "--method", method, "--k-selection", selection,
-                     "--k-max", "3", "--knn-k0", "9", "--out", str(out)]) == 0
+        graph = [] if method == "hc" else ["--knn-k0", "9"]
+        assert main(["cluster", str(csv_path), "--method", method,
+                     "--k" if selection == "fixed" else "--k-max", "3", *graph,
+                     "--out", str(out)]) == 0
         timings = json.loads((out / "run.json").read_text())["timings"]
         stages = {name for name in timings if name.startswith("stage_")}
-        # the eigengap solves the wsc graph whatever the method
-        expected = {"stage_similarity", "stage_eigensolve"} if selection == "eigengap" else set()
+        expected = set()
         if method != "hc":
-            expected |= {"stage_similarity", "stage_eigensolve", "stage_kmeans"}
+            expected = {"stage_similarity", "stage_eigensolve", "stage_kmeans"}
             # every candidate's K-means counts, not only the chosen one's
-            assert len(calls) == (1 if selection == "eigengap" else 2)
+            assert len(calls) == (1 if selection == "fixed" else 2)
             assert timings["stage_kmeans"] >= pause * len(calls)
         assert stages == expected
         assert sum(timings[name] for name in stages) <= timings["cluster"]
@@ -499,7 +503,8 @@ class TestCluster:
     ["plotdata", "{csv}", "{csv}", "--bins", "0"],
     ["cluster", "{csv}", "--k", "3", "--knn-k0", "0"],
     ["embed", "{csv}", "--k", "3", "--knn-k0", "-1"],
-    ["cluster", "{csv}", "--k-selection", "eigengap", "--k-max", "0"],
+    ["cluster", "{csv}", "--k-max", "0"],
+    ["cluster", "{csv}", "--k-selection", "silhouette"],
     ["bench", "--subsample-fraction", "5"],
     ["bench", "--methods", "wsc,fkm"],
     ["bench", "--sizes", "4,4,4", "--beta", "15", "--m", "2", "--methods", ","],
@@ -508,7 +513,8 @@ class TestCluster:
         "threads-removed", "cap-zero", "n-s-zero", "distances-sigma",
         "distances-seed-removed", "embed-k-zero",
         "sizes-text", "sizes-zero", "beta-zero", "bins-zero", "knn-k0-zero",
-        "embed-knn-k0-negative", "k-max-zero", "subsample-fraction-above-one",
+        "embed-knn-k0-negative", "k-max-zero", "k-selection-removed",
+        "subsample-fraction-above-one",
         "methods-unknown", "methods-empty", "methods-repeated"])
 def test_bad_flag_is_usage_error(toy_csv, tmp_path, argv):
     csv_path, _ = toy_csv
@@ -516,6 +522,22 @@ def test_bad_flag_is_usage_error(toy_csv, tmp_path, argv):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "usage error" in proc.stderr
+
+
+def test_readme_commands_parse():
+    # parsing opens no file, so README's example paths can stay as written
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("wscluster ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except UsageError as exc:
+            pytest.fail(f"README: wscluster {shlex.join(argv)}: {exc}")
 
 
 @pytest.mark.parametrize("argv", [

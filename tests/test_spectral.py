@@ -101,7 +101,8 @@ class TestNormalizedLaplacian:
     def test_zero_degree(self):
         entries = np.eye(3)
         entries[1, 1] = 0.0
-        with pytest.raises(IsolatedEntity, match="entity 'e1' has zero degree"):
+        with pytest.raises(IsolatedEntity,
+                           match="entity 'e1' has zero degree: its similarity row sums to zero"):
             normalized_laplacian(_sim(entries))
 
     def test_out_is_bitwise_the_scaled_product(self):
@@ -436,7 +437,9 @@ class TestPartialEigensolve:
             values, vectors = full(m, **kwargs)
             return values[-7:], vectors[:, -7:]
         monkeypatch.setattr(scipy.linalg, "eigh", short)
-        with pytest.raises(NoConvergence, match=f"returned 7 of {spectral.EIG_BLOCK} pairs"):
+        with pytest.raises(NoConvergence, match=f"returned 7 of {spectral.EIG_BLOCK} pairs: the "
+                           "top eigenvalue repeats past them, as when the graph falls apart "
+                           "into numerical components; raise sigma or k0"):
             sym_eig_topk(partial_size_laplacian[0], self.K)
         assert self.calls == ["raised"]
 
@@ -938,7 +941,7 @@ class TestGraphKey:
         select_k_silhouette(cluster, range(2, 9), distances, seed=3)
         for run in runs.values():
             assert set(run.timings) == {"similarity", "eigensolve", "kmeans"}
-        # eigengap reads the block the silhouette steps kept, as the CLI's does
+        # eigengap reads the block the silhouette steps kept
         gap, _, _ = spectral._wsc_spectrum(dataset, 9, distances=distances)
         eigengap_suggest_k(gap.eigenvalues, k_max=9)
         wsc_run(dataset, 3, knn_k0=10, seed=3, distances=distances)
